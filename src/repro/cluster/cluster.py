@@ -107,7 +107,8 @@ class ClusterState:
         return len(self.data["nodes"])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClusterState) and self.data == other.data
+        """Same cluster state means same canonical bytes, as for machines."""
+        return isinstance(other, ClusterState) and self.to_json() == other.to_json()
 
     def __repr__(self) -> str:
         return f"ClusterState(nodes={self.num_nodes}, epoch={self.epoch})"

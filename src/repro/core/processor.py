@@ -422,15 +422,20 @@ class Processor:
         # re-warms from the plan path.
         self._traces.invalidate_all()
 
-    def fork(self) -> "Processor":
+    def fork(self, state=None) -> "Processor":
         """A fully independent copy of this machine, mid-run.
 
         The clone shares nothing mutable with the original: it gets its
         own registers, memory, devices, and fault cursors, built from a
         :meth:`snapshot` and deep copies of the device models.  Stepping
         either machine cannot perturb the other.
+
+        Given *state* (a snapshot of this machine or an identical twin),
+        the clone is restored from it instead of from this machine's own
+        snapshot: the same program and devices, that state -- one restore
+        where a fork followed by a restore would pay two.
         """
-        snap = self.snapshot()
+        snap = self.snapshot() if state is None else state
         clone = Processor(self.config)
         clone.symbols = dict(self.symbols)
         # MicroInstruction objects are immutable; sharing the words is

@@ -184,9 +184,11 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
 
 #: Supervision (checkpoint snapshots + sanitizer sweeps) may cost at
 #: most this factor in wall-clock over the bare run.  The dominant term
-#: is the checkpoint snapshot (a full storage-image copy per interval);
-#: the bound is deliberately loose enough for CI noise but tight enough
-#: that an accidentally-hot sanitizer (or per-cycle snapshots) fails.
+#: is stepping with the sanitizer's per-cycle hook installed; a
+#: checkpoint snapshot walks only the storage pages the machine has
+#: touched, not the whole image.  The bound is deliberately loose
+#: enough for CI noise but tight enough that an accidentally-hot
+#: sanitizer (or per-cycle snapshots) fails.
 SUPERVISED_OVERHEAD_LIMIT = 8.0
 
 

@@ -114,7 +114,10 @@ _BOOT_CACHE: Dict[Tuple[str, Tuple, str], Tuple[Workload, Any]] = {}
 
 
 def booted_workload(
-    name: str, args: Tuple = (), config: MachineConfig = PRODUCTION
+    name: str,
+    args: Tuple = (),
+    config: MachineConfig = PRODUCTION,
+    state: Optional[MachineState] = None,
 ) -> Workload:
     """A runnable workload on a fresh machine for *config*.
 
@@ -122,6 +125,10 @@ def booted_workload(
     the workload's context (every accessor and verify closure reads
     ``ctx.cpu`` late, so the fork is the machine that runs).  Miss:
     build, boot, and remember the pristine machine.
+
+    With *state*, the machine is restored to that snapshot: a cache hit
+    forks the pristine boot straight into it, without snapshotting the
+    boot first; a directly built machine restores it in place.
     """
     args = tuple(args)
     key = (name, args, _config_key(config))
@@ -129,11 +136,13 @@ def booted_workload(
     if cached is None:
         workload = _resolve_builder(name)(config=config, **dict(args))
         if config.fault_injection is not None:
+            if state is not None:
+                workload.ctx.cpu.restore(state)
             return workload
         _BOOT_CACHE[key] = (workload, workload.ctx.cpu)
         cached = _BOOT_CACHE[key]
     workload, pristine = cached
-    workload.ctx.cpu = pristine.fork()
+    workload.ctx.cpu = pristine.fork(state)
     return workload
 
 
@@ -409,7 +418,9 @@ class Session:
             machine = data["machine"]
             config = config_from_signature(machine["config"])
             items = tuple(sorted(dict(data["args"]).items()))
-            workload = booted_workload(data["workload"], items, config)
+            workload = booted_workload(
+                data["workload"], items, config, MachineState(machine)
+            )
             session = cls(
                 name or data["name"],
                 workload,
@@ -418,7 +429,6 @@ class Session:
                 max_retries=data["max_retries"],
                 spec={"workload": data["workload"], "args": dict(data["args"])},
             )
-            session.cpu.restore(MachineState(machine))
             session.failure = data["failure"]
             session._meter_base = data["meter_base"]
         except KeyError as exc:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import groupby
 from typing import Any, Dict, List, Optional
 
 from .errors import StateError
@@ -37,10 +38,16 @@ from .errors import StateError
 STATE_FORMAT_VERSION = 2
 
 #: Marker key for run-length-encoded integer arrays in canonical JSON.
-_RLE_KEY = "__rle__"
+#: ``{RLE_KEY: [[value, count], ...]}`` with maximal runs is also the
+#: form in which storage hands its image to a snapshot (DESIGN.md 5.4).
+RLE_KEY = "__rle__"
 #: Integer lists at least this long are RLE-coded (storage images and
 #: register files compress enormously; short lists stay readable).
-_RLE_MIN = 64
+RLE_MIN = 64
+
+#: JSON scalars: :func:`_canonical` and :func:`_revive` leave them as they
+#: are, so a list holding nothing else is taken whole.
+_SCALARS = {int, str, bool, float, type(None)}
 
 
 def config_signature(config) -> Dict[str, Any]:
@@ -57,19 +64,44 @@ def config_signature(config) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 def _rle_encode(values: List[int]) -> List[List[int]]:
-    pairs: List[List[int]] = []
-    for value in values:
-        if pairs and pairs[-1][0] == value:
-            pairs[-1][1] += 1
-        else:
-            pairs.append([value, 1])
-    return pairs
+    """Maximal ``[value, count]`` runs of *values*."""
+    return [[value, len(list(group))] for value, group in groupby(values)]
 
 
-def _rle_decode(pairs: List[List[int]]) -> List[int]:
-    values: List[int] = []
+def check_run(run: Any) -> None:
+    """Refuse a run that is not ``[int value, positive int count]``.
+
+    Runs arrive from outside the program (suspend envelopes, saved
+    states); ``bool`` is refused although it is an ``int`` subclass.
+    """
+    if (
+        type(run) is not list
+        or len(run) != 2
+        or type(run[0]) is not int
+        or type(run[1]) is not int
+        or run[1] <= 0
+    ):
+        raise StateError(f"malformed run {run!r} in a run-length-coded array")
+
+
+def _rle_decode(pairs: Any) -> List[int]:
+    """The values of checked ``[value, count]`` runs (StateError if bad)."""
+    if type(pairs) is not list:
+        raise StateError("run-length-coded array is not a list of runs")
+    for run in pairs:
+        check_run(run)
+    total = sum(count for _, count in pairs)
+    try:
+        values = [0] * total
+    except (OverflowError, MemoryError) as exc:
+        raise StateError(
+            f"run-length-coded array of {total} values does not fit in memory"
+        ) from exc
+    start = 0
     for value, count in pairs:
-        values.extend([value] * count)
+        if value:
+            values[start : start + count] = [value] * count
+        start += count
     return values
 
 
@@ -83,8 +115,11 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        if len(obj) >= _RLE_MIN and all(type(v) is int for v in obj):
-            return {_RLE_KEY: _rle_encode(obj)}
+        types = set(map(type, obj))
+        if len(obj) >= RLE_MIN and types == {int}:
+            return {RLE_KEY: _rle_encode(obj)}
+        if types <= _SCALARS:
+            return obj
         return [_canonical(v) for v in obj]
     return obj
 
@@ -106,10 +141,12 @@ def _parse_key(key: Any) -> Any:
 def _revive(obj: Any) -> Any:
     """Invert :func:`_canonical` after a JSON parse."""
     if isinstance(obj, dict):
-        if set(obj) == {_RLE_KEY}:
-            return _rle_decode(obj[_RLE_KEY])
+        if set(obj) == {RLE_KEY}:
+            return _rle_decode(obj[RLE_KEY])
         return {_parse_key(k): _revive(v) for k, v in obj.items()}
     if isinstance(obj, list):
+        if set(map(type, obj)) <= _SCALARS:
+            return obj
         return [_revive(v) for v in obj]
     return obj
 
@@ -160,7 +197,12 @@ class MachineState:
         return self.data["config"]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MachineState) and self.data == other.data
+        """Same state means same canonical bytes (DESIGN.md 5.4).
+
+        Plain-data equality would not do: a live snapshot carries the
+        storage image as runs, a parsed one as a dense list.
+        """
+        return isinstance(other, MachineState) and self.to_json() == other.to_json()
 
     def __repr__(self) -> str:
         cycles = self.data.get("core", {}).get("now", "?")
@@ -215,9 +257,19 @@ def diff_states(a: Any, b: Any, limit: int = 20, _path: str = "") -> List[str]:
     return diffs
 
 
+def _dense(obj: Any) -> Any:
+    """A run-length-coded array as a plain list; anything else unchanged."""
+    if isinstance(obj, dict) and set(obj) == {RLE_KEY}:
+        return _rle_decode(obj[RLE_KEY])
+    return obj
+
+
 def _collect_diffs(a: Any, b: Any, path: str, out: List[str], limit: int) -> None:
-    if len(out) >= limit:
+    if len(out) >= limit or a == b:
         return
+    # Storage images are runs in live snapshots and lists in parsed
+    # ones; compare them word by word so diffs name word addresses.
+    a, b = _dense(a), _dense(b)
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b), key=str):
             if key not in a:

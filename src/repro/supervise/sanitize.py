@@ -6,7 +6,7 @@ memory, ECC on storage, a dedicated high-priority fault task (sections
 *invariant checks* over the live machine, swept every ``check_interval``
 cycles from the instrumentation bus's ``cycle`` channel.  Nothing here
 may perturb the machine: every check reads internal structures directly
-(``cache.sets``, ``storage._data``) instead of going through accessors
+(``cache.sets``, ``storage.dump``) instead of going through accessors
 that update LRU clocks or consume scheduled fault events, so a
 sanitized run is cycle-for-cycle and byte-for-byte identical to an
 unsanitized one.
@@ -137,7 +137,7 @@ class MachineCheckSanitizer:
     def _check_cache(self, failures: List[CheckFailure]) -> None:
         memory = self.machine.memory
         cache = memory.cache
-        data = memory.storage._data  # direct: read_munch would consume ECC events
+        storage = memory.storage  # dump, not read_munch: that consumes ECC events
         num_sets = cache.num_sets
         for index, cache_set in enumerate(cache.sets):
             for way, line in enumerate(cache_set):
@@ -158,11 +158,11 @@ class MachineCheckSanitizer:
                 if line.dirty:
                     continue
                 base = (line.tag * num_sets + index) * MUNCH_WORDS
-                if base + MUNCH_WORDS > len(data):
+                if base + MUNCH_WORDS > storage.size:
                     failures.append(CheckFailure(
                         "cache", f"{where}: tag addresses past end of storage"))
                     continue
-                if line.words != data[base:base + MUNCH_WORDS]:
+                if line.words != storage.dump(base, MUNCH_WORDS):
                     failures.append(CheckFailure(
                         "cache",
                         f"{where}: clean line disagrees with storage "

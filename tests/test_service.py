@@ -149,6 +149,45 @@ def test_resume_rejects_malformed_envelopes():
         Session.resume(envelope)
 
 
+_WORDS = PRODUCTION.storage_words
+
+
+@pytest.mark.parametrize("runs", [
+    [["junk", _WORDS]],
+    [[-7, _WORDS]],
+    [[0x10000, 16], [0, _WORDS - 16]],
+    [[True, 16], [0, _WORDS - 16]],
+    [[0, True], [0, _WORDS - 1]],
+    [[0, 2.0], [0, _WORDS - 2]],
+    [[5, 0], [0, _WORDS]],
+    [[5, -16], [0, _WORDS + 16]],
+    [[0, _WORDS - 16]],
+    [[0, _WORDS], [1, 16]],
+    [[0]],
+    [[0, 2 ** 63]],
+    [[0, 10 ** 15]],
+    "junk",
+])
+def test_resume_rejects_malformed_storage_images(runs):
+    """Storage runs in an envelope are outside input: refused, not loaded."""
+    envelope = json.loads(Session.build("mesa_loop_sum").suspend())
+    envelope["machine"]["mem"]["storage"]["data"]["__rle__"] = runs
+    with pytest.raises(ServiceError):
+        Session.resume(json.dumps(envelope))
+
+
+def test_resume_rejects_out_of_range_dense_storage_words():
+    envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())
+    words = envelope["machine"]["mem"]["storage"]["data"]
+    for bad in (-7, 0x10000, "junk", None, 1.5, True):
+        words[0x4321] = bad
+        with pytest.raises(ServiceError):
+            Session.resume(envelope)
+    words[0x4321] = 0
+    assert Session.resume(envelope).arch_hash() == Session.build(
+        "mesa_loop_sum").arch_hash()
+
+
 def test_config_signature_roundtrip_rebuilds_config():
     import dataclasses
 

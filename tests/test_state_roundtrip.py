@@ -9,6 +9,7 @@ must be completely independent of its parent.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from repro.config import PRODUCTION
 from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
-from repro.state import STATE_FORMAT_VERSION
+from repro.mem.storage import Storage
+from repro.state import STATE_FORMAT_VERSION, canonical_json
 from repro.types import MUNCH_WORDS
 
 FAULTS = FaultConfig(seed=7, storage_correctable=5, map_faults=2, last_cycle=3000)
@@ -434,3 +436,165 @@ def test_diff_states_names_the_divergent_register():
     assert any("core.regs.rm[3]" in d for d in diffs)
     assert any("core.now" in d for d in diffs)
     assert diff_states(a, a) == []
+
+
+def test_diff_states_names_storage_word_addresses():
+    """Run-coded storage images still diff word by word, in either form."""
+    cpu = _machine("plan")
+    a = cpu.snapshot()
+    cpu.memory.storage.write_word(0x4321, 0xBEEF)
+    b = cpu.snapshot()
+    parsed = MachineState.from_json(b.to_json())
+    for other in (b, parsed):
+        assert diff_states(a, other) == [
+            "$.mem.storage.data[17185]: 0 != 48879"
+        ]
+    assert diff_states(b, parsed) == []
+
+
+# --- the storage image: touched pages versus the dense encoding ---------------
+
+
+def _dense_rle(values):
+    """The reference run coder: one Python step per word."""
+    pairs = []
+    for value in values:
+        if pairs and pairs[-1][0] == value:
+            pairs[-1][1] += 1
+        else:
+            pairs.append([value, 1])
+    return pairs
+
+
+def _dense_canonical(words):
+    """Canonical JSON of a dense storage image, as format v2 defines it."""
+    image = (
+        {"__rle__": _dense_rle(words)}
+        if len(words) >= 64 and all(type(v) is int for v in words)
+        else list(words)
+    )
+    return json.dumps({"data": image}, sort_keys=True, separators=(",", ":"))
+
+
+_WORD = st.sampled_from([0, 0, 1, 0xFFFF]) | st.integers(0, 0x1FFFF)
+_SIZES = st.sampled_from([16, 48, 64, 272, 1024, 1296])
+
+
+@st.composite
+def _storage_ops(draw):
+    size = draw(_SIZES)
+    address = st.integers(0, size - 1)
+    image = st.dictionaries(address, _WORD.map(lambda v: v & 0xFFFF), max_size=12)
+    ops = []
+    for kind in draw(st.lists(
+        st.sampled_from(["word", "munch", "load", "dense", "runs"]), max_size=12
+    )):
+        if kind == "word":
+            ops.append((kind, draw(address), draw(_WORD)))
+        elif kind == "munch":
+            ops.append((kind, draw(address),
+                        draw(st.lists(_WORD, min_size=16, max_size=16))))
+        elif kind == "load":
+            start = draw(address)
+            values = draw(st.lists(_WORD, max_size=min(40, size - start)))
+            ops.append((kind, start, values))
+        else:
+            ops.append((kind, draw(image)))
+    return size, ops
+
+
+@pytest.mark.parametrize("values, coded", [
+    ([0] * 64, True),
+    ([0] * 63, False),
+    ([1, 2] * 40, True),
+    ([True] * 64, False),
+    ([0.0] * 64, False),
+    ([0] * 63 + [False], False),
+    ([0] * 63 + [None], False),
+])
+def test_only_long_int_lists_are_run_coded(values, coded):
+    text = canonical_json({"a": values})
+    assert ("__rle__" in text) == coded
+    assert text == json.dumps(
+        {"a": {"__rle__": _dense_rle(values)} if coded else values},
+        separators=(",", ":"),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_storage_ops())
+def test_storage_image_matches_dense_encoding(case):
+    """write_word / write_munch / load / load_state, then compare bytes."""
+    size, ops = case
+    storage = Storage(size)
+    model = [0] * size
+    state = storage.state_dict()
+    assert canonical_json(state) == _dense_canonical(model)
+    for op in ops:
+        kind = op[0]
+        if kind == "word":
+            storage.write_word(op[1], op[2])
+            model[op[1]] = op[2] & 0xFFFF
+        elif kind == "munch":
+            storage.write_munch(op[1], op[2])
+            base = op[1] - op[1] % MUNCH_WORDS
+            model[base:base + MUNCH_WORDS] = [v & 0xFFFF for v in op[2]]
+        elif kind == "load":
+            storage.load(op[1], op[2])
+            model[op[1]:op[1] + len(op[2])] = [v & 0xFFFF for v in op[2]]
+        else:
+            model = [0] * size
+            for at, value in op[1].items():
+                model[at] = value
+            image = list(model) if kind == "dense" else {"__rle__": _dense_rle(model)}
+            storage.load_state({"data": image})
+        assert storage.dump(0, size) == model
+        state = storage.state_dict()
+        assert canonical_json(state) == _dense_canonical(model)
+
+    clone = Storage(size)
+    clone.load_state(state)
+    assert clone.dump(0, size) == model
+    assert canonical_json(clone.state_dict()) == canonical_json(state)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(0, 600),
+    # Above the program and its data: the IFU re-decodes its buffered
+    # code from storage on restore, so code must stay intact.
+    writes=st.dictionaries(
+        st.integers(PRODUCTION.storage_words // 2, PRODUCTION.storage_words - 1),
+        st.integers(0, 0xFFFF),
+        max_size=8,
+    ),
+)
+def test_snapshot_equals_its_json_roundtrip(n, writes):
+    """A live snapshot (runs) equals its parsed twin (dense lists)."""
+    cpu = _machine("plan")
+    cpu.run(n)
+    for address, value in writes.items():
+        cpu.memory.storage.write_word(address, value)
+    snap = cpu.snapshot()
+    parsed = MachineState.from_json(snap.to_json())
+    assert snap == parsed
+    assert parsed.to_json() == snap.to_json()
+    cpu.restore(parsed)
+    assert cpu.snapshot() == snap
+    other = cpu.snapshot()
+    other.data["core"]["now"] += 1
+    assert other != snap
+
+
+def test_fork_into_a_state_equals_fork_then_restore():
+    """fork(state) restores once; the machine matches fork() + restore."""
+    cpu = _machine("plan")
+    cpu.run(900)
+    later = cpu.snapshot()
+    cpu.restore(_MACHINES["plan"][1])
+    twice = cpu.fork()
+    twice.restore(later)
+    once = cpu.fork(MachineState.from_json(later.to_json()))
+    assert once.snapshot().to_json() == twice.snapshot().to_json()
+    assert once.run(100_000) == twice.run(100_000)
+    assert once.snapshot() == twice.snapshot()

@@ -69,7 +69,6 @@ def _clean_clean_line(cpu):
     coherent and the line becomes eligible for the coherence check.
     """
     cache = cpu.memory.cache
-    data = cpu.memory.storage._data
     for cache_set in cache.sets:
         for line in cache_set:
             if line.valid and not line.dirty:
@@ -78,7 +77,7 @@ def _clean_clean_line(cpu):
         for line in cache_set:
             if line.valid:
                 base = (line.tag * cache.num_sets + index) * MUNCH_WORDS
-                data[base:base + MUNCH_WORDS] = line.words
+                cpu.memory.storage.write_munch(base, line.words)
                 line.dirty = False
                 return line
     raise AssertionError("the workload left no valid cache line at all")
