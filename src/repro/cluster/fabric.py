@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, StateError
+from ..state import int_array
 from ..types import word
 
 
@@ -50,7 +51,7 @@ class Packet:
             seq=state["seq"],
             src=state["src"],
             dst=state["dst"],
-            words=tuple(state["words"]),
+            words=tuple(int_array(state["words"])),
             sent_epoch=state["sent_epoch"],
             deliver_epoch=state["deliver_epoch"],
         )

@@ -18,6 +18,11 @@ from .errors import ConfigError
 from .fault.plan import FaultConfig
 
 
+#: Main storage of the largest real machine: "up to 4 storage modules
+#: ... for a maximum of 8 megabytes" (section 1), 4M 16-bit words.
+MAX_STORAGE_WORDS = 1 << 22
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Static parameters of a simulated Dorado.
@@ -130,8 +135,11 @@ class MachineConfig:
             raise ConfigError("miss_penalty cannot beat a cache hit")
         if self.storage_cycle < 1:
             raise ConfigError("storage_cycle must be at least 1")
-        if self.storage_words <= 0:
-            raise ConfigError("storage_words must be positive")
+        if not 0 < self.storage_words <= MAX_STORAGE_WORDS:
+            raise ConfigError(
+                f"storage_words must be 1..{MAX_STORAGE_WORDS} (8 MB, the "
+                f"real machine's maximum), got {self.storage_words}"
+            )
         if self.task_grain not in (2, 3):
             raise ConfigError("task_grain models only the 2- and 3-cycle designs")
         if self.fault_task is not None and not 1 <= self.fault_task <= 15:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errors import EncodingError
+from ..state import int_array
 from .microword import MicroInstruction
 
 
@@ -104,7 +105,7 @@ class Console:
 
     def load_state(self, state: dict) -> None:
         self.cpreg = state["cpreg"]
-        self.trace = list(state["trace"])
-        self.notifications = list(state["notifications"])
+        self.trace = int_array(state["trace"])
+        self.notifications = int_array(state["notifications"])
         self._im_address_latch = state["im_address_latch"]
         self._im_partial = state["im_partial"]

@@ -398,13 +398,18 @@ class Processor:
                 "snapshot and machine disagree about fault injection"
             )
 
+        # Only slots occupied in either image can differ.
         stored_im = data["im"]
-        for address in range(self.config.im_size):
+        im = self.im
+        if not all(type(a) is int and 0 <= a < len(im) for a in stored_im):
+            raise StateError("snapshot IM has an address outside this machine's IM")
+        occupied = set(stored_im)
+        occupied.update(a for a, inst in enumerate(im) if inst is not None)
+        for address in occupied:
             stored = stored_im.get(address)
-            cur = self.im[address]
-            cur_enc = cur.encode() if cur is not None else None
-            if stored != cur_enc:
-                self.im[address] = (
+            cur = im[address]
+            if stored != (cur.encode() if cur is not None else None):
+                im[address] = (
                     MicroInstruction.decode(stored) if stored is not None else None
                 )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..state import int_array
 from ..types import NUM_TASKS, WORD_MASK, word
 
 RM_SIZE = 256
@@ -122,7 +123,7 @@ class RegisterFile:
         }
 
     def load_state(self, state: dict) -> None:
-        self.rm = list(state["rm"])
+        self.rm = int_array(state["rm"], RM_SIZE)
         self.t = list(state["t"])
         self.ioaddress = list(state["ioaddress"])
         self.saved_carry = [bool(v) for v in state["saved_carry"]]

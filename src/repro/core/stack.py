@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..state import int_array
 from ..types import word
 
 STACK_WORDS = 256
@@ -115,7 +116,7 @@ class StackUnit:
         }
 
     def load_state(self, state: dict) -> None:
-        self.memory = list(state["memory"])
+        self.memory = int_array(state["memory"], STACK_WORDS)
         self.pointer = state["pointer"]
         self.overflow = [bool(v) for v in state["overflow"]]
         self.underflow = [bool(v) for v in state["underflow"]]

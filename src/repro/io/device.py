@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import DeviceError
+from ..state import int_array
 from ..types import MUNCH_WORDS, word
 
 
@@ -208,7 +209,7 @@ class LoopbackDevice(Device):
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.fifo = list(state["fifo"])
+        self.fifo = int_array(state["fifo"])
         self.munches = {
             address: list(words) for address, words in state["munches"].items()
         }

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional
 
 from ..asm.assembler import Assembler
 from ..core.functions import FF
-from ..errors import DeviceError
+from ..errors import DeviceError, StateError
+from ..state import int_array
 from ..types import word
 from .device import Device
 
@@ -119,12 +120,19 @@ class DiskController(Device):
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.surface = [list(sector) for sector in state["surface"]]
+        surface = state["surface"]
+        if len(surface) != len(self.surface):
+            raise StateError(
+                f"disk snapshot has {len(surface)} sectors; "
+                f"this drive has {len(self.surface)}"
+            )
+        words = self.geometry.words_per_sector
+        self.surface = [int_array(sector, words) for sector in surface]
         self.mode = state["mode"]
         self.sector = state["sector"]
         self.word_index = state["word_index"]
         self.requested_words = state["requested_words"]
-        self.fifo = list(state["fifo"])
+        self.fifo = int_array(state["fifo"])
         self.done = bool(state["done"])
         self.hard_error = bool(state["hard_error"])
         self.remap = dict(state["remap"])

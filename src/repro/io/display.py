@@ -21,6 +21,7 @@ from typing import List
 from ..asm.assembler import Assembler
 from ..core.functions import FF
 from ..errors import DeviceError
+from ..state import int_array
 from ..types import MUNCH_WORDS, word
 from .device import Device
 
@@ -92,7 +93,7 @@ class DisplayController(Device):
         super().load_state(state)
         self.cursor_x = state["cursor_x"]
         self.cursor_y = state["cursor_y"]
-        self.fifo = list(state["fifo"])
+        self.fifo = int_array(state["fifo"])
         self.pixels_consumed = state["pixels_consumed"]
         self.underruns = state["underruns"]
         self.munches_outstanding = state["munches_outstanding"]

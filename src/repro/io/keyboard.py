@@ -14,6 +14,7 @@ from typing import List, Optional
 from ..asm.assembler import Assembler
 from ..core.functions import FF
 from ..errors import DeviceError
+from ..state import int_array
 from ..types import word
 from .device import Device
 
@@ -47,7 +48,7 @@ class KeyboardDevice(Device):
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.queue = list(state["queue"])
+        self.queue = int_array(state["queue"])
 
     # --- bus ------------------------------------------------------------------
 

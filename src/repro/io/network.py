@@ -19,6 +19,7 @@ from typing import List, Optional
 from ..asm.assembler import Assembler
 from ..core.functions import FF
 from ..errors import DeviceError
+from ..state import int_array
 from ..types import word
 from .device import Device
 
@@ -79,10 +80,10 @@ class NetworkController(Device):
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.rx_queue = [list(packet) for packet in state["rx_queue"]]
-        self.rx_current = list(state["rx_current"])
-        self.fifo = list(state["fifo"])
-        self.tx_words = list(state["tx_words"])
+        self.rx_queue = [int_array(packet) for packet in state["rx_queue"]]
+        self.rx_current = int_array(state["rx_current"])
+        self.fifo = int_array(state["fifo"])
+        self.tx_words = int_array(state["tx_words"])
         self.tx_expected = state["tx_expected"]
         self.tx_requested = state["tx_requested"]
         self.rx_remaining = state["rx_remaining"]

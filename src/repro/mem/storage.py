@@ -15,7 +15,7 @@ from itertools import groupby
 from typing import List, Sequence, Set
 
 from ..errors import ConfigError, StateError
-from ..state import RLE_KEY, RLE_MIN, check_run
+from ..state import RLE_KEY, RLE_MIN, checked_runs
 from ..types import MUNCH_WORDS, word
 from .map import PAGE_SHIFT, PAGE_WORDS
 
@@ -114,8 +114,9 @@ class Storage:
         """Load an image in run form or as a dense list of words.
 
         Images can come from outside the program (suspend envelopes,
-        saved states), so both forms are checked: runs one by one, a
-        list page by page, skipping pages of zeros.
+        saved states), so both forms are checked: runs, and their total
+        against the storage size, before any is loaded; a list page by
+        page, skipping pages of zeros.  A parsed state carries the runs.
         """
         data = state["data"]
         if isinstance(data, dict):
@@ -124,30 +125,18 @@ class Storage:
             self._load_words(data)
 
     def _load_runs(self, runs) -> None:
-        if type(runs) is not list:
-            raise StateError("storage image runs are not a list")
+        runs = checked_runs(runs, self.size)
         image = _zeros(self.size)
         touched: Set[int] = set()
         start = 0
-        for run in runs:
-            check_run(run)
-            value, count = run
+        for value, count in runs:
             end = start + count
-            if end > self.size:
-                raise ConfigError(
-                    f"storage image runs exceed the {self.size}-word array"
-                )
             if value:
                 if not 0 <= value <= 0xFFFF:
                     raise StateError(f"storage word {value!r} is not 16 bits")
                 image[start:end] = array("H", [value]) * count
                 touched.update(_pages(start, end))
             start = end
-        if start != self.size:
-            raise ConfigError(
-                f"storage image of {start} words does not fit a "
-                f"{self.size}-word array"
-            )
         self._data = image
         self._touched = touched
 
@@ -180,7 +169,7 @@ class Storage:
 
 def _zeros(words: int) -> array:
     """A storage image of *words* zero words."""
-    return array("H", bytes(2 * words))
+    return array("H", [0]) * words
 
 
 def _pages(start: int, end: int) -> range:

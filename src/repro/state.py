@@ -19,6 +19,11 @@ long integer arrays run-length encoded.  Canonicalization is applied
 identically on every save, so save -> load -> save round-trips
 byte-identically; tests and the warm-start benchmark rely on that.
 
+A parse keeps every run-coded array in its run form, as live storage
+snapshots do; the subsystem that owns an array expands it on load
+through :func:`int_array`, which checks the runs against the array's
+length before allocating anything.
+
 What is architectural state and what is mechanism, and how the format
 is versioned, is documented in DESIGN.md section 5.4.
 """
@@ -28,8 +33,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from itertools import groupby
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from .config import MAX_STORAGE_WORDS
 from .errors import StateError
 
 #: Version stamp written into every MachineState.  Bump whenever a
@@ -39,14 +45,15 @@ STATE_FORMAT_VERSION = 2
 
 #: Marker key for run-length-encoded integer arrays in canonical JSON.
 #: ``{RLE_KEY: [[value, count], ...]}`` with maximal runs is also the
-#: form in which storage hands its image to a snapshot (DESIGN.md 5.4).
+#: form in which storage hands its image to a snapshot, and the form in
+#: which a parsed state carries every run-coded array (DESIGN.md 5.4).
 RLE_KEY = "__rle__"
 #: Integer lists at least this long are RLE-coded (storage images and
 #: register files compress enormously; short lists stay readable).
 RLE_MIN = 64
 
-#: JSON scalars: :func:`_canonical` and :func:`_revive` leave them as they
-#: are, so a list holding nothing else is taken whole.
+#: JSON scalars: :func:`_canonical` leaves them as they are, so a list
+#: holding nothing else is taken whole.
 _SCALARS = {int, str, bool, float, type(None)}
 
 
@@ -68,41 +75,65 @@ def _rle_encode(values: List[int]) -> List[List[int]]:
     return [[value, len(list(group))] for value, group in groupby(values)]
 
 
-def check_run(run: Any) -> None:
-    """Refuse a run that is not ``[int value, positive int count]``.
+def checked_runs(runs: Any, length: Optional[int] = None) -> List[List[int]]:
+    """*runs*, once every run and their total are checked.
 
     Runs arrive from outside the program (suspend envelopes, saved
-    states); ``bool`` is refused although it is an ``int`` subclass.
+    states).  Each must be ``[int value, positive int count]`` (``bool``
+    is refused although it is an ``int`` subclass), and the counts must
+    total *length*.  Where nothing fixes the length (FIFOs, packets, the
+    console trace) they may total at most the largest real machine's
+    storage, :data:`~repro.config.MAX_STORAGE_WORDS`.  Nothing is
+    allocated from a count before this check passes.
     """
-    if (
-        type(run) is not list
-        or len(run) != 2
-        or type(run[0]) is not int
-        or type(run[1]) is not int
-        or run[1] <= 0
-    ):
-        raise StateError(f"malformed run {run!r} in a run-length-coded array")
-
-
-def _rle_decode(pairs: Any) -> List[int]:
-    """The values of checked ``[value, count]`` runs (StateError if bad)."""
-    if type(pairs) is not list:
+    if type(runs) is not list:
         raise StateError("run-length-coded array is not a list of runs")
-    for run in pairs:
-        check_run(run)
-    total = sum(count for _, count in pairs)
-    try:
-        values = [0] * total
-    except (OverflowError, MemoryError) as exc:
+    total = 0
+    for run in runs:
+        if (
+            type(run) is not list
+            or len(run) != 2
+            or type(run[0]) is not int
+            or type(run[1]) is not int
+            or run[1] <= 0
+        ):
+            raise StateError(f"malformed run {run!r} in a run-length-coded array")
+        total += run[1]
+    if length is None and total > MAX_STORAGE_WORDS:
         raise StateError(
-            f"run-length-coded array of {total} values does not fit in memory"
-        ) from exc
-    start = 0
-    for value, count in pairs:
-        if value:
-            values[start : start + count] = [value] * count
-        start += count
-    return values
+            f"run-length-coded array of {total} values, more than the "
+            f"{MAX_STORAGE_WORDS} any array may hold"
+        )
+    if length is not None and total != length:
+        raise StateError(
+            f"run-length-coded array of {total} values, expected {length}"
+        )
+    return runs
+
+
+def int_array(data: Any, length: Optional[int] = None) -> List[int]:
+    """A state array as a fresh list, given as a list or as runs.
+
+    Live snapshots hold most arrays as lists; parsed ones hold every
+    array of :data:`RLE_MIN` or more ints as ``{RLE_KEY: runs}``.  A
+    ``load_state`` takes either form through here.  With *length*, the
+    array must hold exactly that many values; runs are checked by
+    :func:`checked_runs` before the list is allocated.
+    """
+    if type(data) is dict and len(data) == 1 and RLE_KEY in data:
+        runs = checked_runs(data[RLE_KEY], length)
+        values = [0] * sum(count for _, count in runs)
+        start = 0
+        for value, count in runs:
+            if value:
+                values[start : start + count] = [value] * count
+            start += count
+        return values
+    if type(data) is not list:
+        raise StateError(f"state array {data!r:.40} is neither a list nor runs")
+    if length is not None and len(data) != length:
+        raise StateError(f"state array of {len(data)} values, expected {length}")
+    return list(data)
 
 
 def _canonical(obj: Any) -> Any:
@@ -124,30 +155,20 @@ def _canonical(obj: Any) -> Any:
     return obj
 
 
-def _parse_key(key: Any) -> Any:
-    """Undo the stringification of integer dict keys.
+def _revive_object(pairs: List[Tuple[str, Any]]) -> Dict[Any, Any]:
+    """Build one parsed JSON object, undoing the stringified int keys.
 
-    State dicts key on either identifiers (field names) or integers
-    (addresses, pages, tasks); no identifier is all digits, so the
-    digit test is unambiguous.
+    The ``object_pairs_hook`` of :func:`parse_canonical_json`: the C
+    parser calls it as it finishes each object, so the whole parse is
+    one pass.  State dicts key on either identifiers (field names) or
+    integers (addresses, pages, tasks); no identifier is all digits, so
+    the digit test is unambiguous.  Run-coded arrays stay runs.
     """
-    if isinstance(key, str) and (
-        key.isdigit() or (key.startswith("-") and key[1:].isdigit())
-    ):
-        return int(key)
-    return key
-
-
-def _revive(obj: Any) -> Any:
-    """Invert :func:`_canonical` after a JSON parse."""
-    if isinstance(obj, dict):
-        if set(obj) == {RLE_KEY}:
-            return _rle_decode(obj[RLE_KEY])
-        return {_parse_key(k): _revive(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        if set(map(type, obj)) <= _SCALARS:
-            return obj
-        return [_revive(v) for v in obj]
+    obj = {}
+    for key, value in pairs:
+        if key.isdigit() or (key[:1] == "-" and key[1:].isdigit()):
+            key = int(key)
+        obj[key] = value
     return obj
 
 
@@ -163,12 +184,17 @@ def canonical_json(data: Any) -> str:
 
 
 def parse_canonical_json(text: str) -> Any:
-    """Invert :func:`canonical_json` (raises StateError on bad input)."""
+    """Invert :func:`canonical_json` (raises StateError on bad input).
+
+    Integer keys come back as ints; run-coded arrays stay in their run
+    form ``{RLE_KEY: runs}`` for their owners to expand (:func:`int_array`),
+    so parsing costs what the text holds, not what the runs expand to.
+    ``canonical_json(parse_canonical_json(t)) == t`` for canonical *t*.
+    """
     try:
-        raw = json.loads(text)
+        return json.loads(text, object_pairs_hook=_revive_object)
     except ValueError as exc:
         raise StateError(f"malformed canonical-state JSON: {exc}") from exc
-    return _revive(raw)
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +225,8 @@ class MachineState:
     def __eq__(self, other: object) -> bool:
         """Same state means same canonical bytes (DESIGN.md 5.4).
 
-        Plain-data equality would not do: a live snapshot carries the
-        storage image as runs, a parsed one as a dense list.
+        Plain-data equality would not do: a live snapshot carries only
+        the storage image as runs, a parsed one every long int array.
         """
         return isinstance(other, MachineState) and self.to_json() == other.to_json()
 
@@ -216,13 +242,10 @@ class MachineState:
 
     @classmethod
     def from_json(cls, text: str) -> "MachineState":
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:
-            raise StateError(f"malformed machine-state JSON: {exc}") from exc
-        if not isinstance(raw, dict) or "version" not in raw:
+        data = parse_canonical_json(text)
+        if not isinstance(data, dict) or "version" not in data:
             raise StateError("machine-state JSON lacks a version field")
-        return cls(_revive(raw))
+        return cls(data)
 
     def save(self, path) -> None:
         """Write the canonical serialization (plus a trailing newline)."""
@@ -260,15 +283,15 @@ def diff_states(a: Any, b: Any, limit: int = 20, _path: str = "") -> List[str]:
 def _dense(obj: Any) -> Any:
     """A run-length-coded array as a plain list; anything else unchanged."""
     if isinstance(obj, dict) and set(obj) == {RLE_KEY}:
-        return _rle_decode(obj[RLE_KEY])
+        return int_array(obj)
     return obj
 
 
 def _collect_diffs(a: Any, b: Any, path: str, out: List[str], limit: int) -> None:
     if len(out) >= limit or a == b:
         return
-    # Storage images are runs in live snapshots and lists in parsed
-    # ones; compare them word by word so diffs name word addresses.
+    # Long int arrays may be runs on one side and lists on the other;
+    # compare them value by value so diffs name word addresses.
     a, b = _dense(a), _dense(b)
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b), key=str):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConfigError, MachineConfig, MODEL0, PRODUCTION, STITCHWELD
+from repro.config import MAX_STORAGE_WORDS
 
 
 def test_production_defaults_match_paper():
@@ -54,12 +55,19 @@ def test_bandwidth_zero_cycles_rejected():
         {"miss_penalty": 1},
         {"storage_cycle": 0},
         {"storage_words": 0},
+        {"storage_words": MAX_STORAGE_WORDS + 16},
+        {"storage_words": 2 ** 40},
         {"task_grain": 4},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         MachineConfig(**kwargs)
+
+
+def test_storage_stops_at_the_real_machines_eight_megabytes():
+    assert MAX_STORAGE_WORDS == 4 * 1024 * 1024
+    MachineConfig(storage_words=MAX_STORAGE_WORDS)
 
 
 def test_page_size_must_divide_im():

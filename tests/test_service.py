@@ -16,6 +16,7 @@ Three layers under test (DESIGN.md 5.9):
 import asyncio
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.service import (
     run_loadtest,
 )
 from repro.service.loadtest import build_script
-from repro.state import config_signature, parse_canonical_json
+from repro.state import canonical_json, config_signature, parse_canonical_json
 
 MESA_CYCLES = json.loads(
     (pathlib.Path(__file__).parent / "goldens.json").read_text()
@@ -178,7 +179,14 @@ def test_resume_rejects_malformed_storage_images(runs):
 
 def test_resume_rejects_out_of_range_dense_storage_words():
     envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())
-    words = envelope["machine"]["mem"]["storage"]["data"]
+    storage = envelope["machine"]["mem"]["storage"]
+    # A parsed envelope keeps the image as runs; spell it out as a dense
+    # list so every bad word goes through the dense path.
+    words = [
+        value for value, count in storage["data"]["__rle__"] for _ in range(count)
+    ]
+    assert len(words) == _WORDS
+    storage["data"] = words
     for bad in (-7, 0x10000, "junk", None, 1.5, True):
         words[0x4321] = bad
         with pytest.raises(ServiceError):
@@ -186,6 +194,47 @@ def test_resume_rejects_out_of_range_dense_storage_words():
     words[0x4321] = 0
     assert Session.resume(envelope).arch_hash() == Session.build(
         "mesa_loop_sum").arch_hash()
+
+
+def _resume_peak_bytes(envelope):
+    """Resume *envelope* expecting refusal; the peak bytes traced meanwhile."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ServiceError):
+            Session.resume(envelope)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("path", [("regs", "rm"), ("stack", "memory")])
+@pytest.mark.parametrize("runs", [
+    [[0, 10 ** 9]],
+    [[1, 2 ** 63]],
+    [[0, 255]],
+    [[0, 257]],
+    [[0, 200], [7, 10 ** 12]],
+    [[True, 256]],
+    [[0, True], [0, 255]],
+    [[0, 256.0]],
+    "junk",
+])
+def test_resume_checks_register_runs_before_allocating(path, runs):
+    """RM and the stack memory are 256 words: no run count may exceed that."""
+    envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())
+    section, field = path
+    assert "__rle__" in envelope["machine"]["core"][section][field]
+    envelope["machine"]["core"][section][field] = {"__rle__": runs}
+    assert _resume_peak_bytes(canonical_json(envelope)) < 16 * 2 ** 20
+
+
+def test_resume_refuses_storage_beyond_the_real_machine():
+    """A config claiming 2**40 words is refused before anything is built."""
+    envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())
+    envelope["machine"]["config"]["storage_words"] = 2 ** 40
+    with pytest.raises(ServiceError, match="storage_words"):
+        Session.resume(envelope)
+    assert _resume_peak_bytes(canonical_json(envelope)) < 16 * 2 ** 20
 
 
 def test_config_signature_roundtrip_rebuilds_config():

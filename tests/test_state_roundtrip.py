@@ -27,7 +27,13 @@ from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
 from repro.mem.storage import Storage
-from repro.state import STATE_FORMAT_VERSION, canonical_json
+from repro.service import Session
+from repro.state import (
+    RLE_MIN,
+    STATE_FORMAT_VERSION,
+    canonical_json,
+    parse_canonical_json,
+)
 from repro.types import MUNCH_WORDS
 
 FAULTS = FaultConfig(seed=7, storage_correctable=5, map_faults=2, last_cycle=3000)
@@ -418,6 +424,15 @@ def test_device_roster_mismatch_is_refused():
         bare.restore(snap)
 
 
+@pytest.mark.parametrize("address", [4096, -1, 10 ** 9])
+def test_im_address_outside_the_im_is_refused(address):
+    cpu = _machine("plan")
+    snap = MachineState.from_json(cpu.snapshot().to_json())
+    snap.data["im"][address] = 0
+    with pytest.raises(StateError, match="IM"):
+        cpu.restore(snap)
+
+
 def test_malformed_json_is_refused():
     with pytest.raises(StateError):
         MachineState.from_json("{not json")
@@ -598,3 +613,162 @@ def test_fork_into_a_state_equals_fork_then_restore():
     assert once.snapshot().to_json() == twice.snapshot().to_json()
     assert once.run(100_000) == twice.run(100_000)
     assert once.snapshot() == twice.snapshot()
+
+
+# --- the one-pass parse: run-coded arrays stay runs ----------------------------
+
+
+def _reference_revive(obj):
+    """The recursive reviver the one-pass parse replaced, as a reference.
+
+    It walked a plain ``json.loads`` result, turning all-digit keys back
+    into ints and expanding every run-coded array into a list.
+    """
+    if isinstance(obj, dict):
+        if set(obj) == {"__rle__"}:
+            return [value for value, count in obj["__rle__"] for _ in range(count)]
+        return {
+            int(k) if k.isdigit() or (k[:1] == "-" and k[1:].isdigit()) else k:
+            _reference_revive(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, list):
+        return [_reference_revive(v) for v in obj]
+    return obj
+
+
+def _densify(obj):
+    """*obj* with every run-coded array expanded into a list."""
+    if isinstance(obj, dict):
+        if set(obj) == {"__rle__"}:
+            return [value for value, count in obj["__rle__"] for _ in range(count)]
+        return {k: _densify(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_densify(v) for v in obj]
+    return obj
+
+
+def _count_runs(obj):
+    """How many run-coded arrays *obj* holds as runs."""
+    if isinstance(obj, dict):
+        if set(obj) == {"__rle__"}:
+            return 1
+        return sum(map(_count_runs, obj.values()))
+    if isinstance(obj, list):
+        return sum(map(_count_runs, obj))
+    return 0
+
+
+def _check_parse(text):
+    """The parse of canonical *text*: its bytes, its values, its runs."""
+    parsed = parse_canonical_json(text)
+    assert canonical_json(parsed) == text
+    assert _densify(parsed) == _reference_revive(json.loads(text))
+    assert _count_runs(parsed) == text.count('"__rle__"')
+    return parsed
+
+
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2 ** 40), 2 ** 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+#: Long int lists, drawn from few values so they form runs.
+_LONG_INTS = st.lists(
+    st.sampled_from([0, 0, 0, 1, 7, 0xFFFF, -3]),
+    min_size=RLE_MIN,
+    max_size=3 * RLE_MIN,
+)
+#: Identifier keys: lowercase, never all digits, never the run marker.
+_NAME = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
+_TREES = st.recursive(
+    _SCALAR | st.lists(_SCALAR, max_size=6) | _LONG_INTS,
+    lambda tree: (
+        st.lists(tree, max_size=4)
+        | st.dictionaries(_NAME, tree, max_size=4)
+        | st.dictionaries(st.integers(-50, 5000), tree, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_parse_matches_the_reference_reviver(tree):
+    """Plain-data trees: same bytes back, same values once runs expand."""
+    _check_parse(canonical_json(tree))
+
+
+@settings(max_examples=6, deadline=None)
+@given(name=st.sampled_from(sorted(ALL_WORKLOADS)), cycles=st.integers(1, 3000))
+def test_parsed_envelopes_fork_to_their_source(name, cycles):
+    """Real suspend envelopes parse as trees do and restore exactly."""
+    session = Session.build(name)
+    session.run_slice(cycles)
+    parsed = _check_parse(session.suspend().rstrip("\n"))
+    machine = parsed["machine"]
+    assert set(machine["mem"]["storage"]["data"]) == {"__rle__"}
+    clone = session.cpu.fork(MachineState(machine))
+    assert clone.snapshot() == session.cpu.snapshot()
+
+
+def test_device_arrays_load_from_runs():
+    """Every long device and console array loads back from a parsed state."""
+    from repro.io.device import LoopbackDevice
+    from repro.io.disk import DiskController
+    from repro.io.keyboard import KeyboardDevice
+    from repro.io.network import NetworkController
+
+    cpu = Processor()
+    disk, keyboard, net = DiskController(), KeyboardDevice(), NetworkController()
+    loopback = LoopbackDevice(task=5)
+    for device in (disk, keyboard, net, loopback):
+        cpu.attach_device(device)
+    disk.fill_sector(3, [i % 5 for i in range(256)])
+    keyboard.type_text("k" * 70)
+    net.inject_packet([9] * 80)
+    net.rx_current = [4] * 66
+    net.tx_words = [2] * 64
+    loopback.fifo = [7] * 65
+    cpu.console.trace = [1] * 90
+    snap = cpu.snapshot()
+    parsed = MachineState.from_json(snap.to_json())
+    io = parsed.data["io"]
+    for array in (
+        io[0]["surface"][3], io[1]["queue"], io[2]["rx_queue"][0],
+        io[2]["rx_current"], io[2]["tx_words"], io[3]["fifo"],
+        parsed.data["core"]["console"]["trace"],
+    ):
+        assert set(array) == {"__rle__"}
+    clone = cpu.fork(parsed)
+    assert clone.snapshot() == snap
+    assert clone.devices[0].surface[3] == disk.surface[3]
+    assert clone.devices[2].rx_queue == [[9] * 80]
+    assert clone.console.trace == [1] * 90
+
+
+@pytest.mark.parametrize("where, runs", [
+    (("io", 0, "surface", 3), [[0, 255]]),
+    (("io", 0, "surface", 3), [[0, 10 ** 12]]),
+    (("io", 1, "queue"), [[0, 2 ** 63]]),
+    (("io", 2, "tx_words"), [[1, 2 ** 63]]),
+    (("core", "console", "trace"), [[1, True]]),
+])
+def test_device_runs_are_checked_before_allocating(where, runs):
+    from repro.io.disk import DiskController
+    from repro.io.keyboard import KeyboardDevice
+    from repro.io.network import NetworkController
+
+    cpu = Processor()
+    for device in (DiskController(), KeyboardDevice(), NetworkController()):
+        cpu.attach_device(device)
+    state = MachineState.from_json(cpu.snapshot().to_json())
+    *path, last = where
+    node = state.data
+    for key in path:
+        node = node[key]
+    node[last] = {"__rle__": runs}
+    with pytest.raises(StateError, match="run"):
+        cpu.fork(state)
