@@ -6,13 +6,12 @@ template -- plus the :class:`~repro.cluster.fabric.Fabric` between
 their network controllers and one *program* per node (the host-software
 state machine that arms transfers and harvests completed ones).
 
-Time advances in **epochs**.  One epoch is, in this exact order:
+Time advances in **epochs**.  In one epoch, every node's
+:func:`step_node`, in node-index order:
 
-1. every packet due this epoch is injected into its destination's
-   network controller rx queue;
-2. every node runs exactly ``epoch_cycles`` machine cycles;
-3. every node's program is stepped, in node-index order, and any
-   packets it harvested off the tx wire are handed to the fabric.
+1. injects the packets due to it into its network controller rx queue;
+2. runs it exactly ``epoch_cycles`` machine cycles;
+3. steps its program; packets it harvested go to the fabric.
 
 Because the fabric's hop latency is at least one epoch, nothing a node
 sends can reach a peer inside the epoch that sent it -- so the nodes
@@ -33,8 +32,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import multiprocessing
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.counters import HOLD_CAUSE_NAMES
 from ..errors import ConfigError, StateError
@@ -43,6 +41,7 @@ from ..fault.plan import FaultConfig, InjectionPlan
 from ..io.network import NetworkController
 from ..mem.pipeline import FAULT_STORAGE
 from ..state import MachineState, canonical_json, parse_canonical_json
+from ..workers import Worker, can_fork
 from .fabric import Fabric
 
 #: Version stamp of the cluster snapshot layout; the per-node payloads
@@ -74,6 +73,18 @@ def arm_fault_plan(cpu, fault_config: FaultConfig) -> None:
     memory.storage.ecc = injector.ecc
     # Traces compiled before arming would bypass the new ECC filter.
     cpu._traces.invalidate_all()
+
+
+def step_node(
+    node: "Node", packets: Sequence[List[int]], cycles: int
+) -> Tuple[List[List[int]], bool]:
+    """One node's epoch (inline or in a worker): inject, run, step.
+    Returns the packets its program harvested and whether it is done."""
+    for words in packets:
+        node.net.inject_packet(list(words))
+    node.cpu.run(cycles)
+    sent = [list(words) for words in node.program.step(node)]
+    return sent, bool(node.program.done)
 
 
 class Node:
@@ -198,17 +209,19 @@ class Cluster:
         active = [n for n in self.nodes if not n.program.passive]
         return bool(active) and all(n.program.done for n in active)
 
-    def _deliver_due(self) -> None:
+    def _due(self) -> Dict[int, List[List[int]]]:
+        """This epoch's due packets, grouped by destination node."""
+        due: Dict[int, List[List[int]]] = {}
         for packet in self.fabric.due(self.epoch):
-            self.nodes[packet.dst].net.inject_packet(list(packet.words))
+            due.setdefault(packet.dst, []).append(list(packet.words))
+        return due
 
     def run_epoch(self) -> None:
         """Advance the whole cluster by exactly one epoch, inline."""
-        self._deliver_due()
+        due = self._due()
         for node in self.nodes:
-            node.cpu.run(self.epoch_cycles)
-        for node in self.nodes:
-            for words in node.program.step(node):
+            sent, _ = step_node(node, due.get(node.index, ()), self.epoch_cycles)
+            for words in sent:
                 self.fabric.send(node.index, words, self.epoch)
         self.epoch += 1
 
@@ -218,11 +231,7 @@ class Cluster:
         ``workers > 1`` fans the nodes out over forked worker
         processes; the result is byte-identical to the inline run.
         """
-        if (
-            workers > 1
-            and len(self.nodes) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
+        if workers > 1 and len(self.nodes) > 1 and can_fork():
             return self._run_forked(max_epochs, workers)
         start = self.epoch
         while not self.done and self.epoch - start < max_epochs:
@@ -233,81 +242,65 @@ class Cluster:
     # fork-based fan-out
     # ------------------------------------------------------------------
 
+    def _serve_nodes(self, message: Dict[str, Any]) -> List:
+        """Worker handler (``self`` is the cluster as forked): ``epoch``
+        steps the listed nodes, ``collect`` ships their final state."""
+        if message["op"] == "epoch":
+            return [
+                (index, *step_node(self.nodes[index], packets,
+                                   self.epoch_cycles))
+                for index, packets in message["items"]
+            ]
+        return [
+            (index, self.nodes[index].cpu.snapshot().data,
+             self.nodes[index].program.state_dict())
+            for (index,) in message["items"]
+        ]
+
     def _run_forked(self, max_epochs: int, workers: int) -> int:
         """The epoch loop with nodes spread over forked workers.
 
-        Workers own disjoint node subsets (round-robin by index) and
-        inherit them through fork.  Per epoch, the coordinator ships
-        each worker its nodes' due packets, the worker runs its nodes
-        and steps their programs, and the coordinator performs the
-        resulting ``fabric.send`` calls in node-index order -- the one
-        total order the fabric ever sees, regardless of which worker
-        answered first.  After the loop, each worker ships its nodes'
-        snapshots back and the coordinator restores them into its own
-        (stale since the fork) node objects.
+        Workers own disjoint node subsets (round-robin by index).  The
+        coordinator ships each its nodes' due packets and performs the
+        resulting ``fabric.send`` calls in node-index order, the one
+        total order the fabric ever sees.  Afterwards the workers' node
+        snapshots are restored into the (stale since the fork) nodes
+        here.  A worker that dies raises ``WorkerCrashed``.
         """
-        workers = min(workers, len(self.nodes))
-        owned = {
-            w: [i for i in range(len(self.nodes)) if i % workers == w]
-            for w in range(workers)
-        }
-        ctx = multiprocessing.get_context("fork")
-        pipes = []
-        procs = []
-        for w in range(workers):
-            parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(
-                target=_cluster_worker, args=(child_end, self, owned[w]),
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()
-            pipes.append(parent_end)
-            procs.append(proc)
-
+        count = min(workers, len(self.nodes))
+        owned = [range(w, len(self.nodes), count) for w in range(count)]
+        pool = [Worker(self._serve_nodes, index=w) for w in range(count)]
         done_flags = {n.index: bool(n.program.done) for n in self.nodes}
-        passive = {n.index: bool(n.program.passive) for n in self.nodes}
-        active = [i for i, p in passive.items() if not p]
+        active = [n.index for n in self.nodes if not n.program.passive]
         start = self.epoch
         try:
             while self.epoch - start < max_epochs:
                 if active and all(done_flags[i] for i in active):
                     break
-                deliver: Dict[int, List[List[int]]] = {}
-                for packet in self.fabric.due(self.epoch):
-                    deliver.setdefault(packet.dst, []).append(list(packet.words))
-                for w in range(workers):
-                    pipes[w].send({
-                        "cmd": "epoch",
-                        "deliver": [(i, deliver.get(i, [])) for i in owned[w]],
-                    })
+                due = self._due()
+                for worker, indices in zip(pool, owned):
+                    worker.send({"op": "epoch", "items": [
+                        (i, due.get(i, [])) for i in indices
+                    ]})
                 sends: List = []
-                for w in range(workers):
-                    reply = pipes[w].recv()
-                    sends.extend(reply["sent"])
-                    done_flags.update(reply["done"])
-                for index, packets in sorted(sends):
-                    for words in packets:
+                for worker in pool:
+                    for index, sent, done in worker.recv():
+                        sends.append((index, sent))
+                        done_flags[index] = done
+                for index, sent in sorted(sends):
+                    for words in sent:
                         self.fabric.send(index, words, self.epoch)
                 self.epoch += 1
-            for pipe in pipes:
-                pipe.send({"cmd": "collect"})
-            for pipe in pipes:
-                for index, machine_data, program_state in pipe.recv():
+            for worker, indices in zip(pool, owned):
+                worker.send({"op": "collect", "items": [(i,) for i in indices]})
+            for worker in pool:
+                for index, machine_data, program_state in worker.recv():
                     node = self.nodes[index]
                     node.cpu.restore(MachineState(machine_data))
                     node.program.load_state(program_state)
         finally:
-            for pipe in pipes:
-                try:
-                    pipe.send({"cmd": "exit"})
-                    pipe.close()
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():
-                    proc.terminate()
+            for worker in pool:
+                worker.close()
         return self.epoch - start
 
     # ------------------------------------------------------------------
@@ -407,37 +400,3 @@ class Cluster:
             "nodes": per_node,
         }
 
-
-def _cluster_worker(conn, cluster: Cluster, indices: List[int]) -> None:
-    """Worker-process loop: epochs for an owned node subset.
-
-    Runs in a forked child, so ``cluster`` is the parent's object graph
-    at fork time; only the owned nodes are ever touched here, and their
-    final state travels back as snapshot data on "collect".
-    """
-    nodes = [cluster.nodes[i] for i in indices]
-    while True:
-        msg = conn.recv()
-        cmd = msg["cmd"]
-        if cmd == "epoch":
-            for index, packets in msg["deliver"]:
-                net = cluster.nodes[index].net
-                for words in packets:
-                    net.inject_packet(list(words))
-            for node in nodes:
-                node.cpu.run(cluster.epoch_cycles)
-            sent = []
-            done = {}
-            for node in nodes:
-                outs = node.program.step(node)
-                sent.append((node.index, [list(w) for w in outs]))
-                done[node.index] = bool(node.program.done)
-            conn.send({"sent": sent, "done": done})
-        elif cmd == "collect":
-            conn.send([
-                (node.index, node.cpu.snapshot().data, node.program.state_dict())
-                for node in nodes
-            ])
-        else:  # "exit"
-            conn.close()
-            return

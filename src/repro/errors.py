@@ -209,12 +209,12 @@ class ServiceError(DoradoError):
 
 
 class WorkerCrashed(ServiceError):
-    """A fleet worker process died (or its pipe closed) mid-request.
+    """A forked worker process died (or its pipe closed) mid-request.
 
-    Carries the worker slot, the operation that was in flight, and the
-    session name(s) that operation addressed, so the fleet's recovery
-    path (and post-mortems) know exactly what was lost without a live
-    process to ask.
+    Carries the worker slot, the operation in flight, and the names it
+    addressed (sessions, matrix cells, cluster nodes), so the fleet's
+    recovery path (and post-mortems) know exactly what was lost without
+    a live process to ask.
     """
 
     def __init__(
@@ -234,7 +234,7 @@ class WorkerCrashed(ServiceError):
         if op is not None:
             where.append(f"op {op!r}")
         if self.sessions:
-            where.append(f"sessions {', '.join(self.sessions)}")
+            where.append(f"addressing {', '.join(self.sessions)}")
         suffix = f" ({'; '.join(where)})" if where else ""
         super().__init__(message + suffix)
 

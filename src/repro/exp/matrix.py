@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.counters import HOLD_CAUSE_NAMES
 from ..errors import DoradoError
-from ..fault.plan import FaultConfig
+from ..fault.plan import FaultConfig, derive_seed
 from ..perf.workloads import ALL_WORKLOADS, Workload
 from ..service.session import Session, arch_hash, clear_boot_cache
+from ..workers import can_fork, map_unordered
 from .configs import tier_configs, variant
 from .kernels import bypass_kernel, bypass_kernel_padded
 from .scenario import ScenarioSpec
@@ -46,7 +46,7 @@ __all__ = [
     "WORKLOAD_DEFS",
     "WorkloadDef",
     "clear_boot_cache",  # re-export: the cache moved to repro.service
-    "derive_seed",
+    "derive_seed",  # re-export: the derivation moved to repro.fault.plan
     "execute_cell",
 ]
 
@@ -81,13 +81,6 @@ WORKLOAD_DEFS: Dict[str, WorkloadDef] = {
         "bypass_kernel_padded", bypass_kernel_padded, model0_safe=True
     ),
 }
-
-
-def derive_seed(master: int, *parts: Any) -> int:
-    """A stable per-cell seed from the matrix seed and the cell's place."""
-    text = "/".join([str(master), *(str(p) for p in parts)])
-    digest = hashlib.sha256(text.encode()).digest()
-    return (int.from_bytes(digest[:4], "big") & 0x7FFFFFFF) or 1
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +244,7 @@ def _execute_cluster(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def execute_cell(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Measure one cell (raises on broken specs; see ``_cell_worker``)."""
+    """Measure one cell (raises on broken specs; see ``_cell_row``)."""
     if spec.workload == CLUSTER_WORKLOAD:
         return _execute_cluster(spec)
     if spec.workload not in WORKLOAD_DEFS:
@@ -262,9 +255,8 @@ def execute_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return _execute_clean(spec)
 
 
-def _cell_worker(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point: never raises, never hangs the matrix."""
-    spec = ScenarioSpec.from_dict(spec_dict)
+def _cell_row(spec: ScenarioSpec) -> Dict[str, Any]:
+    """One cell's artifact row: a cell that raises is a failed row."""
     row: Dict[str, Any] = {"cell": spec.cell_id, "spec": spec.to_dict()}
     try:
         row["measurements"] = execute_cell(spec)
@@ -378,19 +370,18 @@ class ExperimentMatrix:
         """Execute every cell and assemble the evaluated result artifact.
 
         ``workers <= 1`` runs inline (same code path the workers run);
-        more fans out over a process pool.  The result is independent
+        more fans out over forked workers.  The result is independent
         of *workers* byte-for-byte.
         """
-        spec_dicts = [spec.to_dict() for spec in self.cells]
-        if workers > 1 and len(self.cells) > 1:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
+        if workers > 1 and len(self.cells) > 1 and can_fork():
+            rows = map_unordered(
+                lambda message: _cell_row(message["spec"]),
+                ({"op": "cell", "name": spec.cell_id, "spec": spec}
+                 for spec in self.cells),
+                min(workers, len(self.cells)),
             )
-            with ctx.Pool(min(workers, len(self.cells))) as pool:
-                rows = pool.map(_cell_worker, spec_dicts)
         else:
-            rows = [_cell_worker(d) for d in spec_dicts]
+            rows = [_cell_row(spec) for spec in self.cells]
         rows.sort(key=lambda r: r["cell"])
 
         from .evaluate import default_evaluators

@@ -21,9 +21,10 @@ events at the same operations and produce identical fault traces.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -138,6 +139,13 @@ class FaultConfig:
             + self.map_faults + self.write_protect_faults
             + self.bounds_faults + self.disk_errors
         )
+
+
+def derive_seed(master: int, *parts: Any) -> int:
+    """A stable plan seed: ``sha256("master/part/...")``, 31 bits, never 0."""
+    text = "/".join([str(master), *(str(p) for p in parts)])
+    digest = hashlib.sha256(text.encode()).digest()
+    return (int.from_bytes(digest[:4], "big") & 0x7FFFFFFF) or 1
 
 
 class _Lcg:

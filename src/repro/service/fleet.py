@@ -41,7 +41,6 @@ artifact byte-identical to the clean serial run, which the
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -57,6 +56,7 @@ from ..errors import (
     SpoolCorruption,
     WorkerCrashed,
 )
+from ..workers import Worker, can_fork
 from .chaos import ChaosInjector, ServiceFaultConfig, ServiceFaultKind, ServiceFaultPlan
 from .session import Session, booted_workload, valid_session_name
 from .spool import spool_read, spool_write
@@ -183,127 +183,11 @@ class SessionHost:
 # transports: a forked process, or the same host inline
 # --------------------------------------------------------------------------
 
-def _host_main(conn) -> None:
-    """Worker process entry point: serve messages until ``exit``."""
-    host = SessionHost()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message.get("op") == "exit":
-            conn.close()
-            return
-        conn.send(host.handle(message))
+class ProcessHost(Worker):
+    """A :class:`SessionHost` in a forked :class:`~repro.workers.Worker`."""
 
-
-def _request_context(message: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The (op, session names) a request addressed, for crash reports."""
-    if not message:
-        return {"op": None, "sessions": ()}
-    names: List[str] = []
-    if "name" in message:
-        names.append(str(message["name"]))
-    for item in message.get("items", ()):
-        names.append(str(item[0]))
-    return {"op": message.get("op"), "sessions": tuple(names)}
-
-
-class ProcessHost:
-    """A SessionHost in a forked worker, spoken to over a pipe.
-
-    ``recv`` polls the pipe *and* the worker's liveness, so a child
-    that dies mid-request surfaces promptly as
-    :class:`~repro.errors.WorkerCrashed` -- carrying the worker slot,
-    the in-flight op, and the session names it addressed -- instead of
-    blocking the coordinator forever (the PR 9 latent bug the fleet's
-    crash recovery is built on).  An optional *timeout* bounds waiting
-    on a live-but-wedged worker with :class:`~repro.errors.CallTimeout`.
-    """
-
-    #: Seconds between liveness checks while waiting for a reply.
-    POLL_INTERVAL = 0.05
-
-    def __init__(self, ctx, index: int = 0) -> None:
-        self.index = index
-        self.last_request: Optional[Dict[str, Any]] = None
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(target=_host_main, args=(child,), daemon=True)
-        self._proc.start()
-        child.close()
-
-    def _crashed(self, doing: str) -> WorkerCrashed:
-        return WorkerCrashed(
-            f"worker process died {doing}",
-            worker=self.index,
-            **_request_context(self.last_request),
-        )
-
-    def send(self, message: Dict[str, Any]) -> None:
-        self.last_request = message
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
-            raise self._crashed(f"before the request was sent ({exc})") from exc
-
-    def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                if self._conn.poll(self.POLL_INTERVAL):
-                    return self._conn.recv()
-            except (EOFError, ConnectionError, OSError) as exc:
-                raise self._crashed("mid-request (pipe closed)") from exc
-            if not self._proc.is_alive():
-                # Drain the race: a reply flushed just before death.
-                try:
-                    if self._conn.poll(0):
-                        return self._conn.recv()
-                except (EOFError, ConnectionError, OSError):
-                    pass
-                raise self._crashed("mid-request")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise CallTimeout(
-                    f"worker {self.index} sent no reply within {timeout:g}s "
-                    f"({_request_context(self.last_request)['op']!r} pending)"
-                )
-
-    def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        self.send(message)
-        return self.recv()
-
-    def kill(self) -> None:
-        """SIGKILL the worker (chaos injection and wedged-slot recovery)."""
-        if self._proc.is_alive():
-            self._proc.kill()
-
-    def is_alive(self) -> bool:
-        return self._proc.is_alive()
-
-    def reap(self) -> None:
-        """Collect a dead worker's corpse and release its pipe."""
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():  # pragma: no cover - kill() precedes reap()
-            self._proc.terminate()
-            self._proc.join(timeout=5)
-
-    def close(self) -> None:
-        try:
-            self._conn.send({"op": "exit"})
-        except (BrokenPipeError, ConnectionError, OSError):
-            pass
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self._proc.join(timeout=30)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5)
+    def __init__(self, index: int = 0) -> None:
+        super().__init__(SessionHost().handle, index=index)
 
 
 class InlineHost:
@@ -417,15 +301,13 @@ class Fleet:
                 tuple(sorted((wargs or {}).items())),
                 wconfig if wconfig is not None else PRODUCTION,
             )
-        if "fork" in multiprocessing.get_all_start_methods():
-            self._ctx = multiprocessing.get_context("fork")
+        if can_fork():
             self.hosts: List[Any] = [
-                ProcessHost(self._ctx, index=i) for i in range(workers)
+                ProcessHost(index=i) for i in range(workers)
             ]
         else:  # pragma: no cover - exercised only on fork-less platforms
             # No fork, no shared boot cache to inherit: run the same
             # protocol inline.  Determinism is unaffected.
-            self._ctx = None
             self.hosts = [InlineHost()]
         self._live: Dict[str, int] = {}          # name -> worker index
         self._lru: "collections.OrderedDict[str, None]" = (
@@ -481,8 +363,8 @@ class Fleet:
             return pending  # lost in transit: never actually sent
         try:
             host.send(message)
-        except WorkerCrashed:
-            pending["send_failed"] = True
+        except WorkerCrashed as exc:
+            pending["crash"] = exc  # raised when the reply is awaited
             return pending
         if pending["action"] is ServiceFaultKind.WORKER_CRASH:
             host.kill()  # SIGKILL mid-request, reply racing death
@@ -514,12 +396,8 @@ class Fleet:
             raise CallTimeout(
                 f"request {req} to worker {worker} lost in transit (injected)"
             )
-        if pending.pop("send_failed", False):
-            raise WorkerCrashed(
-                "worker pipe closed before the request was sent",
-                worker=worker,
-                **_request_context(pending["message"]),
-            )
+        if "crash" in pending:
+            raise pending.pop("crash")
         reply = self._recv_matching(worker, req)
         if action is ServiceFaultKind.WORKER_STALL:
             raise CallTimeout(
@@ -602,7 +480,7 @@ class Fleet:
             self.hosts[worker] = InlineHost()
             self.counters["degrades"] += 1
         else:
-            self.hosts[worker] = ProcessHost(self._ctx, index=worker)
+            self.hosts[worker] = ProcessHost(index=worker)
             self.counters["respawns"] += 1
         for name in sorted(n for n, w in self._live.items() if w == worker):
             self._restore_lost(name, worker)

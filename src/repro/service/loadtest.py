@@ -17,10 +17,10 @@ serially and at 1/2/4 workers and ``cmp``s the artifacts byte for byte
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import DoradoError
+from ..fault.plan import derive_seed
 from ..state import canonical_json
 from .fleet import Fleet
 from .session import Session
@@ -47,12 +47,6 @@ FAULT_TEMPLATE = {
 }
 
 
-def _session_seed(master: int, name: str) -> int:
-    """A stable per-session fault seed from the script seed and name."""
-    digest = hashlib.sha256(f"{master}/{name}".encode()).digest()
-    return (int.from_bytes(digest[:4], "big") & 0x7FFFFFFF) or 1
-
-
 def build_script(
     sessions: int = 60, *, seed: int = 17, fault_every: int = 3
 ) -> List[Dict[str, Any]]:
@@ -62,7 +56,7 @@ def build_script(
         name = f"s{index:04d}"
         fault = None
         if fault_every and index % fault_every == fault_every - 1:
-            fault = dict(FAULT_TEMPLATE, seed=_session_seed(seed, name))
+            fault = dict(FAULT_TEMPLATE, seed=derive_seed(seed, name))
         script.append({
             "name": name,
             "workload": ROTATION[index % len(ROTATION)],

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import re
 from typing import Any, Dict, Optional, Tuple
 
@@ -76,14 +75,6 @@ def _resolve_builder(name: str):
     raise ServiceError(f"unknown workload {name!r} (known: {known})")
 
 
-def _config_key(config: MachineConfig) -> str:
-    """Cache-key digest of a config (identity only, not an artifact)."""
-    payload = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, default=str
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
 def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from a snapshot's config section.
 
@@ -106,11 +97,11 @@ def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
 # per-process boot cache: build once, fork per session
 # --------------------------------------------------------------------------
 
-#: (workload, args, config key) -> (Workload, pristine booted Processor).
+#: (workload, args, config) -> (Workload, pristine booted Processor).
 #: Process-local; fleet workers each grow their own on demand (or inherit
 #: a prewarmed parent cache across ``fork``).  Only fault-free configs
 #: are cached: seeded faulted configs are single-use.
-_BOOT_CACHE: Dict[Tuple[str, Tuple, str], Tuple[Workload, Any]] = {}
+_BOOT_CACHE: Dict[Tuple[str, Tuple, MachineConfig], Tuple[Workload, Any]] = {}
 
 
 def booted_workload(
@@ -131,7 +122,7 @@ def booted_workload(
     boot first; a directly built machine restores it in place.
     """
     args = tuple(args)
-    key = (name, args, _config_key(config))
+    key = (name, args, config)
     cached = _BOOT_CACHE.get(key) if config.fault_injection is None else None
     if cached is None:
         workload = _resolve_builder(name)(config=config, **dict(args))

@@ -157,6 +157,38 @@ def test_worker_fanout_matches_inline(template):
     assert inline == fanned
 
 
+def test_killed_worker_raises_worker_crashed(template):
+    """A worker SIGKILLed mid-run is diagnosed: worker, op, its nodes."""
+    import os
+    import signal
+    import time
+
+    from repro.errors import WorkerCrashed
+    from repro.workers import can_fork
+
+    if not can_fork():
+        pytest.skip("needs a forking platform")
+    cluster = build_ring_cluster(4, laps=2, seed=11, template=template)
+    program = cluster.nodes[1].program
+    real_step = program.step
+    calls = []
+
+    def dying_step(node):
+        calls.append(node.index)  # runs in the forked worker owning node 1
+        if len(calls) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_step(node)
+
+    program.step = dying_step  # patched before the fork: workers inherit it
+    started = time.monotonic()
+    with pytest.raises(WorkerCrashed) as info:
+        cluster.run(max_epochs=ring_epoch_budget(4, 2), workers=2)
+    assert time.monotonic() - started < 10
+    assert info.value.worker == 1
+    assert info.value.op == "epoch"
+    assert info.value.sessions == ("1", "3")  # the nodes worker 1 owns
+
+
 def test_snapshot_restore_resume_converges(template):
     """Mid-run snapshot -> restore into a fresh cluster -> same end state."""
     reference = run_ring(template)

@@ -190,6 +190,55 @@ def test_crashing_cell_fails_cell_not_matrix():
     assert result["aggregate"]["failed_cell_ids"] == [bad.cell_id]
 
 
+def test_killed_worker_raises_worker_crashed(monkeypatch):
+    """A worker SIGKILLed mid-cell is diagnosed, not an eternal hang.
+
+    The matrix runs in a forked child joined with a timeout, so a hang
+    fails the test instead of wedging the suite.
+    """
+    import multiprocessing
+    import os
+    import signal
+
+    from repro.exp import matrix as matrix_module
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs a forking platform")
+    matrix = kernel_matrix()
+    victim = matrix.cells[1].cell_id  # the first cell handed to worker 1
+    real_execute = matrix_module.execute_cell
+
+    def dying_execute(spec):
+        if spec.cell_id == victim:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_execute(spec)
+
+    # Patched before any fork: the matrix's workers inherit it.
+    monkeypatch.setattr(matrix_module, "execute_cell", dying_execute)
+
+    def attempt(conn):
+        try:
+            matrix.run(workers=2)
+            conn.send(("returned",))
+        except Exception as exc:
+            conn.send((type(exc).__name__, getattr(exc, "worker", None),
+                       getattr(exc, "op", None),
+                       getattr(exc, "sessions", None)))
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=attempt, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(10), "the matrix hung on a dead worker"
+        outcome = reader.recv()
+    finally:
+        child.kill()
+        child.join()
+    assert outcome == ("WorkerCrashed", 1, "cell", (victim,))
+
+
 def test_golden_pins_checked_when_provided():
     pins = GOLDENS["matrix_cycles"]
     result = kernel_matrix().run(goldens=pins)

@@ -531,9 +531,8 @@ def test_process_host_reports_crash_with_context():
 
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs a forking platform")
-    ctx = multiprocessing.get_context("fork")
 
-    host = ProcessHost(ctx, index=3)
+    host = ProcessHost(index=3)
     try:
         assert host.call({"op": "open", "name": "s1",
                           "workload": "mesa_loop_sum"})["ok"]
@@ -547,7 +546,7 @@ def test_process_host_reports_crash_with_context():
         host.reap()
 
     # A live-but-silent worker is a timeout, not a hang.
-    quiet = ProcessHost(ctx, index=0)
+    quiet = ProcessHost(index=0)
     try:
         quiet.last_request = {"op": "run", "name": "ghost"}
         with pytest.raises(CallTimeout, match="no reply"):
