@@ -12,7 +12,7 @@ against the assembled microcode image.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import EmulatorError
@@ -45,11 +45,16 @@ class DecodeEntry:
     name: str              #: mnemonic, for traces
     dispatch: str          #: microcode label of the handler
     operands: OperandKind = OperandKind.NONE
+    #: ``operands.length``, computed once: the IFU reads it every decode.
+    operand_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operand_bytes", self.operands.length)
 
     @property
     def length(self) -> int:
         """Total instruction length in bytes, including the opcode."""
-        return 1 + self.operands.length
+        return 1 + self.operand_bytes
 
     def operand_values(self, raw: List[int]) -> List[int]:
         """The IFUDATA word(s) produced from the raw operand bytes."""

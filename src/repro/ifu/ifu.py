@@ -46,6 +46,7 @@ class Ifu:
         self._buffered = 0      # byte address one past the buffered prefix
         self._ready_at = 0      # cycle when the head instruction is decoded
         self._head: Optional[DecodeEntry] = None
+        self._head_opcode: Optional[int] = None  # the byte _head came from
         self._head_invalid = False
         self._head_operands: List[int] = []
         self._current_operands: List[int] = []  # IFUDATA for the executing macro
@@ -119,30 +120,38 @@ class Ifu:
             self._try_decode()
 
     def _byte(self, address: int) -> int:
-        """A byte of the macro code stream (big-endian within words)."""
-        w = self.memory.debug_read(self._code_va(address))
+        """A byte of the macro code stream (big-endian within words).
+
+        Each call is one coherent read, with its side effects: the map
+        entry's referenced bit and, on a cache hit, an LRU bump.
+        """
+        memory = self.memory
+        bases = memory.translator.bases
+        w = memory.debug_read(bases[self.code_membase % len(bases)] + (address >> 1))
         return (w >> 8) & 0xFF if (address & 1) == 0 else w & 0xFF
 
-    def _code_va(self, byte_address: int) -> int:
-        base = self.memory.translator.read_base(self.code_membase)
-        return base + (byte_address >> 1)
-
     def _try_decode(self) -> None:
-        if self._buffered <= self.pc:
+        pc = self.pc
+        if self._buffered <= pc:
             return
         try:
-            entry = self.table.entry(self._byte(self.pc))
+            opcode = self._byte(pc)
+            entry = self.table.entry(opcode)
         except EmulatorError:
             # Prefetch ran into bytes that are not instructions (e.g.
             # past a HALT).  Harmless unless actually dispatched.
             self._head_invalid = True
             return
         self._head_invalid = False
-        if self._buffered < self.pc + entry.length:
+        count = entry.operand_bytes
+        if self._buffered < pc + 1 + count:
             return
-        raw = [self._byte(self.pc + 1 + i) for i in range(entry.operands.length)]
         self._head = entry
-        self._head_operands = entry.operand_values(raw)
+        self._head_opcode = opcode
+        self._head_operands = (
+            entry.operand_values([self._byte(pc + 1 + i) for i in range(count)])
+            if count else []
+        )
         self._ready_at = self.now + self.decode_cycles
 
     # --- processor interface -------------------------------------------------
@@ -167,7 +176,7 @@ class Ifu:
         assert self.dispatch_ready, "take_dispatch without dispatch_ready"
         entry = self._head
         self._current_operands = self._head_operands
-        self.pc = word(self.pc + entry.length)
+        self.pc = word(self.pc + 1 + entry.operand_bytes)
         self._head = None
         self._head_operands = []
         self.dispatches += 1
@@ -199,10 +208,11 @@ class Ifu:
 
         The decode table, dispatch addresses, and dispatch hook are
         mechanism, not state; the head :class:`DecodeEntry` is named by
-        its opcode byte (the byte at PC) and re-decoded through the
-        installed table on load.
+        the opcode byte it was decoded from and re-decoded through the
+        installed table on load.  Memory is not read: a code-byte read
+        would set a referenced bit or bump a cache line's LRU.
         """
-        head_opcode = self._byte(self.pc) if self._head is not None else None
+        head_opcode = self._head_opcode if self._head is not None else None
         return {
             "now": self.now,
             "running": self.running,
@@ -232,6 +242,7 @@ class Ifu:
         self._head = (
             self.table.entry(head_opcode) if head_opcode is not None else None
         )
+        self._head_opcode = head_opcode
         self._head_invalid = bool(state["head_invalid"])
         self._head_operands = list(state["head_operands"])
         self._current_operands = list(state["current_operands"])

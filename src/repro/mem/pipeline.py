@@ -407,8 +407,10 @@ class MemorySystem:
         ra = self.translator.translate(va, write=False)
         if ra is None or not self.storage.in_range(ra):
             raise DeviceError(f"debug_read: unmapped VA {va:#x}")
-        if self.cache.contains(ra):
-            return self.cache.read_word(ra)
+        # One probe: a hit bumps the line's LRU, a miss touches nothing.
+        line = self.cache.lookup(ra)
+        if line is not None:
+            return line.words[ra % MUNCH_WORDS]
         return self.storage.read_word(ra)
 
     def debug_write(self, va: int, value: int) -> None:

@@ -10,10 +10,14 @@ coherent view (cache copy if present, else storage) to match the model
 after every step.
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PRODUCTION
 from repro.mem.cache import Cache
+from repro.mem.pipeline import MemorySystem
 from repro.mem.storage import Storage
 from repro.types import MUNCH_WORDS
 
@@ -131,3 +135,26 @@ def test_writeback_preserves_dirty_data_across_eviction(address, value, other):
             ensure_filled(cache, storage, munch)
             evicted += 1
     assert coherent_read(cache, storage, address) == value
+
+
+def lru_state(cache):
+    return cache._clock, [[line.lru for line in ways] for ways in cache.sets]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(addresses, values), max_size=20),
+       st.lists(addresses, min_size=1, max_size=30))
+def test_single_probe_read_matches_the_reference(writes, probes):
+    """``MemorySystem.debug_read`` probes the cache once; it must return
+    what :func:`coherent_read` returns and leave the same clock and LRU
+    (a hit bumps both, a miss touches neither)."""
+    cache, storage, _ = build()
+    for address, value in writes:
+        ensure_filled(cache, storage, address)
+        cache.write_word(address, value)
+    mem = MemorySystem(PRODUCTION)
+    mem.identity_map(1)  # one page covers the whole tiny storage
+    mem.cache, mem.storage = copy.deepcopy((cache, storage))
+    for address in probes:
+        assert mem.debug_read(address) == coherent_read(cache, storage, address)
+        assert lru_state(mem.cache) == lru_state(cache)

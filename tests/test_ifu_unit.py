@@ -3,6 +3,7 @@
 import pytest
 
 from repro import EmulatorError, PRODUCTION
+from repro.emulators import bcpl, lisp, mesa, smalltalk
 from repro.ifu.decoder import DecodeEntry, DecodeTable, OperandKind
 from repro.ifu.ifu import Ifu
 from repro.mem.pipeline import MemorySystem
@@ -62,6 +63,16 @@ def test_entry_lengths():
     assert table.entry(0x01).length == 1
     assert table.entry(0x02).length == 2
     assert table.entry(0x04).length == 3
+
+
+@pytest.mark.parametrize("isa", [bcpl, lisp, mesa, smalltalk],
+                         ids=lambda isa: isa.__name__.rsplit(".", 1)[-1])
+def test_precomputed_operand_count_matches_the_operand_kind(isa):
+    table = isa.build_decode_table()
+    for opcode in table.defined_opcodes():
+        entry = table.entry(opcode)
+        assert entry.operand_bytes == entry.operands.length
+        assert entry.length == 1 + entry.operands.length
 
 
 def test_operand_values():

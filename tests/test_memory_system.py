@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import MachineConfig, PRODUCTION
+from repro import DeviceError, MachineConfig, PRODUCTION
+from repro.fault.plan import FaultKind
 from repro.mem.pipeline import (
     FAULT_BOUNDS,
     FAULT_MAP,
@@ -171,6 +172,27 @@ def test_counters_accumulate():
     assert mem.counters.cache_misses == 1
     assert mem.counters.cache_hits == 1
     assert mem.counters.memory_fetches == 2
+
+
+def test_debug_read_keeps_map_side_effects():
+    """A debug read translates like any reference: it sets the page's
+    referenced bit and consumes an armed one-shot fault exactly once."""
+    mem = make()
+    entry = mem.translator.entry_for(300)
+    assert not entry.referenced
+    mem.debug_read(300)
+    assert entry.referenced
+    mem.translator.inject_next = FaultKind.MAP
+    with pytest.raises(DeviceError):
+        mem.debug_read(300)
+    assert mem.translator.inject_next is None
+    assert mem.debug_read(300) == 0
+
+
+def test_debug_read_of_an_unmapped_va_raises():
+    mem = make()
+    with pytest.raises(DeviceError):
+        mem.debug_read(64 << 8)  # the first page past the identity map
 
 
 def test_debug_rw_coherent_with_cache():

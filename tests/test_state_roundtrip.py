@@ -111,6 +111,34 @@ def test_same_snapshot_restores_twice():
         first = end
 
 
+def _lru_state(cache):
+    return cache._clock, [[line.lru for line in ways] for ways in cache.sets]
+
+
+def test_snapshot_leaves_a_cached_code_munch_untouched():
+    """Snapshotting a decoded IFU head reads no memory.
+
+    With the code munch in the cache (as a data Fetch of it leaves it),
+    a code-byte read would bump the cache clock and the line's LRU, so
+    a checkpointed machine would drift from one that is not.
+    """
+    cpu = Session.build("mesa_loop_sum", args={"n": 200}).ctx.cpu
+    cpu.run(500)
+    while cpu.ifu._head is None:
+        cpu.run(1)
+    memory, ifu = cpu.memory, cpu.ifu
+    va = memory.translator.bases[ifu.code_membase] + (ifu.pc >> 1)
+    ra = memory.translator.translate(va, write=False)
+    writeback = memory.cache.fill(ra, memory.storage.read_munch(ra))
+    if writeback is not None:
+        memory.storage.write_munch(*writeback)
+    before = _lru_state(memory.cache)
+    first = cpu.snapshot().to_json()
+    second = cpu.snapshot().to_json()
+    assert first == second
+    assert _lru_state(memory.cache) == before
+
+
 # --- every workload, both cycle paths ---------------------------------------
 
 
