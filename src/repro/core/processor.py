@@ -560,7 +560,8 @@ class Processor:
 
         Executes a cached trace whenever the machine stands at a trace
         entry, plan-steps everywhere else, and feeds the trace cache's
-        hot-region detector from the plain steps.  Traces are confined
+        hot-region detector from the plain steps' back edges and from
+        the pcs traces exit to.  Traces are confined
         to ``run()`` on purpose: ``run_until`` evaluates its predicate
         between *every* cycle, and ``step()`` is the single-cycle
         debugging interface -- both stay strictly per-cycle.
@@ -570,9 +571,6 @@ class Processor:
         limit = start + max_cycles
         cache = self._traces
         traces = cache.traces
-        counts = cache.counts
-        blacklist = cache.blacklist
-        threshold = cache.hot_threshold
         step = self._step_plan
         pipe = self.pipe
         memory = self.memory
@@ -586,12 +584,19 @@ class Processor:
                     cache.entries += 1
                     before = counters.cycles
                     fn(self, limit - before)
-                    if counters.cycles != before:
+                    ran = counters.cycles - before
+                    if ran:
+                        cache.traced_cycles += ran
+                        if not memory.fault_flags:
+                            # A side exit: where a trace leaves off is a
+                            # region head too.
+                            cache.heat((pipe.this_task, self.this_pc))
                         continue
                     # Zero progress: a fast-mode entry guard failed or
                     # the budget is smaller than one loop iteration.
                     # Fall through to a plan step so run() always
                     # advances.
+                    cache.stalls += 1
             held_before = counters.held_cycles
             step()
             if hook is not None:
@@ -608,14 +613,7 @@ class Processor:
             elif pipe.this_task == task and new_pc <= pc:
                 # A back edge: the classic hot-region signal (loops and
                 # re-entered service routines both produce one).
-                key = (task, new_pc)
-                if key not in traces and key not in blacklist:
-                    seen = counts.get(key, 0) + 1
-                    if seen >= threshold:
-                        counts.pop(key, None)
-                        cache.begin_recording(key)
-                    else:
-                        counts[key] = seen
+                cache.heat((task, new_pc))
         return counters.cycles - start
 
     def run_until(self, predicate: Callable[["Processor"], bool], max_cycles: int = 1_000_000) -> int:

@@ -7,8 +7,9 @@ cycle: every cycle re-tests ``b_kind``/``a_kind``/``res_kind``/
 changes between invalidations.  Following the compiled-simulation
 literature (Reshadi & Dutt, PAPERS.md), this module removes that last
 dispatch layer for *hot* code: when the run loop observes the same
-back-edge ``(task, entry_pc)`` often enough it records one pass through
-the region, emits specialized Python source for the whole trace -- plan
+region head ``(task, entry_pc)`` often enough -- the target of a back
+edge, or the pc a trace exits to -- it records one pass through the
+region, emits specialized Python source for the whole trace -- plan
 fields folded to literals, the ALUFM operation and FF side effect of
 each step inlined as straight-line arithmetic, the shifter decoded once
 per SHIFTCTL value, the bypass-latch commit specialized to the
@@ -39,10 +40,12 @@ Correctness contract (DESIGN.md section 5.6):
   checks ``pipe.lines | pipe.ready == 1`` and the trace then skips the
   per-cycle scheduler entirely: task 0's wakeup line is permanently
   asserted, so arbitration returns task 0 every cycle and ``TPC[0]``,
-  ``best_pc``, ``memory.now`` (and ``ifu.now`` while the IFU is off)
-  batch in locals, flushed in the same ``finally``.  If the guard
-  fails, the trace returns having touched nothing and the run loop
-  takes the plan path for that cycle.
+  ``best_pc`` and ``memory.now`` batch in locals, flushed in the same
+  ``finally``.  A trace that never touches the IFU cannot start or
+  stop it: if the IFU was running at entry it ticks every cycle, and
+  otherwise ``ifu.now`` batches too.  If the guard fails, the trace
+  returns having touched nothing and the run loop takes the plan path
+  for that cycle.
 * Bail-out rules.  A trace exits -- after completing the current cycle
   exactly -- whenever the NEXT decision leaves the trace's task, a
   dynamic NEXTPC (branch, IFU dispatch, return, B-dispatch) diverges
@@ -347,7 +350,9 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
         w.emit(f"if pipe.lines | pipe.ready != {ctx.rbit}: return")
         w.emit("if memory._fast_in_flight: return")
         if not ctx.uses_ifu:
-            w.emit("if ifu.running: return")
+            # Such a trace cannot start or stop the IFU (IFU_JUMP and
+            # IFU_RESET count as uses), so its state at entry holds.
+            w.emit("ifon = ifu.running")
     if ctx.inline_refs:
         # The inlined hit path assumes no armed one-shot map fault; a
         # restored state could carry one even with the injector off.
@@ -460,7 +465,7 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     if ctx.fast:
         w.emit("memory.now = mnow")
         if not ctx.uses_ifu:
-            w.emit("ifu.now += cyc")
+            w.emit("if not ifon: ifu.now += cyc")
     w.emit("cpu._consecutive_holds = ch")
     w.dedent()
 
@@ -623,8 +628,7 @@ def _emit_tail_fast(
     else:
         w.emit("hld += 1")
     w.emit("mnow += 1")
-    if ctx.uses_ifu:
-        w.emit("ifu.tick()")
+    w.emit("ifu.tick()" if ctx.uses_ifu else "if ifon: ifu.tick()")
     w.emit("now_ += 1")
 
 
@@ -1219,7 +1223,7 @@ class TraceCache:
         self.traces: Dict[Tuple[int, int], object] = {}
         #: (task, entry_pc) -> generated source, for tests and debugging.
         self.sources: Dict[Tuple[int, int], str] = {}
-        #: (task, pc) -> hot back-edge count.
+        #: (task, pc) -> arrivals at a candidate region head.
         self.counts: Dict[Tuple[int, int], int] = {}
         #: Keys that recorded too short or failed codegen: never retried
         #: (until the next invalidation wipes the slate).
@@ -1230,6 +1234,9 @@ class TraceCache:
         self.compiled = 0
         self.invalidations = 0
         self.entries = 0
+        #: Cycles run inside traces, and entries that made no progress.
+        self.traced_cycles = 0
+        self.stalls = 0
         #: Codegen failures as (key, repr(exc)); parity tests assert
         #: this stays empty on the gold workloads.
         self.failures: List[Tuple[Tuple[int, int], str]] = []
@@ -1262,6 +1269,22 @@ class TraceCache:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+
+    def heat(self, key: Tuple[int, int]) -> None:
+        """Count one arrival at region head *key*; record at the threshold.
+
+        Heads are back-edge targets and the pcs traces exit to (Dynamo's
+        "next executing tail"): a microcode handler is entered by an IFU
+        dispatch, never by a back edge, so only the second rule finds it.
+        """
+        if key in self.traces or key in self.blacklist:
+            return
+        seen = self.counts.get(key, 0) + 1
+        if seen >= self.hot_threshold:
+            self.counts.pop(key, None)
+            self.begin_recording(key)
+        else:
+            self.counts[key] = seen
 
     def begin_recording(self, key: Tuple[int, int]) -> None:
         self._rec_key = key
@@ -1334,6 +1357,8 @@ class TraceCache:
             "traces": len(self.traces),
             "compiled": self.compiled,
             "entries": self.entries,
+            "stalls": self.stalls,
+            "traced_cycles": self.traced_cycles,
             "invalidations": self.invalidations,
             "blacklisted": len(self.blacklist),
             "recording": self._rec_key is not None,

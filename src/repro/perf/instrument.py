@@ -309,8 +309,10 @@ def metrics_snapshot(machine, include_fault_trace: bool = True) -> dict:
     Counters` field), ``tasks`` keyed by task number with per-task
     cycles/instructions/held/utilization, ``holds`` with the per-cause
     attribution (storage-busy vs MEMDATA wait vs IFU wait), ``ifu``
-    dispatch statistics, and -- on fault-injected machines -- the
-    ``faults`` section with the full trace.
+    dispatch statistics, ``tiers`` with the trace cache's statistics
+    (cycles run inside traces among them; mechanism, never in
+    ``Counters``), and -- on fault-injected machines -- the ``faults``
+    section with the full trace.
     """
     counters = machine.counters
     config = machine.config
@@ -335,6 +337,7 @@ def metrics_snapshot(machine, include_fault_trace: bool = True) -> dict:
         "tasks": tasks,
         "holds": counters.hold_attribution(),
         "ifu": {"dispatches": machine.ifu.dispatches, "byte_pc": machine.ifu.pc},
+        "tiers": {"trace_enabled": machine._trace_enabled, **machine._traces.stats()},
         "subscribers": list(machine.instruments.names()),
     }
     injector = machine.fault_injector

@@ -286,6 +286,10 @@ def test_metrics_snapshot_round_trips_as_json():
     assert decoded["tasks"]["0"]["utilization"] == 1.0
     assert decoded["ifu"]["dispatches"] == w.ctx.cpu.ifu.dispatches
     assert decoded["machine"]["plan_cache_enabled"] is True
+    tiers = decoded["tiers"]
+    assert tiers == w.ctx.cpu._traces.stats() | {"trace_enabled": True}
+    assert 0 < tiers["traced_cycles"] <= counters.cycles
+    assert tiers["stalls"] <= tiers["entries"]
     assert "faults" not in decoded  # no injector on a clean machine
 
 

@@ -5,13 +5,17 @@ to the other two cycle implementations; this file pins the *mechanism*
 around the generated code -- hot-region detection, recording cut-offs,
 blacklisting, the process-wide compile memo, invalidation hooks, and
 the stats surface -- on small hand-built machines where each edge is
-easy to reach deliberately.
+easy to reach deliberately, and the coverage the tier reaches on the
+rotation workloads (side exits as region heads, IFU-free traces under a
+running IFU).
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import Processor
-from repro.config import PRODUCTION
+from repro.config import PLAN_ONLY, PRODUCTION
 from repro.core.microword import (
     BSel,
     LoadControl,
@@ -26,6 +30,8 @@ from repro.core.tracecache import (
     TraceCache,
 )
 from repro.io.display import DisplayController
+from repro.perf.workloads import ALL_WORKLOADS, smalltalk_counter
+from repro.supervise import architectural_json
 
 
 def _goto(dest: int, load: int = 0, ff: int = 0) -> MicroInstruction:
@@ -227,3 +233,92 @@ def test_supervisor_degrade_disables_the_traced_tier():
     cache_entries = cpu._traces.entries
     cpu.run(max_cycles=100)
     assert cpu._traces.entries == cache_entries  # never entered again
+
+
+# --------------------------------------------------------------------------
+# coverage: side exits as region heads, IFU-free traces under a running IFU
+# --------------------------------------------------------------------------
+
+#: The rotation workloads at sizes that run well past two 20k-cycle slices.
+ROTATION_SIZES = {
+    "mesa_loop_sum": {"n": 4000},
+    "lisp_list_sum": {"n": 1400},
+    "bcpl_loop_sum": {"n": 6000},
+    "smalltalk_counter": {"sends": 1800},
+    "mesa_mul_kernel": {"iters": 2700},
+}
+
+
+def _watch_traces(cache, seen):
+    """Wrap every compiled trace to log ``(ifu_running, key, landing)``
+    for each entry that made progress."""
+
+    def watch(key, fn):
+        def traced(cpu, budget):
+            ifon = cpu.ifu.running
+            before = cpu.counters.cycles
+            fn(cpu, budget)
+            if cpu.counters.cycles != before:
+                seen.append((ifon, key, (cpu.pipe.this_task, cpu.this_pc)))
+        return traced
+
+    for key, fn in list(cache.traces.items()):
+        cache.traces[key] = watch(key, fn)
+
+
+def test_side_exit_landing_becomes_a_trace_head():
+    """Macro handlers are entered by IFU dispatch, never by a back edge;
+    the pc a trace exits to is counted as a region head instead."""
+    w = smalltalk_counter(sends=600)
+    cache = w.ctx.cpu._traces
+    w.run_slice(20_000)
+    seen = []
+    _watch_traces(cache, seen)
+    w.run_slice(5_000)
+    landings = Counter(landing for _, _, landing in seen)
+    frequent = [key for key, exits in landings.items() if exits >= HOT_THRESHOLD]
+    assert len(frequent) > 1
+    for key in frequent:
+        assert key in cache.traces, f"exit landing {key} is not a trace head"
+
+
+def test_ifu_free_trace_ticks_a_running_ifu():
+    """A fast trace that never touches the IFU enters (and makes
+    progress) while the IFU prefetches, byte-identical to PLAN_ONLY."""
+    traced = smalltalk_counter(sends=600)
+    plan = smalltalk_counter(sends=600, config=PLAN_ONLY)
+    cache = traced.ctx.cpu._traces
+    traced.run_slice(20_000)
+    plan.run_slice(20_000)
+    ifu_free = {key for key, src in cache.sources.items() if "ifon = ifu.running" in src}
+    assert ifu_free, "smalltalk_counter compiles IFU-free fast traces"
+    seen = []
+    _watch_traces(cache, seen)
+    for _ in range(10):
+        traced.run_slice(997)
+        plan.run_slice(997)
+    assert any(ifon and key in ifu_free for ifon, key, _ in seen)
+    traced.run()  # to HALT, verifying the result
+    plan.run()
+    a, b = traced.ctx.cpu, plan.ctx.cpu
+    assert a.counters == b.counters
+    assert architectural_json(a.snapshot()) == architectural_json(b.snapshot())
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_SIZES))
+def test_traces_cover_the_warm_slice(name):
+    """Deterministic coverage guard (it counts cycles, not time): once
+    warm, almost every cycle runs inside a trace, and almost no entry
+    returns without progress."""
+    w = ALL_WORKLOADS[name](**ROTATION_SIZES[name])
+    cache = w.ctx.cpu._traces
+    w.run_slice(20_000)
+    before = cache.stats()
+    ran = w.run_slice(20_000).cycles
+    after = cache.stats()
+    assert ran == 20_000
+    traced = after["traced_cycles"] - before["traced_cycles"]
+    entries = after["entries"] - before["entries"]
+    stalls = after["stalls"] - before["stalls"]
+    assert traced >= 0.95 * ran, f"{traced} of {ran} cycles traced"
+    assert stalls < 0.01 * entries, f"{stalls} of {entries} entries stalled"
