@@ -67,10 +67,11 @@ Correctness contract (DESIGN.md section 5.6):
 * Untraceable steps.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
   ``HALT`` (the trace loop does not re-check ``halted`` per cycle), FF
   ``BREAKPOINT`` (its message reads ``this_pc``, which is batched), FF
-  ``IM_WRITE_HI`` and ``ALUFM_WRITE`` (self-modifying code), and fast
-  I/O with no device attached end a recording; the trace covers the
-  prefix.  A recording that reaches a pc it has already recorded (an
-  inner loop) is cut short too, so inner loops compile as compact loop
+  ``IM_WRITE_HI`` and ``ALUFM_WRITE`` (self-modifying code), fast I/O
+  references and NOTIFY (no workload's hot path contains one, so the
+  plan path runs them) end a recording; the trace covers the prefix.
+  A recording that reaches a pc it has already recorded (an inner
+  loop) is cut short too, so inner loops compile as compact loop
   traces instead of being unrolled into the enclosing region.
 * Compilation is memoized process-wide on the generated source text:
   two machines that get identical microcode hot in the same places
@@ -83,7 +84,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .alu import AluFunc, CarryIn
-from .functions import FF, bank_argument, is_count_small, is_membase_small
+from .functions import FF, bank_argument, is_membase_small
 from .plancache import (
     A_IFU,
     A_MD,
@@ -95,12 +96,10 @@ from .plancache import (
     B_Q,
     B_RM,
     B_T,
-    EXTB_CPREG,
     EXTB_IFUDATA,
     EXTB_IFUPC,
     EXTB_LINK,
     EXTB_MD,
-    EXTB_THISTASK,
     NEXT_BAD,
     NEXT_BRANCH,
     NEXT_CALL,
@@ -151,24 +150,13 @@ _UNTRACEABLE_FFS = frozenset(
 
 #: NEXTPC kinds whose target is a compile-time constant: no divergence
 #: guard is emitted for them.
-_STATIC_NEXT_KINDS = frozenset({NEXT_STATIC, NEXT_CALL, NEXT_NOTIFY})
+_STATIC_NEXT_KINDS = frozenset({NEXT_STATIC, NEXT_CALL})
 
 #: FF codes that touch scheduler state the single-task fast tail
 #: proves constant; a trace containing one compiles in general mode.
 _SCHED_FFS = frozenset(
     {int(FF.WAKEUP_B), int(FF.READY_B), int(FF.TPC_B), int(FF.READ_TPC)}
 )
-
-#: ``RES_OTHER`` overrides simple enough to inline as a register read
-#: (the rest keep the generic ``_result_override`` call).
-_INLINE_READS = {
-    int(FF.READ_SHIFTCTL): "regs.shiftctl",
-    int(FF.READ_COUNT): "regs.count",
-    int(FF.READ_RBASE): "rb[{task}]",
-    int(FF.READ_MEMBASE): "mb[{task}]",
-    int(FF.READ_STACKPTR): "stack.pointer",
-    int(FF.READ_IOADDRESS): "regs.ioaddress[{task}]",
-}
 
 #: ALU functions with no adder involvement: no carry latch, no
 #: carry-out, no overflow.
@@ -192,16 +180,13 @@ _COMPILE_MEMO: Dict[Tuple[str, str], object] = {}
 _COMPILE_MEMO_LIMIT = 512
 
 
-def plan_traceable(plan: ExecutionPlan, task: int, cpu) -> bool:
-    """Whether *plan*, executed by *task*, may appear inside a trace."""
-    if plan.ref_kind == REF_BAD or plan.next_kind == NEXT_BAD:
+def plan_traceable(plan: ExecutionPlan) -> bool:
+    """Whether *plan* may appear inside a trace."""
+    if plan.ref_kind in (REF_BAD, REF_IOFETCH, REF_IOSTORE):
         return False
-    if plan.ff_is_function and plan.ff in _UNTRACEABLE_FFS:
+    if plan.next_kind in (NEXT_BAD, NEXT_NOTIFY):
         return False
-    if plan.ref_kind in (REF_IOFETCH, REF_IOSTORE):
-        if cpu._device_by_task.get(task) is None:
-            return False
-    return True
+    return not (plan.ff_is_function and plan.ff in _UNTRACEABLE_FFS)
 
 
 class _Writer:
@@ -259,10 +244,7 @@ class _Ctx:
             p.res_kind in (RES_SHIFT_OUT, RES_SHIFT_MASKZ, RES_SHIFT_MASKMD)
             for p in plans
         )
-        self.has_ref = any(
-            p.ref_kind in (REF_FETCH, REF_STORE, REF_IOFETCH, REF_IOSTORE)
-            for p in plans
-        )
+        self.has_ref = any(p.ref_kind in (REF_FETCH, REF_STORE) for p in plans)
         #: No step rewrites RBASE: the rm bank nibble hoists to entry.
         self.rbk_stable = all(ffv(p) != int(FF.RBASE_B) for p in plans)
         #: No step rewrites this task's MEMBASE: it hoists to entry.
@@ -279,10 +261,7 @@ class _Ctx:
             or ffv(p) in (int(FF.IFU_JUMP), int(FF.IFU_RESET))
             for p in plans
         )
-        sched_safe = all(
-            p.next_kind != NEXT_NOTIFY and ffv(p) not in _SCHED_FFS
-            for p in plans
-        )
+        sched_safe = all(ffv(p) not in _SCHED_FFS for p in plans)
         #: Single-task fast mode: statically, nothing can make another
         #: task runnable (task 0's own wakeup line is permanent, so
         #: with the entry guard arbitration returns task 0 forever).
@@ -577,14 +556,11 @@ def _ff_inline(
 ) -> Optional[List[str]]:
     """Constant-folded FF decode: the direct source for one FF side
     effect, or None for the rare FFs that keep the ``_apply_ff`` call
-    (translator/map/cache/device writes, which are method-shaped
-    anyway)."""
+    (count constants, translator/map/cache/device writes)."""
     ff = int(plan.ff)
     task = ctx.task
     if is_membase_small(ff):
         return [f"mb[{task}] = {bank_argument(ff) & 0x1F}"]
-    if is_count_small(ff):
-        return [f"regs.count = {bank_argument(ff) & 0xFFFF}"]
     if ff == int(FF.SHIFTCTL_B):
         lines = ["regs.shiftctl = b & 65535"]
         if ctx.has_shift:
@@ -725,8 +701,6 @@ def _emit_step(
     if not plan.hold_none:
         nowv = "mnow" if fast else "memory.now"
         conds = []
-        if plan.hold_fastio:
-            conds.append((f"memory._storage_busy_until > {nowv}", 1))
         if plan.hold_md:
             conds.append(
                 (f"not (ref.md_valid and ref.md_ready_at <= {nowv})", 2)
@@ -805,12 +779,12 @@ def _emit_step(
     # --- which operands this step actually reads.
     stack_op = plan.block and task == EMULATOR_TASK
     ffv = plan.ff if plan.ff_is_function else -1
-    inline_read = plan.res_kind == RES_OTHER and ffv in _INLINE_READS
     shifty = plan.res_kind in (
         RES_SHIFT_OUT,
         RES_SHIFT_MASKZ,
         RES_SHIFT_MASKMD,
-    ) or (plan.res_kind == RES_OTHER and not inline_read)
+        RES_OTHER,
+    )
     need_rm = plan.b_kind == B_RM or plan.a_kind == A_RM or shifty
     need_t = plan.b_kind == B_T or plan.a_kind == A_T or shifty
     res_name = "r" if plan.res_kind == RES_NONE else "res"
@@ -878,14 +852,10 @@ def _emit_step(
             w.emit("b = md")
         elif extb == EXTB_IFUDATA:
             w.emit("b = ifu.read_operand()")
-        elif extb == EXTB_CPREG:
-            w.emit("b = console.cpreg")
         elif extb == EXTB_LINK:
             w.emit(f"b = link[{task}] & 0xFFFF")
         elif extb == EXTB_IFUPC:
             w.emit("b = ifu.pc & 0xFFFF")
-        elif extb == EXTB_THISTASK:
-            w.emit(f"b = {task}")
         else:
             w.emit(f"b = cpu._read_extb({task}, {plan.ff})")
 
@@ -933,8 +903,6 @@ def _emit_step(
         w.emit("res = (r << 1) & 0xFFFF")
     elif res_kind == RES_RSH:
         w.emit("res = (r >> 1) & 0xFFFF")
-    elif inline_read:
-        w.emit(f"res = {_INLINE_READS[ffv].format(task=task)}")
     else:  # RES_OTHER: the READ_* family (may have side effects)
         if fast:
             w.emit("memory.now = mnow")
@@ -1042,10 +1010,6 @@ def _emit_step(
         if fast:
             w.emit("memory.now = mnow")
         w.emit(f"memory.start_store({task}, {ctx.mbase()}, a, b)")
-    elif ref_kind in (REF_IOFETCH, REF_IOSTORE):
-        env["PORT"] = _port_for(env, ctx.devices, task)
-        fn = "start_fastio_fetch" if ref_kind == REF_IOFETCH else "start_fastio_store"
-        w.emit(f"memory.{fn}({task}, {ctx.mbase()}, a, PORT)")
 
     # --- late branch condition.
     cond = plan.cond
@@ -1121,10 +1085,7 @@ def _emit_step(
     elif next_kind == NEXT_DISPATCH256:
         w.emit(f"np = ({plan.next_target} + (b & 0xFF)) & {ctx.im_mask}")
         next_expr = "np"
-    elif next_kind == NEXT_NOTIFY:
-        w.emit(f"console.record_notify({pc})")
-        next_expr = str(plan.next_target)
-    else:  # pragma: no cover - plan_traceable rejects NEXT_BAD
+    else:  # pragma: no cover - plan_traceable rejects NEXT_BAD and NOTIFY
         raise AssertionError("untraceable next_kind reached codegen")
     if plan.consumes_ifu and not consumed_inline:
         w.emit("ifu.consume_operand()")
@@ -1199,13 +1160,6 @@ def _emit_step(
             "t": bool(plan.loads_t),
             "res": res_name,
         }
-
-
-def _port_for(env, devices, task: int):
-    for device in devices:
-        if device.task == task:
-            return device
-    raise AssertionError("plan_traceable admitted fast I/O with no port")
 
 
 class TraceCache:
@@ -1311,7 +1265,7 @@ class TraceCache:
             self._finish(loop=True)
             return
         plan = self.cpu._plans[pc]
-        if plan is None or not plan_traceable(plan, task, self.cpu):
+        if plan is None or not plan_traceable(plan):
             self._finish(loop=False)
             return
         steps.append((pc, plan))

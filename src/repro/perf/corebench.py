@@ -183,11 +183,12 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
 
 
 #: Supervision (checkpoint snapshots + sanitizer sweeps) may cost at
-#: most this factor in wall-clock over the bare run.  The dominant term
-#: is stepping with the sanitizer's per-cycle hook installed; a
-#: checkpoint snapshot walks only the storage pages the machine has
-#: touched, not the whole image.  The bound is deliberately loose
-#: enough for CI noise but tight enough that an accidentally-hot
+#: most this factor in wall-clock over the bare run; ``main`` enforces
+#: it when a ``--baseline`` carries a ``supervised_overhead`` section.
+#: The dominant term is stepping with the sanitizer's per-cycle hook
+#: installed; a checkpoint snapshot walks only the storage pages the
+#: machine has touched, not the whole image.  The bound is deliberately
+#: loose enough for CI noise but tight enough that an accidentally-hot
 #: sanitizer (or per-cycle snapshots) fails.
 SUPERVISED_OVERHEAD_LIMIT = 8.0
 
@@ -199,7 +200,9 @@ def run_supervised_bench(repeats: int = 3) -> dict:
     sweeps but no faults, so it must simulate the *identical* cycle
     count (the supervisor's zero-perturbation guarantee) -- enforced
     here, making the row a correctness receipt as well as a price tag.
-    The overhead factor is asserted under ``SUPERVISED_OVERHEAD_LIMIT``.
+    The overhead factor is only reported here: a wall-clock ratio is
+    noisy under load, so ``main`` gates it against
+    ``SUPERVISED_OVERHEAD_LIMIT`` in the baseline comparison.
     """
     from ..supervise import Supervisor
 
@@ -234,11 +237,6 @@ def run_supervised_bench(repeats: int = 3) -> dict:
         if not workload.verify():
             raise AssertionError("supervised run failed workload verification")
     overhead = supervised_best / bare_best
-    if overhead > SUPERVISED_OVERHEAD_LIMIT:
-        raise AssertionError(
-            f"supervision overhead {overhead:.2f}x exceeds the "
-            f"{SUPERVISED_OVERHEAD_LIMIT}x budget"
-        )
     return {
         "simulated_cycles": bare_cycles,
         "bare_seconds": round(bare_best, 6),
@@ -375,6 +373,12 @@ def main(argv=None) -> int:
                     f"({base_row.get('simulated_cycles')} -> "
                     f"{row['simulated_cycles']})"
                 )
+        if (baseline_supervised is not None
+                and supervised["overhead_factor"] > SUPERVISED_OVERHEAD_LIMIT):
+            problems.append(
+                f"supervised_overhead: {supervised['overhead_factor']:.2f}x "
+                f"exceeds the {SUPERVISED_OVERHEAD_LIMIT}x budget"
+            )
         if problems:
             for p in problems:
                 print(f"BASELINE MISMATCH: {p}")

@@ -5,8 +5,7 @@ replays the scripted session stream and writes the canonical-JSON
 results artifact CI compares byte-for-byte across worker counts;
 ``chaos`` runs the same loadtest under a seeded service-fault storm
 (the artifact must still ``cmp`` clean against the serial ground
-truth); ``bench`` runs the scaling/admission/recovery sweep and writes
-BENCH_service.json-shaped output.
+truth).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import json
 import sys
 import time
 
-from .bench import run_service_bench
 from .chaos import CHAOS_TEMPLATE
 from .fleet import Fleet
 from .frontend import Frontend
@@ -132,31 +130,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    worker_counts = tuple(int(n) for n in args.workers.split(","))
-    result = run_service_bench(
-        worker_counts,
-        sessions=args.sessions,
-        capacity=args.capacity,
-        slice_cycles=args.slice_cycles,
-        seed=args.seed,
-    )
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"benchmark -> {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
-    recovery = result["recovery_overhead"]
-    ok = (
-        all(row["verified"] > 0 for row in result["scaling"])
-        and recovery["artifact_identical"]
-        and recovery["within_ceiling"]
-    )
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -248,17 +221,6 @@ def main(argv=None) -> int:
                          help="write the canonical artifact here instead "
                               "of stdout")
     chaos_p.set_defaults(func=_cmd_chaos)
-
-    bench_p = sub.add_parser("bench", help="scaling + admission sweep")
-    bench_p.add_argument("--workers", default="1,2,4",
-                         help="comma-separated worker counts")
-    bench_p.add_argument("--sessions", type=int, default=30)
-    bench_p.add_argument("--capacity", type=int, default=8)
-    bench_p.add_argument("--slice-cycles", type=int, default=1200)
-    bench_p.add_argument("--seed", type=int, default=17)
-    bench_p.add_argument("--output", default=None,
-                         help="write JSON here instead of stdout")
-    bench_p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

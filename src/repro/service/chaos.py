@@ -128,10 +128,10 @@ class ServiceFaultConfig:
         )
 
 
-#: The demo storm the chaos CLI, the recovery benchmark, and the
-#: ``service-chaos`` CI job default to: enough of every fault kind to
-#: exercise every recovery path, early enough in the run to be
-#: guaranteed to fire at workers 1, 2, and 4.
+#: The demo storm the chaos CLI and the ``service-chaos`` CI job
+#: default to: enough of every fault kind to exercise every recovery
+#: path, early enough in the run to be guaranteed to fire at workers
+#: 1, 2, and 4.
 CHAOS_TEMPLATE = {
     "worker_crashes": 3,
     "message_drops": 2,

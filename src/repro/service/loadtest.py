@@ -232,7 +232,7 @@ def loadtest_json(artifact: Dict[str, Any]) -> str:
 
 
 def summarize(artifact: Dict[str, Any]) -> Dict[str, int]:
-    """Headline counts for the stderr report and the benchmarks."""
+    """Headline counts for the stderr report."""
     results = artifact["results"].values()
     return {
         "sessions": len(artifact["results"]),

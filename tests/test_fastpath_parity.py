@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Assembler, Processor
+from repro.cluster.programs import build_ring_cluster, ring_epoch_budget
 from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION, MachineConfig
 from repro.core.microword import (
     ASel,
@@ -237,6 +238,32 @@ def test_display_parity(explicit_notify):
     cpu_i = _display_run(INTERPRETED, explicit_notify)
     for _, config in CONFIGS[1:]:
         assert_same_machine(_display_run(config, explicit_notify), cpu_i)
+
+
+def _ring_run(config: MachineConfig):
+    cluster = build_ring_cluster(2, config=config)
+    cluster.run(max_epochs=ring_epoch_budget(2, 2))
+    assert cluster.nodes[0].program.verified
+    return cluster
+
+
+def test_cluster_ring_parity():
+    """The relay ring is the one workload that runs general-mode traces
+    with a device attached under ``run()`` (the device runs above all
+    drive through ``run_until``, which never enters a trace)."""
+    ring_i = _ring_run(INTERPRETED)
+    for _, config in CONFIGS[1:]:
+        ring = _ring_run(config)
+        assert ring.report() == ring_i.report()
+        for node, node_i in zip(ring.nodes, ring_i.nodes):
+            assert node.cpu.counters.summary() == node_i.cpu.counters.summary()
+            assert architectural_json(node.cpu.snapshot()) == architectural_json(
+                node_i.cpu.snapshot()
+            )
+    for node in ring.nodes:  # the last ring ran PRODUCTION
+        assert_clean_traces(node.cpu)
+        assert any("D0.tick(" in src for src in node.cpu._traces.sources.values())
+        assert node.cpu._traces.stats()["traced_cycles"] > node.cpu.counters.cycles // 2
 
 
 # --------------------------------------------------------------------------

@@ -79,6 +79,9 @@ def test_emulator_with_three_io_tasks():
     for task in (0, NETWORK_TASK, DISK_TASK, DISPLAY_TASK):
         assert counters.task_cycles[task] > 0, f"task {task} never ran"
     assert counters.task_switches > 50
+    # The emulator loop ran traced next to the devices.
+    assert cpu._traces.failures == []
+    assert cpu._traces.stats()["traced_cycles"] > counters.cycles // 2
 
 
 def test_io_barely_slows_the_emulator():

@@ -559,8 +559,34 @@ def test_supervised_bench_reports_parity_and_overhead():
 
     row = run_supervised_bench(repeats=1)
     assert row["simulated_cycles"] > 0
-    assert row["overhead_factor"] <= SUPERVISED_OVERHEAD_LIMIT
     assert row["overhead_limit"] == SUPERVISED_OVERHEAD_LIMIT
+
+
+def test_corebench_baseline_gates_supervised_overhead(tmp_path, monkeypatch, capsys):
+    """The wall-clock bound lives in the baseline comparison: a run over
+    SUPERVISED_OVERHEAD_LIMIT fails ``--baseline``, not the bench."""
+    from repro.perf import corebench
+
+    row = {"simulated_cycles": 10, "bare_seconds": 1.0,
+           "supervised_seconds": 9.0, "overhead_factor": 9.0,
+           "overhead_limit": corebench.SUPERVISED_OVERHEAD_LIMIT}
+    e1 = {"simulated_cycles": 1, "before_cycles_per_second": 1,
+          "after_cycles_per_second": 1, "traced_cycles_per_second": 1,
+          "speedup": 1.0, "traced_speedup": 1.0}
+    monkeypatch.setattr(corebench, "run_corebench", lambda repeats: {"E1": e1})
+    monkeypatch.setattr(corebench, "run_warmstart_bench", lambda repeats: {
+        "simulated_cycles": 5, "cold_seconds": 1.0,
+        "warm_restore_seconds": 1.0, "warm_speedup": 1.0})
+    monkeypatch.setattr(corebench, "run_supervised_bench", lambda repeats: row)
+    base = tmp_path / "base.json"
+    assert corebench.main(["--output", str(base), "--repeats", "1"]) == 0
+    args = ["--output", str(tmp_path / "again.json"), "--repeats", "1",
+            "--baseline", str(base)]
+    capsys.readouterr()
+    assert corebench.main(args) == 1
+    assert "9.00x exceeds the 8.0x budget" in capsys.readouterr().out
+    row["overhead_factor"] = corebench.SUPERVISED_OVERHEAD_LIMIT
+    assert corebench.main(args) == 0
 
 
 def test_corebench_baseline_missing_sections_skip_with_warning(tmp_path, capsys):

@@ -7,27 +7,33 @@ blacklisting, the process-wide compile memo, invalidation hooks, and
 the stats surface -- on small hand-built machines where each edge is
 easy to reach deliberately, and the coverage the tier reaches on the
 rotation workloads (side exits as region heads, IFU-free traces under a
-running IFU).
+running IFU).  Codegen the rotation workloads never reach is checked
+against PLAN_ONLY on hand-built ``run()`` loops.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro import Processor
+from repro import FF, Assembler, Processor
 from repro.config import PLAN_ONLY, PRODUCTION
+from repro.core.functions import count_small
 from repro.core.microword import (
+    ASel,
     BSel,
     LoadControl,
     MicroInstruction,
+    Misc,
     NextControl,
     NextType,
 )
+from repro.core.plancache import compile_plan
 from repro.core.tracecache import (
     HOT_THRESHOLD,
     MAX_TRACE_STEPS,
     MIN_STRAIGHT_STEPS,
     TraceCache,
+    plan_traceable,
 )
 from repro.io.display import DisplayController
 from repro.perf.workloads import ALL_WORKLOADS, smalltalk_counter
@@ -322,3 +328,136 @@ def test_traces_cover_the_warm_slice(name):
     stalls = after["stalls"] - before["stalls"]
     assert traced >= 0.95 * ran, f"{traced} of {ran} cycles traced"
     assert stalls < 0.01 * entries, f"{stalls} of {entries} entries stalled"
+
+
+# --------------------------------------------------------------------------
+# codegen no rotation workload reaches, pinned on hand-built run() loops
+# --------------------------------------------------------------------------
+
+def _branch_body(cond):
+    def body(asm):
+        asm.emit(r="x", a="RM", b=0x4000, alu="ADD", load="RM",
+                 branch=(cond, "taken", "next"))
+        asm.label("taken")
+        asm.emit(r="acc", a="RM", alu="INC", load="RM", goto="next")
+    return body
+
+
+def _odd_body(asm):
+    asm.emit(r="x", a="RM", alu="INC", load="RM", branch=("ODD", "taken", "next"))
+    asm.label("taken")
+    asm.emit(r="acc", a="RM", alu="INC", load="RM", goto="next")
+
+
+def _shift_body(ff):
+    def body(asm):
+        asm.emit(r="x", a="RM", alu="A", ff=ff, load="RM")
+        asm.emit(r="x", a="RM", alu="INC", load="RM", goto="next")
+    return body
+
+
+def _dispatch8_body(asm):
+    asm.emit(r="x", a="RM", alu="INC", load="RM")
+    asm.emit(r="x", b="RM", alu="B", dispatch8=[f"d{k}" for k in range(8)])
+    for k in range(8):
+        asm.label(f"d{k}")
+        asm.emit(r="acc", a="RM", b=k, alu="ADD", load="RM", goto="next")
+
+
+def _count_small_body(asm):
+    asm.emit(r="x", a="RM", alu="INC", load="RM", count=9, goto="next")
+
+
+def _read_count_body(asm):
+    asm.emit(r="x", a="RM", alu="INC", load="RM", ff=FF.COUNT_B)
+    asm.emit(r="acc", ff=FF.READ_COUNT, load="RM", goto="next")
+
+
+def _thistask_body(asm):
+    asm.emit(r="acc", a="RM", b="TASK", alu="ADD", load="RM", goto="next")
+
+
+#: body -> a line of generated source only that codegen emits.
+UNEXERCISED = {
+    "carry": (_branch_body("CARRY"), "ct = x > 65535"),
+    "odd": (_odd_body, "ct = r & 1"),
+    "ovf": (_branch_body("OVF"), "ct = ((a ^ b) & 32768) == 0 and ((x ^ a) & 32768) != 0"),
+    "lsh": (_shift_body(FF.RESULT_LSH), "res = (r << 1) & 0xFFFF"),
+    "rsh": (_shift_body(FF.RESULT_RSH), "res = (r >> 1) & 0xFFFF"),
+    "dispatch8": (_dispatch8_body, "+ (b & 0x7)) &"),
+    # Reached through the generic calls: no inline specialization.
+    "count_small": (_count_small_body, f", 0, {count_small(9)}, b, a, "),
+    "read_count": (
+        _read_count_body,
+        f"res = cpu._result_override(0, {int(FF.READ_COUNT)}, ",
+    ),
+    "thistask": (_thistask_body, f"b = cpu._read_extb(0, {int(FF.EXTB_THISTASK)})"),
+}
+
+
+def _loop_machine(config, body) -> Processor:
+    """Run a 200-iteration loop whose body is *body* to HALT."""
+    asm = Assembler(config)
+    asm.registers({"x": 1, "n": 2, "acc": 3})
+    asm.label("main")
+    asm.emit(r="n", b=200, alu="B", load="RM")
+    asm.emit(r="x", b=0x7000, alu="B", load="RM")
+    asm.label("loop")
+    body(asm)
+    asm.label("next")
+    asm.emit(r="n", a="RM", alu="DEC", load="RM", branch=("ZERO", "done", "loop"))
+    asm.label("done")
+    asm.emit(ff=FF.HALT, idle=True)
+    cpu = Processor(config)
+    cpu.load_image(asm.assemble())
+    cpu.boot(cpu.address_of("main"))
+    cpu.run(max_cycles=20_000)
+    assert cpu.halted
+    return cpu
+
+
+@pytest.mark.parametrize("name", sorted(UNEXERCISED))
+def test_unexercised_codegen_matches_the_plan_tier(name):
+    """CARRY/ODD/OVF branches, LSH/RSH results and DISPATCH8 stay in the
+    codegen as plain datapath transliteration, and COUNT writes/reads and
+    the THISTASK EXTB read take the generic ``_apply_ff``,
+    ``_result_override`` and ``_read_extb`` calls: each compiles into a
+    trace that runs, and the machine ends byte-identical to PLAN_ONLY."""
+    body, line = UNEXERCISED[name]
+    traced = _loop_machine(PRODUCTION, body)
+    plan = _loop_machine(PLAN_ONLY, body)
+    cache = traced._traces
+    assert cache.failures == []
+    assert any(line in src for src in cache.sources.values())
+    assert cache.stats()["traced_cycles"] > traced.counters.cycles // 2
+    assert traced.counters == plan.counters
+    assert architectural_json(traced.snapshot()) == architectural_json(plan.snapshot())
+
+
+def test_keyboard_ioatn_spin_runs_traced():
+    """A task-0 IOATN poll loop is a natural run() loop: it compiles."""
+    from tests.test_keyboard import keyboard_machine
+
+    cpu, _ = keyboard_machine()
+    cpu.run(3000)
+    cache = cpu._traces
+    assert cache.failures == []
+    assert any("dev_ = devmap.get(" in src for src in cache.sources.values())
+    assert cache.stats()["traced_cycles"] > 2500
+
+
+def test_fast_io_and_notify_are_untraceable():
+    """Fast I/O references and NOTIFY end a recording, like HALT."""
+    cpu = Processor(PRODUCTION)
+    fetch = MicroInstruction(
+        asel=ASel.RM_FETCH, bsel=BSel.RM, ff=int(FF.IOFETCH),
+        nc=NextControl.pack(NextType.GOTO, 1),
+    )
+    store = MicroInstruction(
+        asel=ASel.RM_STORE, bsel=BSel.RM, ff=int(FF.IOSTORE),
+        nc=NextControl.pack(NextType.GOTO, 1),
+    )
+    notify = MicroInstruction(nc=NextControl.pack(NextType.MISC, int(Misc.NOTIFY) << 3))
+    for inst in (fetch, store, notify):
+        assert not plan_traceable(compile_plan(inst, 0, cpu.control))
+    assert plan_traceable(compile_plan(_goto(1), 0, cpu.control))
