@@ -22,6 +22,14 @@ from .fault.plan import FaultConfig
 #: ... for a maximum of 8 megabytes" (section 1), 4M 16-bit words.
 MAX_STORAGE_WORDS = 1 << 22
 
+#: The real machine's control store: 4K x 34-bit high-speed RAM
+#: (section 6.4).
+MAX_IM_WORDS = 4096
+
+#: The largest cache any experiment sweeps.  Like every size bound here,
+#: it stops a config read from an envelope from sizing a huge build.
+MAX_CACHE_LINES = 1024
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -118,6 +126,8 @@ class MachineConfig:
             raise ConfigError(f"cycle_ns must be positive, got {self.cycle_ns}")
         if self.im_size <= 0 or self.im_size & (self.im_size - 1):
             raise ConfigError(f"im_size must be a power of two, got {self.im_size}")
+        if self.im_size > MAX_IM_WORDS:
+            raise ConfigError(f"im_size cannot exceed {MAX_IM_WORDS}, got {self.im_size}")
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ConfigError(f"page_size must be a power of two, got {self.page_size}")
         if self.im_size % self.page_size:
@@ -127,8 +137,14 @@ class MachineConfig:
                 "page_size cannot exceed 64: the 6-bit NextControl payload "
                 "addresses at most 64 words per page (section 5.5)"
             )
+        if not 0 < self.cache_lines <= MAX_CACHE_LINES:
+            raise ConfigError(f"cache_lines must be 1..{MAX_CACHE_LINES}")
         if self.cache_ways <= 0 or self.cache_lines % self.cache_ways:
             raise ConfigError("cache_ways must divide cache_lines")
+        if self.num_base_registers > 32:
+            raise ConfigError("num_base_registers cannot exceed 32 (MEMBASE is 5 bits)")
+        if self.base_register_bits > 28:
+            raise ConfigError("base_register_bits cannot exceed 28 (28-bit addresses)")
         if self.cache_hit_cycles < 1:
             raise ConfigError("cache_hit_cycles must be at least 1")
         if self.miss_penalty < self.cache_hit_cycles:

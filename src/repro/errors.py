@@ -256,17 +256,5 @@ class SpoolCorruption(ServiceError):
     """
 
 
-class OverloadError(ServiceError):
-    """The fleet exhausted every recovery avenue for a request.
-
-    The front end turns this into a structured shed-load reply carrying
-    ``retry_after`` (seconds) instead of tearing down the connection.
-    """
-
-    def __init__(self, message: str, *, retry_after: float = 30.0) -> None:
-        self.retry_after = retry_after
-        super().__init__(f"{message} (retry after {retry_after:g}s)")
-
-
 class EmulatorError(DoradoError):
     """A byte-code program or emulator image is malformed."""

@@ -255,10 +255,9 @@ def compare_to_baseline(
     scenario, a simulated-cycle mismatch (a correctness change, never
     acceptable), or a plan or traced speedup below
     ``base * (1 - tolerance)`` (a perf regression beyond timing noise).
-    Baselines that predate the traced tier simply lack its column and
-    skip that check -- old files stay usable.  Absolute
-    cycles-per-second are deliberately not compared -- they differ per
-    host.
+    A baseline row lacking a speedup column is a problem too: there is
+    one baseline format.  Absolute cycles-per-second are deliberately
+    not compared -- they differ per host.
     """
     problems: List[str] = []
     for name, base in baseline.items():
@@ -273,6 +272,7 @@ def compare_to_baseline(
             )
         for column in ("speedup", "traced_speedup"):
             if column not in base:
+                problems.append(f"{name}: baseline lacks the {column} column")
                 continue
             floor = base[column] * (1.0 - tolerance)
             if row[column] < floor:
@@ -356,25 +356,19 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
     if baseline is not None:
         problems = compare_to_baseline(results, baseline, tolerance=args.tolerance)
-        # Sections a baseline predating them simply lacks are skipped with
-        # a warning, never a KeyError -- old baselines stay usable.
         for section, base_row, row in (
             ("warm_start", baseline_warm, warm),
             ("supervised_overhead", baseline_supervised, supervised),
         ):
             if base_row is None:
-                print(
-                    f"baseline warning: {section} missing from "
-                    f"{args.baseline}; skipping its comparison"
-                )
+                problems.append(f"{section}: missing from {args.baseline}")
             elif row["simulated_cycles"] != base_row.get("simulated_cycles"):
                 problems.append(
                     f"{section}: simulated cycles changed "
                     f"({base_row.get('simulated_cycles')} -> "
                     f"{row['simulated_cycles']})"
                 )
-        if (baseline_supervised is not None
-                and supervised["overhead_factor"] > SUPERVISED_OVERHEAD_LIMIT):
+        if supervised["overhead_factor"] > SUPERVISED_OVERHEAD_LIMIT:
             problems.append(
                 f"supervised_overhead: {supervised['overhead_factor']:.2f}x "
                 f"exceeds the {SUPERVISED_OVERHEAD_LIMIT}x budget"

@@ -38,33 +38,6 @@ class SimulationRate:
         return self.cycles / self.seconds if self.seconds > 0 else 0.0
 
 
-def measure_simulation_rate(
-    scenario: Callable[[], int], repeats: int = 3
-) -> SimulationRate:
-    """Time *scenario* (which returns simulated cycles) on the host.
-
-    The scenario is run *repeats* times and the fastest run wins, the
-    usual defense against interference from the rest of the host.  This
-    measures the simulator, not the Dorado: the cycle counts it divides
-    by are identical whichever cycle implementation runs (see
-    ``tests/test_fastpath_parity.py``); only the seconds change.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-
-    def timed_run() -> SimulationRate:
-        start = time.perf_counter()
-        cycles = scenario()
-        return SimulationRate(cycles=cycles, seconds=time.perf_counter() - start)
-
-    best = timed_run()
-    for _ in range(repeats - 1):
-        candidate = timed_run()
-        if candidate.seconds < best.seconds:
-            best = candidate
-    return best
-
-
 def measure_staged_rate(
     stage: Callable[[], Callable[[], int]], repeats: int = 3
 ) -> SimulationRate:
@@ -172,12 +145,6 @@ class OpcodeProfiler:
 
     def mean(self, name: str) -> OpcodeStats:
         return self.stats.get(name, OpcodeStats())
-
-    def class_mean(self, names) -> float:
-        """Mean microinstructions across several opcode classes."""
-        total_u = sum(self.stats[n].microinstructions for n in names if n in self.stats)
-        total_d = sum(self.stats[n].dispatches for n in names if n in self.stats)
-        return total_u / total_d if total_d else 0.0
 
     def class_cycles(self, names) -> float:
         total_c = sum(self.stats[n].cycles for n in names if n in self.stats)

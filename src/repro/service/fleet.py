@@ -29,12 +29,11 @@ dies mid-request the fleet respawns the slot, warm-restores its
 sessions from their last valid spool generation (falling back past
 checksummed corruption), replays the journaled slices the checkpoint
 missed, and retries the in-flight request exactly once.  Lost or
-garbled messages retry with exponential backoff (injectable sleep, as
-in the :class:`~repro.supervise.Supervisor`); a slot that exhausts its
-respawn budget degrades to an in-process :class:`InlineHost`.  None of
-it can leak into results: a chaos run under a seeded
-:class:`~repro.service.chaos.ServiceFaultPlan` converges to an
-artifact byte-identical to the clean serial run, which the
+garbled messages are resent under the same request id; a slot that
+exhausts its respawn budget degrades to an in-process
+:class:`InlineHost`.  None of it can leak into results: a chaos run
+under a seeded :class:`~repro.service.chaos.ServiceFaultPlan` converges
+to an artifact byte-identical to the clean serial run, which the
 ``service-chaos`` CI job enforces at workers 1/2/4.
 """
 
@@ -44,14 +43,12 @@ import collections
 import os
 import shutil
 import tempfile
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     CallTimeout,
     DoradoError,
     GarbledReply,
-    OverloadError,
     ServiceError,
     SpoolCorruption,
     WorkerCrashed,
@@ -60,6 +57,14 @@ from ..workers import Worker, can_fork
 from .chaos import ChaosInjector, ServiceFaultConfig, ServiceFaultKind, ServiceFaultPlan
 from .session import Session, booted_workload, valid_session_name
 from .spool import spool_read, spool_write
+
+#: Spool generations retained per session: the corruption fallback depth.
+SPOOL_KEEP = 2
+#: Seconds to wait for one worker reply before it counts as lost.
+CALL_TIMEOUT_S = 300.0
+#: Resends of a lost, garbled or stalled request before the slot is
+#: treated as wedged and crash-recovered.
+MAX_CALL_RETRIES = 3
 
 
 # --------------------------------------------------------------------------
@@ -226,22 +231,19 @@ class InlineHost:
 class Fleet:
     """N workers, one global LRU budget, checkpoint files as currency.
 
-    Recovery knobs (all deterministic-by-construction):
+    Recovery options (all deterministic-by-construction):
 
     * ``chaos`` -- a :class:`~repro.service.chaos.ServiceFaultConfig`
       (or field dict) arming a seeded service-fault plan.
     * ``checkpoint_every`` -- background-checkpoint a hot session to a
       new spool generation every N acknowledged slices (0 disables);
       bounds how much replay a crash can cost.
-    * ``spool_keep`` -- spool generations retained per session; the
-      corruption fallback depth.
-    * ``max_call_retries`` -- resend budget for lost/garbled/stalled
-      requests before the slot is treated as wedged and crash-recovered.
     * ``max_respawns`` -- per-slot crash budget; beyond it the slot
-      degrades to an :class:`InlineHost` (or, with ``degrade=False``,
-      the fleet sheds load with :class:`~repro.errors.OverloadError`).
-    * ``backoff_base``/``sleep`` -- exponential retry backoff, injectable
-      exactly as in the :class:`~repro.supervise.Supervisor`.
+      degrades to an :class:`InlineHost`.
+
+    The retention depth, reply timeout and resend budget are the module
+    constants :data:`SPOOL_KEEP`, :data:`CALL_TIMEOUT_S` and
+    :data:`MAX_CALL_RETRIES`.
     """
 
     def __init__(
@@ -255,33 +257,17 @@ class Fleet:
         max_retries: int = 3,
         chaos: Optional[Any] = None,
         checkpoint_every: int = 8,
-        spool_keep: int = 2,
-        call_timeout: Optional[float] = 300.0,
-        max_call_retries: int = 3,
         max_respawns: int = 2,
-        degrade: bool = True,
-        retry_after: float = 30.0,
-        backoff_base: float = 0.0,
-        sleep=time.sleep,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         if capacity < 1:
             raise ServiceError(f"capacity must be >= 1, got {capacity}")
-        if spool_keep < 1:
-            raise ServiceError(f"spool_keep must be >= 1, got {spool_keep}")
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
         self.checkpoint_every = checkpoint_every
-        self.spool_keep = spool_keep
-        self.call_timeout = call_timeout
-        self.max_call_retries = max_call_retries
         self.max_respawns = max_respawns
-        self.allow_degrade = degrade
-        self.retry_after = retry_after
-        self.backoff_base = backoff_base
-        self._sleep = sleep
         if chaos is not None and not isinstance(chaos, ServiceFaultConfig):
             chaos = ServiceFaultConfig(**dict(chaos))
         self._chaos: Optional[ChaosInjector] = (
@@ -374,7 +360,7 @@ class Fleet:
         """The reply for *req*, discarding stale duplicates from retries."""
         host = self.hosts[worker]
         while True:
-            reply = host.recv(timeout=self.call_timeout)
+            reply = host.recv(timeout=CALL_TIMEOUT_S)
             if not isinstance(reply, dict):
                 raise GarbledReply(
                     f"worker {worker} sent a non-dict reply: {reply!r}"
@@ -417,28 +403,27 @@ class Fleet:
         while True:
             try:
                 return self._await_reply(worker, pending)
-            except WorkerCrashed as exc:
-                self._recover_crash(worker, exc)
+            except WorkerCrashed:
+                self._recover_crash(worker)
                 pending = self._dispatch(
                     worker, pending["message"], req=pending["req"], chaos=False
                 )
-            except (CallTimeout, GarbledReply) as exc:
+            except (CallTimeout, GarbledReply):
                 self.counters["retries"] += 1
                 attempts += 1
-                if attempts > self.max_call_retries:
+                if attempts > MAX_CALL_RETRIES:
                     # The slot is wedged: treat it as crashed.  kill()
                     # makes the diagnosis true before recovery acts on it.
                     host = self.hosts[worker]
                     if isinstance(host, ProcessHost):
                         host.kill()
-                    self._recover_crash(worker, exc)
+                    self._recover_crash(worker)
                     pending = self._dispatch(
                         worker, pending["message"], req=pending["req"],
                         chaos=False,
                     )
                     attempts = 0
                     continue
-                self._sleep(self.backoff_base * (2 ** (attempts - 1)))
                 pending = self._dispatch(
                     worker, pending["message"], req=pending["req"]
                 )
@@ -454,7 +439,7 @@ class Fleet:
 
     # -- crash recovery ------------------------------------------------
 
-    def _recover_crash(self, worker: int, cause: Exception) -> None:
+    def _recover_crash(self, worker: int) -> None:
         """Respawn (or degrade) a dead slot and restore its sessions.
 
         The restored sessions come from their last valid spool
@@ -471,32 +456,30 @@ class Fleet:
             host.kill()
             host.reap()
         if self._crash_counts[worker] > self.max_respawns:
-            if not self.allow_degrade:
-                raise OverloadError(
-                    f"worker {worker} exceeded its respawn budget of "
-                    f"{self.max_respawns} and degradation is disabled",
-                    retry_after=self.retry_after,
-                ) from cause
             self.hosts[worker] = InlineHost()
             self.counters["degrades"] += 1
         else:
             self.hosts[worker] = ProcessHost(index=worker)
             self.counters["respawns"] += 1
         for name in sorted(n for n, w in self._live.items() if w == worker):
-            self._restore_lost(name, worker)
+            self._restore(name, worker, chaos=False)
 
-    def _restore_lost(self, name: str, worker: int) -> None:
-        """Warm-restore one crashed session onto the replacement host."""
-        payload, replay_from = self._read_spool(name)
-        if payload is not None:
-            self._call(worker, {"op": "resume", "envelope": payload},
-                       chaos=False)
-        else:
-            # No valid spool generation (crashed before the first
-            # checkpoint, or every generation corrupt): rebuild from the
-            # original admission spec and replay the whole journal.
+    def _restore(self, name: str, worker: int, *, chaos: bool) -> None:
+        """Bring *name* back on *worker* at its last acknowledged state.
+
+        Resumes the newest valid spool generation, or -- when none
+        survives (never checkpointed, or every generation corrupt) --
+        rebuilds from the admission spec, then replays the journaled
+        slices the restored state has not seen.  *chaos* makes the
+        ``resume`` call chaos-eligible: a spooled resume is ordinary
+        traffic, crash recovery is not.  The rebuild never is.
+        """
+        payload, replay_from = self._read_spool(name)  # (None, 0) if none
+        if payload is None:
             self._call(worker, dict(self._opens[name]), chaos=False)
-            replay_from = 0
+        else:
+            self._call(worker, {"op": "resume", "envelope": payload},
+                       chaos=chaos)
         self._replay(name, worker, replay_from)
 
     def _replay(self, name: str, worker: int, start: int) -> None:
@@ -531,7 +514,7 @@ class Fleet:
         spool_write(path, envelope)
         gens = self._gens.setdefault(name, [])
         gens.append((path, index))
-        while len(gens) > self.spool_keep:
+        while len(gens) > SPOOL_KEEP:
             old_path, _ = gens.pop(0)
             try:
                 os.unlink(old_path)
@@ -686,17 +669,7 @@ class Fleet:
             raise ServiceError(f"unknown session {name!r}")
         self._make_room()
         worker = self._place()
-        payload, replay_from = self._read_spool(name)
-        if payload is not None:
-            self._call(worker, {"op": "resume", "envelope": payload})
-        else:
-            # Every on-disk generation was corrupt (or none was ever
-            # written): rebuild from the admission spec and replay the
-            # whole journal -- graceful degradation of the spool, not
-            # an error the caller sees.
-            self._call(worker, dict(self._opens[name]), chaos=False)
-            replay_from = 0
-        self._replay(name, worker, replay_from)
+        self._restore(name, worker, chaos=True)
         self._admit(name, worker)
         self.counters["resumes"] += 1
         if self._last_host.get(name, worker) != worker:

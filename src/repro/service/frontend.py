@@ -20,9 +20,7 @@ Robustness contract (DESIGN.md 5.10): nothing a client sends may kill
 its connection loop, let alone the server.  Malformed JSON, non-object
 requests, unknown ops, missing fields, and lines longer than
 ``max_line`` all earn a structured ``{"ok": false, "error": ...}``
-reply and the loop keeps reading; a fleet that has exhausted every
-recovery avenue (:class:`~repro.errors.OverloadError`) sheds load with
-a ``retry_after`` reply instead of dying.
+reply and the loop keeps reading.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional
 
-from ..errors import DoradoError, OverloadError
+from ..errors import DoradoError
 from .fleet import Fleet
 
 #: Default ceiling on one request line, in bytes.  Generous for every
@@ -104,15 +102,6 @@ class Frontend:
                 self._shutdown.set()
                 return {"ok": True, "stopping": True}
             return {"ok": False, "error": f"unknown op {op!r}"}
-        except OverloadError as exc:
-            # Graceful degradation's last stop: the fleet could not
-            # recover this request, so shed the load and tell the client
-            # when to come back -- the connection (and server) survive.
-            return {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "retry_after": exc.retry_after,
-            }
         except (DoradoError, KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 

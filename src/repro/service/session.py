@@ -381,10 +381,6 @@ class Session:
         }
         return canonical_json(data) + "\n"
 
-    def suspend_to(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.suspend())
-
     @classmethod
     def resume(cls, envelope, *, name: Optional[str] = None) -> "Session":
         """Rebuild a session from a suspend envelope (text or parsed)."""
@@ -429,11 +425,6 @@ class Session:
         except (DoradoError, TypeError, ValueError) as exc:
             raise ServiceError(f"suspend envelope rejected: {exc}") from exc
         return session
-
-    @classmethod
-    def resume_from(cls, path, *, name: Optional[str] = None) -> "Session":
-        with open(path) as f:
-            return cls.resume(f.read(), name=name)
 
     # ------------------------------------------------------------------
     # metering and results

@@ -6,8 +6,7 @@ supervisor is the simulator's equivalent one level up: it wraps a
 :class:`~repro.core.processor.Processor` and closes the loop from
 detection (the machine-check sanitizer, latched uncorrectable faults,
 :class:`~repro.errors.HoldTimeout` livelocks) to recovery (rollback to
-the last good checkpoint and replay), in bounded retries with
-exponential backoff.
+the last good checkpoint and replay), in bounded retries.
 
 The protocol (DESIGN.md section 5.5):
 
@@ -15,9 +14,9 @@ The protocol (DESIGN.md section 5.5):
    ``checkpoint_interval`` cycles.  A checkpoint is only *promoted* to
    last-known-good after the slice beyond it completed with no
    detector firing and no new latched fault.
-2. Run each slice with the sanitizer subscribed (unless ``sanitize``
-   is off).  Recoverable failures -- the :class:`~repro.errors.
-   TransientFault` family, :class:`~repro.errors.MicrocodeCrash`
+2. Run each slice with the sanitizer subscribed.  Recoverable
+   failures -- the :class:`~repro.errors.TransientFault` family,
+   :class:`~repro.errors.MicrocodeCrash`
    (including ``HoldTimeout``), :class:`~repro.errors.EmulatorError` --
    trigger rollback; structural errors (:class:`~repro.errors.
    StateError`, :class:`~repro.errors.ConfigError`, ...) propagate.
@@ -44,8 +43,7 @@ appended to :attr:`Supervisor.log` for
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.counters import RECOVERY_FIELDS
 from ..errors import (
@@ -63,10 +61,9 @@ from .sanitize import MachineCheckSanitizer
 class Supervisor:
     """Self-healing execution of one machine.
 
-    ``backoff_base`` is the first retry's sleep in seconds (doubling
-    each retry); it defaults to 0 because simulated time is the thing
-    being recovered, not wall time -- set it (and optionally inject
-    ``sleep``) where real pacing matters.
+    Retries are immediate: simulated time is the thing being recovered,
+    and a rollback rewinds the simulated clock, so there is no wall-clock
+    backoff to wait out.
     """
 
     #: Failures rollback-and-replay can cure.  Everything else --
@@ -81,10 +78,7 @@ class Supervisor:
         *,
         checkpoint_interval: int = 2000,
         max_retries: int = 3,
-        sanitize: bool = True,
         check_interval: int = 256,
-        backoff_base: float = 0.0,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
@@ -93,11 +87,7 @@ class Supervisor:
         self.machine = machine
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self._sleep = sleep
-        self.sanitizer: Optional[MachineCheckSanitizer] = (
-            MachineCheckSanitizer(machine, check_interval) if sanitize else None
-        )
+        self.sanitizer = MachineCheckSanitizer(machine, check_interval)
         self.log: List[dict] = []
         self._checkpoint = None
         self._retries = 0
@@ -119,8 +109,7 @@ class Supervisor:
         limit = start + max_cycles
         self._retries = 0
         self._checkpoint = machine.snapshot()
-        if self.sanitizer is not None:
-            self.sanitizer.install()
+        self.sanitizer.install()
         try:
             while not machine.halted and counters.cycles < limit:
                 target = min(
@@ -138,8 +127,7 @@ class Supervisor:
                 self._checkpoint = machine.snapshot()
                 self._retries = 0
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.uninstall()
+            self.sanitizer.uninstall()
         return counters.cycles - start
 
     def _checkpoint_cycle(self) -> int:
@@ -212,7 +200,6 @@ class Supervisor:
             "cause": type(exc).__name__,
             "detail": str(exc),
         })
-        self._sleep(self.backoff_base * (2 ** (self._retries - 1)))
         self._maybe_degrade(exc)
         counters.replays += 1
         machine.instruments.publish("replay", checkpoint_cycle, self._retries)

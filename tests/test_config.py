@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ConfigError, MachineConfig, MODEL0, PRODUCTION, STITCHWELD
-from repro.config import MAX_STORAGE_WORDS
+from repro.config import MAX_CACHE_LINES, MAX_IM_WORDS, MAX_STORAGE_WORDS
 
 
 def test_production_defaults_match_paper():
@@ -58,6 +58,13 @@ def test_bandwidth_zero_cycles_rejected():
         {"storage_words": MAX_STORAGE_WORDS + 16},
         {"storage_words": 2 ** 40},
         {"task_grain": 4},
+        {"im_size": MAX_IM_WORDS * 2},
+        {"im_size": 1 << 30},
+        {"cache_lines": 0, "cache_ways": 1},
+        {"cache_lines": MAX_CACHE_LINES * 2, "cache_ways": 2},
+        {"cache_lines": 1 << 30, "cache_ways": 2},
+        {"num_base_registers": 33},
+        {"base_register_bits": 29},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -68,6 +75,11 @@ def test_invalid_configs_rejected(kwargs):
 def test_storage_stops_at_the_real_machines_eight_megabytes():
     assert MAX_STORAGE_WORDS == 4 * 1024 * 1024
     MachineConfig(storage_words=MAX_STORAGE_WORDS)
+
+
+def test_allocation_bounds_admit_the_largest_real_and_swept_sizes():
+    assert MAX_IM_WORDS == PRODUCTION.im_size == 4096
+    MachineConfig(cache_lines=MAX_CACHE_LINES, cache_ways=2)
 
 
 def test_page_size_must_divide_im():

@@ -404,22 +404,23 @@ def test_corebench_cli_writes_report_and_checks_baseline(tmp_path, capsys):
 
 
 def test_compare_to_baseline_flags_regressions():
+    traced = {"traced_speedup": 1.0}
     base = {
-        "E1": {"simulated_cycles": 100, "speedup": 2.0},
-        "E2": {"simulated_cycles": 200, "speedup": 4.0},
-        "E3": {"simulated_cycles": 300, "speedup": 1.5},
+        "E1": {"simulated_cycles": 100, "speedup": 2.0, **traced},
+        "E2": {"simulated_cycles": 200, "speedup": 4.0, **traced},
+        "E3": {"simulated_cycles": 300, "speedup": 1.5, **traced},
     }
     good = {
-        "E1": {"simulated_cycles": 100, "speedup": 1.9},
-        "E2": {"simulated_cycles": 200, "speedup": 3.1},
-        "E3": {"simulated_cycles": 300, "speedup": 1.6},
+        "E1": {"simulated_cycles": 100, "speedup": 1.9, **traced},
+        "E2": {"simulated_cycles": 200, "speedup": 3.1, **traced},
+        "E3": {"simulated_cycles": 300, "speedup": 1.6, **traced},
     }
     assert compare_to_baseline(good, base, tolerance=0.35) == []
 
     bad = {
-        "E1": {"simulated_cycles": 101, "speedup": 2.0},   # cycle drift
-        "E2": {"simulated_cycles": 200, "speedup": 1.0},   # perf regression
-    }                                                      # E3 missing
+        "E1": {"simulated_cycles": 101, "speedup": 2.0, **traced},  # drift
+        "E2": {"simulated_cycles": 200, "speedup": 1.0, **traced},  # perf
+    }                                                               # E3 gone
     problems = compare_to_baseline(bad, base, tolerance=0.35)
     assert len(problems) == 3
     assert any("cycles changed" in p for p in problems)
@@ -436,6 +437,7 @@ def test_compare_to_baseline_checks_traced_tier():
     problems = compare_to_baseline(bad, base, tolerance=0.35)
     assert problems and "traced_speedup regressed" in problems[0]
 
-    # A baseline written before the traced tier existed skips its check.
+    # A baseline lacking the traced column is a mismatch, not a skip.
     old_base = {"E2": {"simulated_cycles": 200, "speedup": 4.0}}
-    assert compare_to_baseline(bad, old_base, tolerance=0.35) == []
+    problems = compare_to_baseline(bad, old_base, tolerance=0.35)
+    assert problems == ["E2: baseline lacks the traced_speedup column"]

@@ -228,6 +228,20 @@ def test_resume_checks_register_runs_before_allocating(path, runs):
     assert _resume_peak_bytes(canonical_json(envelope)) < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("field, value", [
+    ("im_size", 1 << 20),
+    ("cache_lines", 1 << 16),
+    ("num_base_registers", 1 << 22),
+    ("base_register_bits", 1 << 27),
+])
+def test_resume_checks_config_sizes_before_allocating(field, value):
+    """A config signature sizing a huge IM, cache, base-register file or
+    base-register mask is refused before the machine is built."""
+    envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())
+    envelope["machine"]["config"][field] = value
+    assert _resume_peak_bytes(canonical_json(envelope)) < 16 * 2 ** 20
+
+
 def test_resume_refuses_storage_beyond_the_real_machine():
     """A config claiming 2**40 words is refused before anything is built."""
     envelope = parse_canonical_json(Session.build("mesa_loop_sum").suspend())

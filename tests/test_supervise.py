@@ -13,14 +13,13 @@ separately:
   cycle counts and architectural state on every benchmark workload;
 * recovery is deterministic (Hypothesis: repeat runs and both cycle
   implementations converge identically);
-* the retry budget is enforced (``UnrecoverableFault``, exponential
-  backoff through an injectable sleep);
+* the retry budget is enforced (``UnrecoverableFault``);
 * the differential divergence detector finds a corrupted execution
   plan and acquits a clean machine;
 * a plan-implicating failure degrades the machine to the interpreter
   and the run still completes correctly;
 * the CLI and corebench surfaces behave (exit codes, recovery report,
-  fault-trace diagnosis, baseline skip-with-warning).
+  fault-trace diagnosis, a baseline missing a section failing).
 """
 
 import dataclasses
@@ -308,33 +307,29 @@ def test_check_interval_must_be_positive(ran_machine):
 
 
 # --------------------------------------------------------------------------
-# Retry budget, backoff, and the failure taxonomy
+# Retry budget and the failure taxonomy
 # --------------------------------------------------------------------------
 
 
 def test_retry_exhaustion_raises_unrecoverable_with_backoff():
     """Corruption captured *inside* the checkpoint can never replay
-    clean; the budget must exhaust, backing off exponentially."""
+    clean; the budget must exhaust."""
     cpu = mesa_loop_sum(60).ctx.cpu
     cpu.run(600)
     line = _clean_clean_line(cpu)
     line.words[0] ^= 0x0004  # poisoned before the first checkpoint
 
-    sleeps = []
     supervisor = Supervisor(
         cpu,
         checkpoint_interval=400,
         max_retries=3,
         check_interval=16,
-        backoff_base=0.5,
-        sleep=sleeps.append,
     )
     with pytest.raises(UnrecoverableFault) as caught:
         supervisor.run(max_cycles=10_000)
     error = caught.value
     assert isinstance(error.__cause__, CorruptionDetected)
     assert "after 3 rollback attempts" in str(error)
-    assert sleeps == [0.5, 1.0, 2.0]
     assert cpu.counters.rollbacks == 3
 
 
@@ -590,6 +585,8 @@ def test_corebench_baseline_gates_supervised_overhead(tmp_path, monkeypatch, cap
 
 
 def test_corebench_baseline_missing_sections_skip_with_warning(tmp_path, capsys):
+    """A baseline lacking a section is a mismatch, not a skip: there is
+    one baseline format, and ``BENCH_core.json`` has every section."""
     from repro.perf.corebench import main
 
     out = tmp_path / "bench.json"
@@ -597,7 +594,6 @@ def test_corebench_baseline_missing_sections_skip_with_warning(tmp_path, capsys)
     report = json.loads(out.read_text())
     assert "supervised_overhead" in report
 
-    # An old baseline, written before these sections existed.
     del report["supervised_overhead"]
     del report["warm_start"]
     old = tmp_path / "old.json"
@@ -608,7 +604,7 @@ def test_corebench_baseline_missing_sections_skip_with_warning(tmp_path, capsys)
         "--baseline", str(old), "--tolerance", "0.9",
     ])
     text = capsys.readouterr().out
-    assert rc == 0
-    assert "warm_start missing" in text
-    assert "supervised_overhead missing" in text
-    assert "OK" in text
+    assert rc == 1
+    assert "BASELINE MISMATCH: warm_start: missing from" in text
+    assert "BASELINE MISMATCH: supervised_overhead: missing from" in text
+    assert "OK" not in text
