@@ -38,11 +38,11 @@ bit-identical in architectural state, counters, and cycle counts, which
 Observability hangs off one slot: both cycle implementations end with a
 single ``trace_hook is None`` check, and the instrumentation bus
 (:attr:`Processor.instruments`, DESIGN.md section 5.3) compiles any
-number of named subscribers -- tracers, profilers, fault listeners --
-into that hook, restoring ``None`` when the last one detaches.  Held
-cycles are attributed by cause (storage busy / MEMDATA wait / IFU wait)
-in :class:`~repro.core.counters.Counters.hold_causes`, identically on
-both paths.
+number of named subscribers -- tracers, profilers, the machine-check
+sanitizer -- into that hook, restoring ``None`` when the last one
+detaches.  Held cycles are attributed by cause (storage busy / MEMDATA
+wait / IFU wait) in :class:`~repro.core.counters.Counters.hold_causes`,
+identically on both paths.
 """
 
 from __future__ import annotations
@@ -162,10 +162,8 @@ class Processor:
         self.now = 0
         # The raw per-cycle hook: (now, pc, inst, held).  None when nobody
         # is listening -- both cycle implementations pay exactly one
-        # ``is None`` check.  Prefer the instrumentation bus
-        # (``self.instruments``) over assigning this slot directly: the
-        # bus compiles its subscriber set into this hook and composes
-        # with (chains) a directly-assigned one.
+        # ``is None`` check.  The slot belongs to the instrumentation bus
+        # (``self.instruments``), which compiles its subscribers into it.
         self.trace_hook: Optional[Callable[[int, int, MicroInstruction, bool], None]] = None
         self._instruments = None
         # Bypass latch, from the previous instruction: RM address -> value
@@ -270,8 +268,9 @@ class Processor:
         """The machine's instrumentation bus (created on first use).
 
         See :class:`repro.perf.instrument.InstrumentationBus`: named
-        subscribers, per-event-kind channels, and install/uninstall that
-        compiles down to ``trace_hook`` so an idle bus costs nothing.
+        subscribers on the ``cycle`` and ``dispatch`` channels, and
+        install/uninstall that compiles down to ``trace_hook`` and
+        ``Ifu.dispatch_hook`` so an idle bus costs nothing.
         """
         if self._instruments is None:
             from ..perf.instrument import InstrumentationBus

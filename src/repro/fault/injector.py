@@ -14,6 +14,10 @@ at or after its scheduled cycle.  Because both cycle implementations of
 the core count cycles identically, a given seed produces the identical
 fault trace under either -- the differential tests in
 ``tests/test_fault_injection.py`` enforce exactly that.
+
+:attr:`FaultInjector.trace` is the one record of what fired: the CLI,
+:func:`~repro.perf.report.format_fault_trace` and
+:func:`~repro.perf.instrument.metrics_snapshot` all read it.
 """
 
 from __future__ import annotations
@@ -83,11 +87,6 @@ class FaultInjector:
         self.ecc = EccFilter(self)
         self._clock: Callable[[], int] = lambda: 0
         self.on_uncorrectable: Optional[Callable[[], None]] = None
-        # Live publication of trace records: the instrumentation bus's
-        # ``fault`` channel attaches here, so observers see each
-        # FaultRecord the moment it is appended instead of polling
-        # ``trace`` after the run.  None costs one check per fault.
-        self.on_record: Optional[Callable[[FaultRecord], None]] = None
 
     def bind(
         self,
@@ -119,10 +118,7 @@ class FaultInjector:
         self.trace.clear()
 
     def record(self, component: str, kind: str, address: int = 0, detail: str = "") -> None:
-        entry = FaultRecord(self.now, component, kind, address, detail)
-        self.trace.append(entry)
-        if self.on_record is not None:
-            self.on_record(entry)
+        self.trace.append(FaultRecord(self.now, component, kind, address, detail))
 
     # --- snapshot protocol (DESIGN.md section 5.4) ---------------------------
 

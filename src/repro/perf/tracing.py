@@ -13,11 +13,13 @@ which makes Hold windows and task multiplexing visible at a glance.
 
 The tracer is one subscriber on the machine's instrumentation bus
 (:class:`~repro.perf.instrument.InstrumentationBus`): it composes with
-the :class:`~repro.perf.measure.OpcodeProfiler`, fault listeners, and
-any other subscriber in either attach order, and detaching it restores
-whatever was installed before.  The record store is a
-``collections.deque(maxlen=...)``, so a bounded window costs O(1) per
-cycle instead of a per-cycle memmove.
+the :class:`~repro.perf.measure.OpcodeProfiler`, the machine-check
+sanitizer and any other subscriber in either attach order, and
+detaching it leaves the others in place.  Its records are the hold-span
+and task-switch record: :meth:`PipelineTracer.hold_windows` finds each
+task's held spans without another task's cycles splitting them.  The
+record store is a ``collections.deque(maxlen=...)``, so a bounded
+window costs O(1) per cycle instead of a per-cycle memmove.
 
 Faulted runs (DESIGN.md section 5.2) leave a second kind of record: the
 :class:`~repro.fault.plan.FaultRecord` entries the injector appends to

@@ -118,6 +118,8 @@ class SessionHost:
         session = self._session(name)
         try:
             session.run_slice(cycles)
+        except ServiceError:
+            raise  # a refused request, not a failure of the run
         except DoradoError:
             pass  # recorded on the session; reported as data below
         return {

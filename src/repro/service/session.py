@@ -223,7 +223,10 @@ class Session:
         if supervise is None:
             supervise = config.fault_injection is not None
         items = tuple(sorted((args or {}).items()))
-        workload = booted_workload(workload_name, items, config)
+        try:
+            workload = booted_workload(workload_name, items, config)
+        except TypeError as exc:
+            raise ServiceError(f"bad workload args: {exc}") from exc
         return cls(
             name or workload_name,
             workload,
@@ -284,6 +287,8 @@ class Session:
         post-mortem); further slices are zero-cycle no-ops, as are
         slices granted after HALT.
         """
+        if not isinstance(cycles, int) or isinstance(cycles, bool):
+            raise ServiceError(f"slice budget must be an int, got {cycles!r}")
         if cycles < 1:
             raise ServiceError(f"slice budget must be positive, got {cycles}")
         if self.failure is not None or self.cpu.halted:

@@ -42,9 +42,8 @@ The invariant catalogue (DESIGN.md section 5.5):
     executes.
 
 A failed sweep raises :class:`~repro.errors.CorruptionDetected`
-carrying every failure, after counting ``Counters.checks_failed`` and
-publishing a ``check_fail`` bus event -- the recovery supervisor turns
-that into a rollback.
+carrying every failure, after counting ``Counters.checks_failed`` --
+the recovery supervisor turns that into a rollback.
 """
 
 from __future__ import annotations
@@ -111,9 +110,7 @@ class MachineCheckSanitizer:
         self._countdown = self.check_interval
         failures = self.run_checks()
         if failures:
-            machine = self.machine
-            machine.counters.checks_failed += len(failures)
-            machine.instruments.publish("check_fail", now, tuple(failures))
+            self.machine.counters.checks_failed += len(failures)
             raise CorruptionDetected(
                 failures, task=task, pc=pc, cycle=now,
             )

@@ -35,10 +35,9 @@ The protocol (DESIGN.md section 5.5):
    resets it.  Exhausting it raises :class:`~repro.errors.
    UnrecoverableFault` chaining the final cause.
 
-Every action is published on the instrumentation bus (``check_fail``,
-``rollback``, ``replay``, ``degrade``), counted in ``Counters``, and
-appended to :attr:`Supervisor.log` for
-:func:`~repro.perf.report.format_recovery_report`.
+Every action is counted in ``Counters`` and appended to
+:attr:`Supervisor.log`, the one event record, which
+:func:`~repro.perf.report.format_recovery_report` prints.
 """
 
 from __future__ import annotations
@@ -192,7 +191,6 @@ class Supervisor:
 
         counters.rollbacks += 1
         checkpoint_cycle = self._checkpoint_cycle()
-        machine.instruments.publish("rollback", checkpoint_cycle, exc, self._retries)
         self.log.append({
             "event": "rollback",
             "to_cycle": checkpoint_cycle,
@@ -202,7 +200,6 @@ class Supervisor:
         })
         self._maybe_degrade(exc)
         counters.replays += 1
-        machine.instruments.publish("replay", checkpoint_cycle, self._retries)
         self.log.append({
             "event": "replay",
             "from_cycle": checkpoint_cycle,
@@ -234,7 +231,6 @@ class Supervisor:
         # degraded to the interpreter must not keep executing traces.
         machine._trace_enabled = False
         machine.counters.degrades += 1
-        machine.instruments.publish("degrade", cycle, diffs)
         self.log.append({
             "event": "degrade",
             "at_cycle": cycle,

@@ -1,4 +1,4 @@
-"""The instrumentation bus: composition, zero-cost idle, derived channels.
+"""The instrumentation bus: composition, zero-cost idle, metrics export.
 
 These lock down the observability-layer contract: multiple named
 subscribers compose in either attach order with identical results,
@@ -167,81 +167,6 @@ def test_observers_do_not_perturb_the_machine():
     )
 
 
-def test_foreign_direct_hook_chains_and_restores():
-    cpu = miss_machine()
-    seen = []
-    original = lambda now, pc, inst, held: seen.append(now)  # noqa: E731
-    cpu.trace_hook = original
-    tracer = PipelineTracer(cpu).install()
-    cpu.step()
-    cpu.step()
-    tracer.uninstall()
-    cpu.step()
-    assert len(seen) == 3  # the directly-assigned hook never missed a cycle
-    assert len(tracer.records) == 2
-    assert cpu.trace_hook is original  # restored exactly, not wrapped
-
-
-# --------------------------------------------------------------------------
-# derived channels: hold spans and task switches
-# --------------------------------------------------------------------------
-
-def test_hold_span_channel_reports_the_miss():
-    cpu = miss_machine()
-    starts, ends = [], []
-    cpu.instruments.install(
-        "spans",
-        hold_start=lambda now, task, pc: starts.append((now, task)),
-        hold_end=lambda now, task, pc, length: ends.append((now, task, length)),
-    )
-    cpu.run(1000)
-    assert len(starts) == 1 and len(ends) == 1
-    assert starts[0][1] == 0 and ends[0][1] == 0
-    _, _, length = ends[0]
-    assert length == cpu.counters.held_cycles
-    assert length >= cpu.config.miss_penalty - 3
-
-
-def test_task_switch_channel_matches_counters():
-    from repro.io.disk import DISK_TASK, DiskController, DiskGeometry, disk_microcode
-
-    asm = Assembler()
-    asm.emit(idle=True)
-    disk_microcode(asm)
-    cpu = Processor()
-    cpu.load_image(asm.assemble())
-    cpu.memory.identity_map(64)
-    disk = DiskController(DiskGeometry(sectors=2, words_per_sector=32))
-    cpu.attach_device(disk)
-    disk.fill_sector(0, list(range(32)))
-    switches = []
-    cpu.instruments.install(
-        "switches", task_switch=lambda now, prev, task: switches.append((prev, task))
-    )
-    disk.begin_read(cpu, sector=0, buffer_va=0x2000)
-    cpu.run_until(lambda m: disk.done, max_cycles=20_000)
-    assert switches, "a disk read must multiplex tasks"
-    assert all(prev != task for prev, task in switches)
-    assert {t for pair in switches for t in pair} == {0, DISK_TASK}
-
-
-# --------------------------------------------------------------------------
-# the fault channel
-# --------------------------------------------------------------------------
-
-def test_fault_channel_sees_every_record():
-    config = MachineConfig(
-        fault_injection=FaultConfig(seed=11, storage_correctable=1, last_cycle=0)
-    )
-    w = mesa_loop_sum(100, config=config)
-    received = []
-    w.ctx.cpu.instruments.install("faults", fault=received.append)
-    w.run()
-    injector = w.ctx.cpu.fault_injector
-    assert injector is not None and injector.trace
-    assert received == injector.trace
-
-
 # --------------------------------------------------------------------------
 # hold-cause attribution, on both cycle implementations
 # --------------------------------------------------------------------------
@@ -285,9 +210,11 @@ def test_metrics_snapshot_round_trips_as_json():
     assert decoded["holds"]["total"] == counters.held_cycles
     assert decoded["tasks"]["0"]["utilization"] == 1.0
     assert decoded["ifu"]["dispatches"] == w.ctx.cpu.ifu.dispatches
-    assert decoded["machine"]["plan_cache_enabled"] is True
+    assert "plan_cache_enabled" not in decoded["machine"]
     tiers = decoded["tiers"]
-    assert tiers == w.ctx.cpu._traces.stats() | {"trace_enabled": True}
+    assert tiers == w.ctx.cpu._traces.stats() | {
+        "plan_enabled": True, "trace_enabled": True,
+    }
     assert 0 < tiers["traced_cycles"] <= counters.cycles
     assert tiers["stalls"] <= tiers["entries"]
     assert "faults" not in decoded  # no injector on a clean machine

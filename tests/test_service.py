@@ -117,6 +117,11 @@ def test_session_rejects_bad_names_and_workloads():
         Session.build("nonesuch")
     with pytest.raises(ServiceError, match="slice budget"):
         Session.build("mesa_loop_sum").run_slice(0)
+    for budget in ("x", True, 2.5):
+        with pytest.raises(ServiceError, match="slice budget"):
+            Session.build("mesa_loop_sum").run_slice(budget)
+    with pytest.raises(ServiceError, match="bad workload args"):
+        Session.build("mesa_loop_sum", args={"bogus": 1})
 
 
 def test_suspend_resume_roundtrip_is_byte_identical():
@@ -428,6 +433,23 @@ def test_fleet_api_validation(tmp_path):
         assert fleet.stats()["live"] == ["s1"]
     with pytest.raises(ServiceError):
         Fleet(workers=0)
+
+
+def test_fleet_refuses_malformed_requests_without_losing_the_worker(tmp_path):
+    """A bad budget or bad workload args is the client's error: the
+    worker answers it, so no crash, respawn or degrade follows."""
+    with Fleet(workers=1, capacity=2, spool_dir=str(tmp_path)) as fleet:
+        fleet.open_session("a", "mesa_loop_sum")
+        for budget in ("x", 0):
+            with pytest.raises(ServiceError, match="slice budget"):
+                fleet.run_slice("a", budget)
+        with pytest.raises(ServiceError, match="bad workload args"):
+            fleet.open_session("b", "mesa_loop_sum", args={"bogus": 1})
+        assert fleet.run_slice("a", 500)["cycles"] == 500
+        stats = fleet.stats()
+    assert stats["worker_crashes"] == 0
+    assert stats["respawns"] == 0
+    assert stats["degrades"] == 0
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.errors import (
 )
 from repro.fault import FaultConfig
 from repro.mem.map import REAL_PAGE_MASK
+from repro.perf.instrument import metrics_snapshot
 from repro.perf.report import DEMO_CHECKPOINT_INTERVAL, demo_fault_config
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
 from repro.types import MUNCH_WORDS
@@ -444,36 +445,9 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     assert cpu.counters.degrades >= 1
     degrade = next(e for e in supervisor.log if e["event"] == "degrade")
     assert degrade["first_diff"]
-
-
-# --------------------------------------------------------------------------
-# Bus events
-# --------------------------------------------------------------------------
-
-
-def test_recovery_publishes_bus_events():
-    workload = mesa_loop_sum(200, config=_demo_config())
-    cpu = workload.ctx.cpu
-    events = []
-    cpu.instruments.install(
-        "recovery-probe",
-        rollback=lambda cycle, exc, retry: events.append(("rollback", cycle)),
-        replay=lambda cycle, retry: events.append(("replay", cycle)),
-    )
-    try:
-        Supervisor(
-            cpu, checkpoint_interval=DEMO_CHECKPOINT_INTERVAL, max_retries=3
-        ).run(max_cycles=50_000)
-    finally:
-        cpu.instruments.uninstall("recovery-probe")
-    kinds = [kind for kind, _ in events]
-    assert "rollback" in kinds and "replay" in kinds
-
-
-def test_publish_rejects_unknown_channels():
-    cpu = mesa_loop_sum(60).ctx.cpu
-    with pytest.raises(ValueError):
-        cpu.instruments.publish("not-a-channel", 1)
+    # The metrics export reports the tiers running now, not the config.
+    tiers = metrics_snapshot(cpu)["tiers"]
+    assert tiers["plan_enabled"] is False and tiers["trace_enabled"] is False
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ def test_hold_windows_detected():
     windows = tracer.hold_windows(0)
     assert len(windows) == 1
     start, length = windows[0]
+    assert length == cpu.counters.held_cycles
     assert length >= cpu.config.miss_penalty - 3
 
 
@@ -58,18 +59,6 @@ def test_bounded_recording():
     cpu.run(1000)
     assert len(tracer.records) == 10
     assert tracer.records[-1].cycle == cpu.counters.cycles - 1
-
-
-def test_uninstall_restores_previous_hook():
-    cpu = traced_machine()
-    seen = []
-    cpu.trace_hook = lambda now, pc, inst, held: seen.append(now)
-    tracer = PipelineTracer(cpu).install()
-    cpu.step()
-    tracer.uninstall()
-    cpu.step()
-    assert len(seen) == 2  # the original hook ran both cycles
-    assert len(tracer.records) == 1
 
 
 def test_hold_windows_survive_task_interleaving():
