@@ -44,7 +44,6 @@ from .errors import (
     ConfigError,
     CorruptionDetected,
     DeviceError,
-    DivergenceDetected,
     DoradoError,
     EmulatorError,
     EncodingError,
@@ -69,7 +68,6 @@ __all__ = [
     "ConfigError",
     "CorruptionDetected",
     "DeviceError",
-    "DivergenceDetected",
     "DoradoError",
     "EmulatorError",
     "EncodingError",

@@ -125,7 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-trace", action="store_true",
-        help="disable the compiled-trace tier (keep the plan cache): "
+        help="run on the plan tier instead of the compiled-trace tier: "
              "the PLAN_ONLY configuration, for tier isolation and debugging",
     )
     args = parser.parse_args(argv)
@@ -143,15 +143,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         report_main()
         return 0
 
-    config = None
-    if args.no_trace:
-        from .config import PLAN_ONLY
+    from .config import PLAN_ONLY, PRODUCTION
 
-        config = PLAN_ONLY
+    config = PLAN_ONLY if args.no_trace else PRODUCTION
     if args.fault_plan is not None:
         import dataclasses
 
-        from .config import PRODUCTION
         from .fault.plan import FaultConfig
 
         try:
@@ -160,10 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_config = FaultConfig(**fields)
         except (OSError, TypeError, ValueError) as exc:
             parser.error(f"cannot read fault plan {args.fault_plan}: {exc}")
-        config = dataclasses.replace(
-            config if config is not None else PRODUCTION,
-            fault_injection=fault_config,
-        )
+        config = dataclasses.replace(config, fault_injection=fault_config)
 
     from .service.session import Session
 
@@ -178,7 +172,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.load_state is not None:
         from .state import MachineState
 
-        session.load(MachineState.load(args.load_state))
+        try:
+            session.load(MachineState.load(args.load_state))
+        except (OSError, DoradoError, KeyError, TypeError, ValueError) as exc:
+            print(f"FAILED: cannot load state {args.load_state}: "
+                  f"{type(exc).__name__}: {exc}")
+            return 1
         print(f"restored {args.load_state} (cycle {cpu.now})")
     tracer = profiler = None
     if args.trace:

@@ -30,6 +30,11 @@ MAX_IM_WORDS = 4096
 #: it stops a config read from an envelope from sizing a huge build.
 MAX_CACHE_LINES = 1024
 
+#: The simulator's cycle implementations, slowest first: the
+#: interpretive reference, decoded execution plans, and compiled traces
+#: on top of plans.
+TIERS = ("interp", "plan", "traced")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -67,25 +72,13 @@ class MachineConfig:
         task_grain: Minimum instructions a woken task executes before
             its Block takes effect.  2 on the real machine; 3 models the
             "simpler design" rejected in section 6.2.1.
-        plan_cache_enabled: When True (the default) the simulator
-            compiles each fetched IM word into a decoded execution plan
-            and runs plans instead of re-interrogating microword fields
-            every cycle.  Purely a simulator-speed knob: architectural
-            state and cycle counts are bit-identical either way (the
-            differential suite in ``tests/test_fastpath_parity.py``
-            enforces this), and plans are invalidated whenever an IM
-            word is rewritten (console write paths, bootstrap loader,
-            or direct ``im[...]`` assignment).
-        trace_cache_enabled: When True (the default) the simulator
-            additionally detects hot runs of execution plans and
-            compiles them into specialized Python traces executed from
-            the ``run()`` hot loop (:mod:`repro.core.tracecache`).
-            Requires ``plan_cache_enabled``; like it, this is purely a
-            simulator-speed knob -- the three-way differential matrix
-            in ``tests/test_fastpath_parity.py`` proves interp, plan
-            and traced execution bit-identical -- and traces are
-            dropped on any IM write, on ``restore()``, and on
-            ``attach_device()``.
+        tier: The simulator's cycle implementation, one of
+            :data:`TIERS`; the default, ``"traced"``, runs compiled
+            traces of hot plan runs (:mod:`repro.core.tracecache`).
+            Not part of the modelled machine: all three tiers are
+            bit-identical (``tests/test_fastpath_parity.py``), so a
+            snapshot restores at any tier.  Only the starting value of
+            the live ``Processor.tier``.
         fault_injection: When set, the machine builds a deterministic
             :class:`~repro.fault.injector.FaultInjector` from this
             seeded :class:`~repro.fault.plan.FaultConfig` and delivers
@@ -115,8 +108,7 @@ class MachineConfig:
     storage_words: int = 1 << 20
     ifu_decode_cycles: int = 1
     task_grain: int = 2
-    plan_cache_enabled: bool = True
-    trace_cache_enabled: bool = True
+    tier: str = "traced"
     fault_injection: Optional[FaultConfig] = None
     fault_task: Optional[int] = None
     hold_limit: Optional[int] = None
@@ -165,6 +157,8 @@ class MachineConfig:
             )
         if self.hold_limit is not None and self.hold_limit < 1:
             raise ConfigError("hold_limit must be at least 1")
+        if self.tier not in TIERS:
+            raise ConfigError(f"tier must be one of {TIERS}, got {self.tier!r}")
 
     @property
     def num_pages(self) -> int:
@@ -191,13 +185,13 @@ STITCHWELD = MachineConfig(cycle_ns=50.0)
 #: The Model 0, which lacked some bypass paths (section 5.6).
 MODEL0 = MachineConfig(bypass_enabled=False)
 
-#: The production machine with the simulator's plan cache disabled:
-#: every cycle re-decodes microword fields.  Only useful as the
-#: reference side of differential tests and benchmarks.
-INTERPRETED = MachineConfig(plan_cache_enabled=False, trace_cache_enabled=False)
+#: The production machine on the interpretive tier: every cycle
+#: re-decodes microword fields.  Only useful as the reference side of
+#: differential tests and benchmarks.
+INTERPRETED = MachineConfig(tier="interp")
 
 #: The production machine running on decoded execution plans but with
 #: the compiled-trace tier off: the middle rung of the three-way
 #: differential ladder (interp / plan / traced) and the baseline the
 #: traced tier's speedup is measured against.
-PLAN_ONLY = MachineConfig(trace_cache_enabled=False)
+PLAN_ONLY = MachineConfig(tier="plan")

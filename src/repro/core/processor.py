@@ -31,9 +31,11 @@ Two implementations of the cycle coexist:
   per-slot :class:`~repro.core.plancache.ExecutionPlan` objects compiled
   on first fetch and invalidated on IM writes (DESIGN.md section 5).
 
-``config.plan_cache_enabled`` selects between them; they are
-bit-identical in architectural state, counters, and cycle counts, which
-``tests/test_fastpath_parity.py`` enforces differentially.
+The live ``Processor.tier`` (initially ``config.tier``) selects between
+them: ``"interp"`` the first, ``"plan"`` the second, and ``"traced"``
+the second plus compiled traces inside ``run()`` (DESIGN.md section
+5.6).  All three are bit-identical in architectural state, counters,
+and cycle counts, which ``tests/test_fastpath_parity.py`` enforces.
 
 Observability hangs off one slot: both cycle implementations end with a
 single ``trace_hook is None`` check, and the instrumentation bus
@@ -147,12 +149,11 @@ class Processor:
         # path (console, bootstrap loader, load_image, direct pokes)
         # into _invalidate_plan.
         self._plans: List[Optional[ExecutionPlan]] = [None] * config.im_size
-        self._plan_enabled = config.plan_cache_enabled
+        self.tier = config.tier
         # The compiled-trace tier (DESIGN.md section 5.6) sits on top of
         # the plan cache and shares its invalidation choke point; the
         # cache object itself is mechanism (never snapshotted, never
         # shared across fork()).
-        self._trace_enabled = config.plan_cache_enabled and config.trace_cache_enabled
         self._traces = TraceCache(self)
         self.im: MicrostoreImage = MicrostoreImage(config.im_size, self._invalidate_plan)
         self.console.on_im_write = self._invalidate_plan
@@ -483,10 +484,10 @@ class Processor:
 
     def step(self) -> None:
         """Advance the whole machine by one microcycle."""
-        if self._plan_enabled:
-            self._step_plan()
-        else:
+        if self.tier == "interp":
             self._step_interp()
+        else:
+            self._step_plan()
 
     def _step_interp(self) -> None:
         """One cycle, interpretively: re-decode every microword field.
@@ -542,11 +543,11 @@ class Processor:
 
     def run(self, max_cycles: int = 1_000_000) -> int:
         """Step until FF ``HALT`` or *max_cycles*; returns cycles used."""
-        if self._trace_enabled and self._plan_enabled:
+        if self.tier == "traced":
             return self._run_traced(max_cycles)
         # The hot loop: bind the cycle implementation and the counters
         # once instead of re-resolving them a million times.
-        step = self._step_plan if self._plan_enabled else self._step_interp
+        step = self._step_interp if self.tier == "interp" else self._step_plan
         counters = self.counters
         start = counters.cycles
         limit = start + max_cycles
@@ -617,7 +618,7 @@ class Processor:
 
     def run_until(self, predicate: Callable[["Processor"], bool], max_cycles: int = 1_000_000) -> int:
         """Step until *predicate(self)* or *max_cycles*; returns cycles used."""
-        step = self._step_plan if self._plan_enabled else self._step_interp
+        step = self._step_interp if self.tier == "interp" else self._step_plan
         counters = self.counters
         start = counters.cycles
         limit = start + max_cycles

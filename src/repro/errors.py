@@ -140,23 +140,6 @@ class CorruptionDetected(TransientFault):
         super().__init__(f"machine check failed: {head}{more}", **context)
 
 
-class DivergenceDetected(TransientFault):
-    """Plan-cache and interpreter execution disagreed.
-
-    ``diffs`` holds the :func:`~repro.state.diff_states` paths at the
-    first divergent cycle -- evidence that a compiled plan, not the
-    architectural state, is the suspect.
-    """
-
-    def __init__(self, cycle, diffs, **context) -> None:
-        self.diffs = tuple(diffs)
-        context.setdefault("cycle", cycle)
-        head = self.diffs[0] if self.diffs else "state mismatch"
-        super().__init__(
-            f"plan/interpreter divergence at cycle {cycle}: {head}", **context
-        )
-
-
 class UnrecoverableFault(DoradoError):
     """The recovery supervisor exhausted its retry budget.
 

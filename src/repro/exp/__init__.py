@@ -22,11 +22,9 @@ from .campaigns import (
 )
 from .configs import (
     CONFIG_VARIANTS,
-    TIER_NAMES,
     ConfigVariant,
     config_hash,
     hash_payload,
-    tier_configs,
     variant,
 )
 from .evaluate import (
@@ -75,7 +73,6 @@ __all__ = [
     "HoldAccountingEvaluator",
     "MATRICES",
     "ScenarioSpec",
-    "TIER_NAMES",
     "TierParityEvaluator",
     "WORKLOAD_DEFS",
     "WorkloadDef",
@@ -98,6 +95,5 @@ __all__ = [
     "load_result",
     "monte_carlo_matrix",
     "save_result",
-    "tier_configs",
     "variant",
 ]

@@ -14,9 +14,9 @@ pins both properties with Hypothesis).
 
 The simulator's three execution tiers (interpretive, decoded-plan,
 compiled-trace) are not variants of the machine being modelled but of
-the simulator running it; :func:`tier_configs` derives the tier triple
-from any base variant so the matrix can prove cycle parity across all
-three on every cell.
+the simulator running it, so no variant names one: every clean matrix
+cell runs each of :data:`repro.config.TIERS` on its variant's machine
+and proves cycle parity across all three.
 """
 
 from __future__ import annotations
@@ -25,35 +25,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping
 
 from ..config import MODEL0, PRODUCTION, STITCHWELD, MachineConfig
-
-#: The tier names, slowest first, as used by corebench and the parity
-#: evaluators.  Each maps to the (plan_cache_enabled,
-#: trace_cache_enabled) pair that selects the cycle implementation.
-TIER_NAMES: Tuple[str, ...] = ("interp", "plan", "traced")
-
-_TIER_FLAGS = {
-    "interp": (False, False),
-    "plan": (True, False),
-    "traced": (True, True),
-}
-
-
-def tier_configs(base: MachineConfig) -> Dict[str, MachineConfig]:
-    """The three execution-tier configs derived from *base*.
-
-    Only the simulator-speed knobs differ; the machine being modelled
-    is identical, so all three must simulate the same cycle count.
-    """
-    return {
-        name: dataclasses.replace(
-            base, plan_cache_enabled=plan, trace_cache_enabled=trace
-        )
-        for name, (plan, trace) in _TIER_FLAGS.items()
-    }
-
 
 def hash_payload(payload: Mapping[str, Any]) -> str:
     """Short content hash of a plain-data mapping.
@@ -123,16 +97,6 @@ CONFIG_VARIANTS: Dict[str, ConfigVariant] = {
             "grain3",
             MachineConfig(task_grain=3),
             "the rejected 3-instruction task grain (section 6.2.1)",
-        ),
-        ConfigVariant(
-            "plan_only",
-            MachineConfig(trace_cache_enabled=False),
-            "simulator tier: decoded plans, no compiled traces",
-        ),
-        ConfigVariant(
-            "interp",
-            MachineConfig(plan_cache_enabled=False, trace_cache_enabled=False),
-            "simulator tier: the interpretive reference",
         ),
     )
 }

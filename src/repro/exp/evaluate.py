@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .configs import TIER_NAMES
+from ..config import TIERS
 
 
 def _ok_cells(result: Dict[str, Any]) -> Iterator[Tuple[str, Dict[str, Any]]]:
@@ -60,13 +60,13 @@ class TierParityEvaluator(Evaluator):
             if m["kind"] != "clean":
                 continue
             tiers = m["tiers"]
-            cycles = {t: tiers[t]["cycles"] for t in TIER_NAMES}
+            cycles = {t: tiers[t]["cycles"] for t in TIERS}
             same_cycles = len(set(cycles.values())) == 1
             checks.append(self._check(
                 cell_id, "tier_cycles_equal", same_cycles,
                 ", ".join(f"{t}={c}" for t, c in cycles.items()),
             ))
-            hashes = {t: tiers[t]["arch_hash"] for t in TIER_NAMES}
+            hashes = {t: tiers[t]["arch_hash"] for t in TIERS}
             same_state = len(set(hashes.values())) == 1
             checks.append(self._check(
                 cell_id, "tier_state_identical", same_state,

@@ -30,13 +30,14 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..config import TIERS
 from ..core.counters import HOLD_CAUSE_NAMES
 from ..errors import DoradoError
 from ..fault.plan import FaultConfig, derive_seed
 from ..perf.workloads import ALL_WORKLOADS, Workload
 from ..service.session import Session, arch_hash, clear_boot_cache
 from ..workers import can_fork, map_unordered
-from .configs import tier_configs, variant
+from .configs import variant
 from .kernels import bypass_kernel, bypass_kernel_padded
 from .scenario import ScenarioSpec
 
@@ -104,10 +105,10 @@ def _execute_clean(spec: ScenarioSpec) -> Dict[str, Any]:
     base = variant(spec.variant).config
     tiers: Dict[str, Any] = {}
     metrics: Dict[str, Any] = {}
-    for tier, config in tier_configs(base).items():
+    for tier in TIERS:
         session = Session.build(
-            spec.workload, args=dict(spec.args), config=config,
-            supervise=False,
+            spec.workload, args=dict(spec.args),
+            config=dataclasses.replace(base, tier=tier), supervise=False,
         )
         cycles = session.run(max_cycles=spec.max_cycles)
         tiers[tier] = {

@@ -34,9 +34,8 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-from ..config import PRODUCTION, MachineConfig
+from ..config import TIERS, MachineConfig
 from ..core.processor import Processor
-from ..exp.configs import tier_configs
 from ..asm.assembler import Assembler
 from ..graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
 from ..graphics.bitmap import Bitmap
@@ -105,19 +104,13 @@ SCENARIOS: Dict[str, Callable[[MachineConfig], Callable[[], Callable[[], int]]]]
     "E4_display_fast_io": _e4_fast_io,
 }
 
-#: The tiers a corebench row compares, slowest first -- derived from the
-#: experiment matrix's tier registry (``repro.exp.configs``) so the
-#: bench and the matrix evaluators always mean the same three machines.
-TIERS = tuple(tier_configs(PRODUCTION).items())
-
-
 def run_corebench(repeats: int = 3) -> Dict[str, dict]:
     """Measure every scenario under all three cycle implementations."""
     results: Dict[str, dict] = {}
     for name, make in SCENARIOS.items():
         rates = {
-            tier: measure_staged_rate(make(config), repeats=repeats)
-            for tier, config in TIERS
+            tier: measure_staged_rate(make(MachineConfig(tier=tier)), repeats=repeats)
+            for tier in TIERS
         }
         before, after, traced = rates["interp"], rates["plan"], rates["traced"]
         for tier in ("plan", "traced"):

@@ -168,9 +168,9 @@ def metrics_snapshot(machine, include_fault_trace: bool = True) -> dict:
     Counters` field), ``tasks`` keyed by task number with per-task
     cycles/instructions/held/utilization, ``holds`` with the per-cause
     attribution (storage-busy vs MEMDATA wait vs IFU wait), ``ifu``
-    dispatch statistics, ``tiers`` with the tiers running now (a
-    supervisor degrade turns both flags off, whatever the config says)
-    and the trace cache's statistics (cycles run inside traces among
+    dispatch statistics, ``tiers`` with the live ``tier`` (a supervisor
+    degrade sets it to ``"interp"``, whatever the config says) and the
+    trace cache's statistics (cycles run inside traces among
     them; mechanism, never in ``Counters``), and -- on fault-injected
     machines -- the ``faults`` section with the full trace.
     """
@@ -197,8 +197,7 @@ def metrics_snapshot(machine, include_fault_trace: bool = True) -> dict:
         "holds": counters.hold_attribution(),
         "ifu": {"dispatches": machine.ifu.dispatches, "byte_pc": machine.ifu.pc},
         "tiers": {
-            "plan_enabled": machine._plan_enabled,
-            "trace_enabled": machine._trace_enabled,
+            "tier": machine.tier,
             **machine._traces.stats(),
         },
         "subscribers": list(machine.instruments.names()),

@@ -55,7 +55,7 @@ from ..errors import (
 )
 from ..workers import Worker, can_fork
 from .chaos import ChaosInjector, ServiceFaultConfig, ServiceFaultKind, ServiceFaultPlan
-from .session import Session, booted_workload, valid_session_name
+from .session import Session, booted_workload, check_open_request, valid_session_name
 from .spool import spool_read, spool_write
 
 #: Spool generations retained per session: the corruption fallback depth.
@@ -640,6 +640,7 @@ class Fleet:
             raise ServiceError(f"invalid session name {name!r}")
         if name in self._known:
             raise ServiceError(f"session {name!r} already exists")
+        check_open_request(args, fault)
         self._make_room()
         worker = self._place()
         message = {

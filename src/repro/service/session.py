@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import re
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..config import PRODUCTION, MachineConfig
 from ..core.counters import Counters
@@ -50,6 +50,23 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
 def valid_session_name(name: Any) -> bool:
     """Session names double as spool filenames; keep them filesystem-safe."""
     return isinstance(name, str) and _NAME_RE.match(name) is not None
+
+
+def check_open_request(args: Any, fault: Any) -> None:
+    """Refuse malformed workload *args* or *fault* template up front.
+
+    Both must be mappings (or None), and every workload argument a plain
+    ``int`` (``bool`` refused): a string would reach the byte-code
+    assembler as a label, a ``True`` would silently run as 1.
+    """
+    for what, value in (("args", args), ("fault", fault)):
+        if value is not None and not isinstance(value, Mapping):
+            raise ServiceError(f"{what} must be a mapping, got {value!r}")
+    for key, value in (args or {}).items():
+        if type(value) is not int:
+            raise ServiceError(
+                f"workload arg {key!r} must be an int, got {value!r}"
+            )
 
 
 def _resolve_builder(name: str):
@@ -208,10 +225,12 @@ class Session:
     ) -> "Session":
         """Boot a fresh session for *workload_name*.
 
-        *fault* is a FaultConfig field template layered onto *config*;
-        *supervise* defaults to "whenever a fault plan is armed", the
-        fleet's recovery posture.
+        *args* maps workload parameters to plain ints; *fault* is a
+        FaultConfig field template layered onto *config*; *supervise*
+        defaults to "whenever a fault plan is armed", the fleet's
+        recovery posture.
         """
+        check_open_request(args, fault)
         config = config if config is not None else PRODUCTION
         if fault is not None:
             try:

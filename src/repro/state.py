@@ -61,9 +61,14 @@ def config_signature(config) -> Dict[str, Any]:
     """The config as plain data, for snapshot/machine compatibility.
 
     Two machines with equal signatures have identical geometry, timing,
-    and fault plan, so a snapshot taken on one loads on the other.
+    and fault plan, so a snapshot taken on one loads on the other.  The
+    execution tier is left out: it is how the simulator runs the
+    machine, not part of the machine, so a snapshot restores at any
+    tier.
     """
-    return dataclasses.asdict(config)
+    signature = dataclasses.asdict(config)
+    del signature["tier"]
+    return signature
 
 
 # --------------------------------------------------------------------------

@@ -76,8 +76,8 @@ def find_divergence(machine, window: int = 2000) -> Optional[DivergenceReport]:
     # plan-side fork.  ExecutionPlans are flat pure data -- sharing
     # them cannot couple the forks.
     plan_fork._plans = list(machine._plans)
-    plan_fork._plan_enabled = True
-    interp_fork._plan_enabled = False
+    plan_fork.tier = "plan"
+    interp_fork.tier = "interp"
 
     for _ in range(window):
         if plan_fork.halted and interp_fork.halted:

@@ -235,7 +235,7 @@ class MachineCheckSanitizer:
 
     def _check_plans(self, failures: List[CheckFailure]) -> None:
         machine = self.machine
-        if not machine._plan_enabled:
+        if machine.tier == "interp":
             return
         im = machine.im
         for pc, plan in enumerate(machine._plans):

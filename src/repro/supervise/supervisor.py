@@ -47,7 +47,6 @@ from typing import List, Optional
 from ..core.counters import RECOVERY_FIELDS
 from ..errors import (
     CorruptionDetected,
-    DivergenceDetected,
     EmulatorError,
     MicrocodeCrash,
     TransientFault,
@@ -208,31 +207,20 @@ class Supervisor:
 
     def _maybe_degrade(self, exc: Exception) -> None:
         machine = self.machine
-        if not machine._plan_enabled:
+        if machine.tier == "interp":
             return
-        report = None
-        if isinstance(exc, DivergenceDetected):
-            report = (exc.cycle, exc.diffs)
-        else:
-            implicates_plans = isinstance(exc, CorruptionDetected) and any(
-                f.startswith("plans") for f in exc.failures
-            )
-            if implicates_plans or self._retries >= 2:
-                found = find_divergence(
-                    machine, window=self.checkpoint_interval
-                )
-                if found is not None:
-                    report = (found.cycle, found.diffs)
-        if report is None:
+        implicates_plans = isinstance(exc, CorruptionDetected) and any(
+            f.startswith("plans") for f in exc.failures
+        )
+        if not (implicates_plans or self._retries >= 2):
             return
-        cycle, diffs = report
-        machine._plan_enabled = False
-        # The compiled-trace tier rides on the plan cache; a machine
-        # degraded to the interpreter must not keep executing traces.
-        machine._trace_enabled = False
+        found = find_divergence(machine, window=self.checkpoint_interval)
+        if found is None:
+            return
+        machine.tier = "interp"
         machine.counters.degrades += 1
         self.log.append({
             "event": "degrade",
-            "at_cycle": cycle,
-            "first_diff": diffs[0] if diffs else "",
+            "at_cycle": found.cycle,
+            "first_diff": found.diffs[0] if found.diffs else "",
         })

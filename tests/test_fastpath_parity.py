@@ -282,9 +282,7 @@ from repro.core.processor import Processor
 _orig_init = Processor.__init__
 def _init(self, *args, **kwargs):
     _orig_init(self, *args, **kwargs)
-    self._trace_enabled = False
-    if "{tier}" == "interp":
-        self._plan_enabled = False
+    self.tier = "{tier}"
 Processor.__init__ = _init
 script = sys.argv[1]
 sys.argv = [script]

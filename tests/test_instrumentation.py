@@ -210,11 +210,9 @@ def test_metrics_snapshot_round_trips_as_json():
     assert decoded["holds"]["total"] == counters.held_cycles
     assert decoded["tasks"]["0"]["utilization"] == 1.0
     assert decoded["ifu"]["dispatches"] == w.ctx.cpu.ifu.dispatches
-    assert "plan_cache_enabled" not in decoded["machine"]
+    assert "tier" not in decoded["machine"]
     tiers = decoded["tiers"]
-    assert tiers == w.ctx.cpu._traces.stats() | {
-        "plan_enabled": True, "trace_enabled": True,
-    }
+    assert tiers == w.ctx.cpu._traces.stats() | {"tier": "traced"}
     assert 0 < tiers["traced_cycles"] <= counters.cycles
     assert tiers["stalls"] <= tiers["entries"]
     assert "faults" not in decoded  # no injector on a clean machine
@@ -285,6 +283,39 @@ def test_cli_saves_and_loads_machine_state(tmp_path, capsys):
     assert "0 cycles, verified" in printed
 
 
+def test_cli_loads_a_state_saved_at_another_tier(tmp_path, capsys):
+    from repro.__main__ import main
+
+    state = tmp_path / "machine.json"
+    rc = main(["--workload", "mesa_loop_sum", "--no-trace",
+               "--save-state", str(state)])
+    assert rc == 0
+    capsys.readouterr()
+    # The default (traced) machine takes the plan tier's snapshot.
+    rc = main(["--workload", "mesa_loop_sum", "--load-state", str(state)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "restored" in printed and "0 cycles, verified" in printed
+
+
+@pytest.mark.parametrize("problem", ["missing", "malformed", "config"])
+def test_cli_diagnoses_an_unloadable_state(tmp_path, capsys, problem):
+    from repro.__main__ import main
+
+    state = tmp_path / "machine.json"
+    if problem == "malformed":
+        state.write_text('{"version": 2')
+    elif problem == "config":
+        snap = mesa_loop_sum(10).ctx.cpu.snapshot()
+        snap.data["config"] = dict(snap.data["config"], cycle_ns=50.0)
+        snap.save(state)
+    rc = main(["--workload", "mesa_loop_sum", "--load-state", str(state)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAILED: cannot load state {state}")
+    assert "Traceback" not in out
+
+
 def test_cli_rejects_state_flags_without_workload(capsys):
     from repro.__main__ import main
 
@@ -307,9 +338,43 @@ def test_corebench_runs_with_identical_cycle_counts():
         assert row["traced_cycles_per_second"] > 0
 
 
-def test_corebench_cli_writes_report_and_checks_baseline(tmp_path, capsys):
+def _fixed_bench_rows(monkeypatch, *, cycles=1000, overhead=2.0):
+    """Stand fixed rows in for the three wall-clock benches ``main`` runs.
+
+    The CLI's report and baseline logic is what is under test here; the
+    timings themselves are host noise (the CI ``parity`` job runs the
+    real benches against ``BENCH_core.json``).
+    """
+    from repro.perf import corebench
+
+    row = {
+        "simulated_cycles": cycles,
+        "before_cycles_per_second": 1000,
+        "after_cycles_per_second": 5000,
+        "traced_cycles_per_second": 8000,
+        "speedup": 5.0,
+        "traced_speedup": 1.6,
+    }
+    monkeypatch.setattr(corebench, "run_corebench", lambda repeats: {
+        name: dict(row) for name in corebench.SCENARIOS
+    })
+    monkeypatch.setattr(corebench, "run_warmstart_bench", lambda repeats: {
+        "simulated_cycles": 4807, "cold_seconds": 0.2,
+        "warm_restore_seconds": 0.01, "warm_speedup": 20.0,
+    })
+    monkeypatch.setattr(corebench, "run_supervised_bench", lambda repeats: {
+        "simulated_cycles": 4807, "bare_seconds": 0.1,
+        "supervised_seconds": 0.1 * overhead, "overhead_factor": overhead,
+        "overhead_limit": corebench.SUPERVISED_OVERHEAD_LIMIT,
+    })
+
+
+def test_corebench_cli_writes_report_and_checks_baseline(
+    tmp_path, capsys, monkeypatch
+):
     from repro.perf.corebench import main
 
+    _fixed_bench_rows(monkeypatch)
     out = tmp_path / "bench.json"
     assert main(["--output", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
@@ -328,6 +393,27 @@ def test_corebench_cli_writes_report_and_checks_baseline(tmp_path, capsys):
     ])
     assert rc == 0
     assert "baseline" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"cycles": 1001}, "simulated cycles changed"),
+    ({"overhead": 9.0}, "exceeds the 8.0x budget"),
+])
+def test_corebench_cli_rejects_a_changed_baseline(
+    tmp_path, capsys, monkeypatch, change, message
+):
+    from repro.perf.corebench import main
+
+    _fixed_bench_rows(monkeypatch)
+    out = tmp_path / "bench.json"
+    assert main(["--output", str(out), "--repeats", "1"]) == 0
+    _fixed_bench_rows(monkeypatch, **change)
+    rc = main([
+        "--output", str(tmp_path / "bench2.json"), "--repeats", "1",
+        "--baseline", str(out), "--tolerance", "0.9",
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().out
 
 
 def test_compare_to_baseline_flags_regressions():

@@ -124,6 +124,18 @@ def test_session_rejects_bad_names_and_workloads():
         Session.build("mesa_loop_sum", args={"bogus": 1})
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"args": "zz"}, "args must be a mapping"),
+    ({"fault": "zz"}, "fault must be a mapping"),
+    ({"args": {"n": "x"}}, "must be an int"),
+    ({"args": {"n": True}}, "must be an int"),
+    ({"args": {"n": 2.0}}, "must be an int"),
+])
+def test_session_refuses_malformed_args_and_fault(kw, message):
+    with pytest.raises(ServiceError, match=message):
+        Session.build("mesa_loop_sum", **kw)
+
+
 def test_suspend_resume_roundtrip_is_byte_identical():
     session = Session.build("mesa_loop_sum", name="alice")
     session.run_slice(1500)
@@ -450,6 +462,25 @@ def test_fleet_refuses_malformed_requests_without_losing_the_worker(tmp_path):
     assert stats["worker_crashes"] == 0
     assert stats["respawns"] == 0
     assert stats["degrades"] == 0
+
+
+@pytest.mark.parametrize("kw", [
+    {"args": "zz"}, {"fault": "zz"}, {"args": {"n": "x"}},
+    {"args": {"n": True}},
+])
+def test_fleet_refuses_malformed_open_before_evicting(tmp_path, kw):
+    """A malformed open is refused up front: the full fleet evicts
+    nothing for it, and no worker crashes on it."""
+    with Fleet(workers=1, capacity=1, spool_dir=str(tmp_path)) as fleet:
+        fleet.open_session("a", "mesa_loop_sum")
+        with pytest.raises(ServiceError):
+            fleet.open_session("c", "mesa_loop_sum", **kw)
+        stats = fleet.stats()
+    assert stats["live"] == ["a"]
+    assert stats["opened"] == 1
+    assert all(
+        stats[name] == 0 for name in fleet.counters if name != "opened"
+    ), stats
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro import (
     StateError,
     diff_states,
 )
-from repro.config import PRODUCTION
+from repro.config import PRODUCTION, TIERS, MachineConfig
 from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
@@ -42,10 +42,10 @@ FAULTS = FaultConfig(seed=7, storage_correctable=5, map_faults=2, last_cycle=300
 #: both cycle implementations, each clean and fault-injected.
 CONFIGS = {
     "plan": PRODUCTION,
-    "interp": dataclasses.replace(PRODUCTION, plan_cache_enabled=False),
+    "interp": dataclasses.replace(PRODUCTION, tier="interp"),
     "plan_faulted": dataclasses.replace(PRODUCTION, fault_injection=FAULTS),
     "interp_faulted": dataclasses.replace(
-        PRODUCTION, plan_cache_enabled=False, fault_injection=FAULTS
+        PRODUCTION, tier="interp", fault_injection=FAULTS
     ),
 }
 
@@ -160,6 +160,33 @@ def test_workload_roundtrip(name, path):
     assert replay_cycles == first_cycles
     assert cpu.snapshot().to_json() == end_json
     assert workload.verify()
+
+
+@pytest.mark.parametrize("source, target", [
+    (a, b) for a in TIERS for b in TIERS if a != b
+])
+def test_snapshot_restores_at_another_tier(source, target):
+    """The tier is not part of the machine: a snapshot taken mid-run on
+    one tier, saved and loaded onto a machine at another, finishes as
+    the uninterrupted traced run does."""
+    from repro.supervise import architectural_json
+
+    reference = mesa_loop_sum(60)
+    reference_cycles = reference.run()
+    reference_json = architectural_json(reference.ctx.cpu.snapshot())
+
+    before = mesa_loop_sum(60, config=MachineConfig(tier=source)).ctx.cpu
+    ran = before.run(700)
+    saved = before.snapshot().to_json()
+
+    workload = mesa_loop_sum(60, config=MachineConfig(tier=target))
+    cpu = workload.ctx.cpu
+    cpu.restore(MachineState.from_json(saved))
+    assert cpu.tier == target
+    ran += cpu.run(100_000)
+    assert cpu.halted and workload.verify()
+    assert ran == reference_cycles
+    assert architectural_json(cpu.snapshot()) == reference_json
 
 
 # --- fork independence -------------------------------------------------------
@@ -312,9 +339,7 @@ def test_network_mid_transfer_roundtrip_across_tiers(tier, direction):
     timer, and pair-fetch counters must all survive the round-trip on
     the interpreter, the plan cache, and the compiled-trace tier alike.
     """
-    from repro.exp import tier_configs
-
-    cpu, net = _network_machine(tier_configs(PRODUCTION)[tier])
+    cpu, net = _network_machine(dataclasses.replace(PRODUCTION, tier=tier))
     if direction == "rx":
         net.begin_receive(cpu, buffer_va=0x5000, packet_words=32)
         net.inject_packet([(0x4000 + i) & 0xFFFF for i in range(32)])

@@ -142,10 +142,8 @@ def test_recovery_is_deterministic_across_repeats(interval):
 
 def test_recovery_converges_identically_on_both_cycle_paths():
     finals = []
-    for plan_cache in (True, False):
-        workload = mesa_loop_sum(
-            200, config=_demo_config(plan_cache_enabled=plan_cache)
-        )
+    for tier in ("traced", "interp"):
+        workload = mesa_loop_sum(200, config=_demo_config(tier=tier))
         supervisor = Supervisor(
             workload.ctx.cpu,
             checkpoint_interval=DEMO_CHECKPOINT_INTERVAL,
@@ -281,7 +279,7 @@ def test_sanitizer_catches_plan_im_disagreement(ran_machine):
 
     # A degraded (interpreter-only) machine skips the plans check: it
     # must not keep tripping on plans it no longer executes.
-    cpu._plan_enabled = False
+    cpu.tier = "interp"
     assert "plans" not in _failed_checks(cpu)
 
 
@@ -441,13 +439,12 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     supervisor.run(max_cycles=50_000)
 
     assert cpu.halted and workload.verify()
-    assert cpu._plan_enabled is False
+    assert cpu.tier == "interp"
     assert cpu.counters.degrades >= 1
     degrade = next(e for e in supervisor.log if e["event"] == "degrade")
     assert degrade["first_diff"]
-    # The metrics export reports the tiers running now, not the config.
-    tiers = metrics_snapshot(cpu)["tiers"]
-    assert tiers["plan_enabled"] is False and tiers["trace_enabled"] is False
+    # The metrics export reports the tier running now, not the config.
+    assert metrics_snapshot(cpu)["tiers"]["tier"] == "interp"
 
 
 # --------------------------------------------------------------------------

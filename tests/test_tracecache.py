@@ -235,7 +235,7 @@ def test_supervisor_degrade_disables_the_traced_tier():
     cpu = _ring_machine(8)
     cpu.run(max_cycles=200)
     assert cpu._traces.traces
-    cpu._trace_enabled = False  # what Supervisor._maybe_degrade sets
+    cpu.tier = "interp"  # what Supervisor._maybe_degrade sets
     cache_entries = cpu._traces.entries
     cpu.run(max_cycles=100)
     assert cpu._traces.entries == cache_entries  # never entered again
