@@ -50,6 +50,7 @@ identically on both paths.
 from __future__ import annotations
 
 import copy
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig, PRODUCTION
@@ -130,6 +131,19 @@ HOLD_LIMIT = 100_000
 FAULT_STACK_SHIFT = 3  # stack error byte sits above the memory fault bits
 
 
+def _weak_hook(machine: "Processor", method: Callable) -> Callable:
+    """``method(machine, *args)`` as a hook that holds *machine* weakly
+    (a no-op once the machine is gone)."""
+    ref = weakref.ref(machine)
+
+    def hook(*args) -> None:
+        target = ref()
+        if target is not None:
+            method(target, *args)
+
+    return hook
+
+
 class Processor:
     """A complete simulated Dorado."""
 
@@ -154,9 +168,12 @@ class Processor:
         # the plan cache and shares its invalidation choke point; the
         # cache object itself is mechanism (never snapshotted, never
         # shared across fork()).
-        self._traces = TraceCache(self)
-        self.im: MicrostoreImage = MicrostoreImage(config.im_size, self._invalidate_plan)
-        self.console.on_im_write = self._invalidate_plan
+        self._traces = TraceCache()
+        # Nothing the machine owns refers back to it strongly (DESIGN.md
+        # 5.12), so the IM-write hook reaches it through a weak reference.
+        on_im_write = _weak_hook(self, Processor._invalidate_plan)
+        self.im: MicrostoreImage = MicrostoreImage(config.im_size, on_im_write)
+        self.console.on_im_write = on_im_write
         self.symbols: Dict[str, int] = {}
         self.this_pc = 0
         self.halted = False
@@ -182,7 +199,7 @@ class Processor:
         self._hold_limit = config.hold_limit
         self._fault_task = config.fault_task
         if config.fault_task is not None:
-            self.memory.on_fault = self._on_memory_fault
+            self.memory.on_fault = _weak_hook(self, Processor._on_memory_fault)
 
     # ------------------------------------------------------------------
     # setup
@@ -609,7 +626,7 @@ class Processor:
                 continue  # a held cycle is "no-op, jump to self": no edge
             new_pc = self.this_pc
             if cache._rec_key is not None:
-                cache.record_step(task, pc, pipe.this_task, new_pc)
+                cache.record_step(self, task, pc, pipe.this_task, new_pc)
             elif pipe.this_task == task and new_pc <= pc:
                 # A back edge: the classic hot-region signal (loops and
                 # re-entered service routines both produce one).

@@ -1169,10 +1169,12 @@ class TraceCache:
     :meth:`invalidate_all` must leave the machine architecturally
     untouched.  The cache is created per :class:`Processor` and never
     shared (``fork()`` builds a new machine, hence a new empty cache).
+    It holds no reference to its processor: the run loop passes the
+    machine to :meth:`record_step`, the only step that reads it, so a
+    machine stays acyclic and is freed as soon as its owner drops it.
     """
 
-    def __init__(self, cpu, hot_threshold: int = HOT_THRESHOLD) -> None:
-        self.cpu = cpu
+    def __init__(self, hot_threshold: int = HOT_THRESHOLD) -> None:
         #: (task, entry_pc) -> compiled closure ``trace(cpu, budget)``.
         self.traces: Dict[Tuple[int, int], object] = {}
         #: (task, entry_pc) -> generated source, for tests and debugging.
@@ -1250,8 +1252,10 @@ class TraceCache:
         self._rec_steps = None
         self._rec_pcs.clear()
 
-    def record_step(self, task: int, pc: int, new_task: int, new_pc: int) -> None:
-        """Observe one executed (non-held) cycle while recording.
+    def record_step(
+        self, cpu, task: int, pc: int, new_task: int, new_pc: int
+    ) -> None:
+        """Observe one executed (non-held) cycle of *cpu* while recording.
 
         *task*/*pc* are where the cycle ran; *new_task*/*new_pc* where
         the machine stands afterwards.
@@ -1262,24 +1266,24 @@ class TraceCache:
             # Back at the entry: the loop body is complete.  (This
             # cycle -- the second iteration's first step -- already ran
             # on the plan path; the trace takes over at the next entry.)
-            self._finish(loop=True)
+            self._finish(cpu, loop=True)
             return
-        plan = self.cpu._plans[pc]
+        plan = cpu._plans[pc]
         if plan is None or not plan_traceable(plan):
-            self._finish(loop=False)
+            self._finish(cpu, loop=False)
             return
         steps.append((pc, plan))
         self._rec_pcs.add(pc)
         if new_task != task or len(steps) >= MAX_TRACE_STEPS:
-            self._finish(loop=False)
+            self._finish(cpu, loop=False)
         elif new_pc in self._rec_pcs and new_pc != key[1]:
             # About to re-enter a pc this recording already covers: an
             # inner loop.  Cut the trace here so the inner loop gets
             # its own compact loop trace instead of being unrolled
             # through this region step by step.
-            self._finish(loop=False)
+            self._finish(cpu, loop=False)
 
-    def _finish(self, loop: bool) -> None:
+    def _finish(self, cpu, loop: bool) -> None:
         key = self._rec_key
         steps = self._rec_steps
         self._rec_key = None
@@ -1292,7 +1296,7 @@ class TraceCache:
             self.blacklist.add(key)
             return
         try:
-            fn, source = compile_trace(self.cpu, key[0], key[1], steps, loop)
+            fn, source = compile_trace(cpu, key[0], key[1], steps, loop)
         except Exception as exc:  # codegen must never take the machine down
             self.failures.append((key, repr(exc)))
             self.blacklist.add(key)

@@ -43,6 +43,7 @@ utilization, and hold-cause attribution, as one JSON-serializable dict
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Callable, Dict, Optional, Tuple
 
 
@@ -56,9 +57,15 @@ class InstrumentationBus:
     """
 
     def __init__(self, machine) -> None:
-        self.machine = machine
+        # The machine owns its bus: a weak back-reference keeps the
+        # pair acyclic (DESIGN.md 5.12).
+        self._machine = weakref.ref(machine)
         self._subs: Dict[str, Dict[str, Callable]] = {}
         self._auto = 0
+
+    @property
+    def machine(self):
+        return self._machine()
 
     # ------------------------------------------------------------------
     # subscriber management
@@ -148,7 +155,9 @@ class InstrumentationBus:
             machine.ifu.dispatch_hook = None
         else:
 
-            def dispatch_hook(entry, address, _subs=dispatch, _m=machine):
+            def dispatch_hook(
+                entry, address, _subs=dispatch, _m=weakref.proxy(machine)
+            ):
                 now = _m.now
                 for cb in _subs:
                     cb(now, entry, address)

@@ -101,11 +101,15 @@ class OpcodeProfiler:
         self._pending_name: Optional[str] = None
         self._installed = False
         self._name: Optional[str] = None
+        self._machine = None
         self.install()
 
     def install(self) -> "OpcodeProfiler":
         if not self._installed:
-            self._name = self.ctx.cpu.instruments.install(
+            # Detach from this machine later, wherever the context
+            # (shared by a boot cache's sessions) points by then.
+            self._machine = self.ctx.cpu
+            self._name = self._machine.instruments.install(
                 cycle=self._on_cycle, dispatch=self._on_dispatch
             )
             self._installed = True
@@ -113,9 +117,10 @@ class OpcodeProfiler:
 
     def uninstall(self) -> None:
         if self._installed:
-            self.ctx.cpu.instruments.uninstall(self._name)
+            self._machine.instruments.uninstall(self._name)
             self._installed = False
             self._name = None
+            self._machine = None
 
     # --- bus subscribers ----------------------------------------------------
 

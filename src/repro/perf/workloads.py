@@ -9,7 +9,7 @@ for runs that computed the right answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from ..config import MachineConfig, PRODUCTION
 from ..emulators import bcpl, lisp, mesa, smalltalk
@@ -59,10 +59,36 @@ class Workload:
         return result.cycles
 
 
+#: The largest value a WORD literal operand carries.  The count-down
+#: loops test their count at the bottom, so it runs 1..WORD_MAX.
+WORD_MAX = 0xFFFF
+#: Lisp cons cells (4 words each) fit between HEAP_VA and the top of the
+#: 16-bit address space.
+LISP_HEAP_CELLS = (0x10000 - lisp.HEAP_VA) // 4
+
+
+def arg_ranges(**ranges: Tuple[Optional[int], Optional[int]]):
+    """Declare a builder's arguments and each one's valid closed range
+    ``(low, high)`` (``None``: unbounded on that side).
+
+    Outside its range an argument does not fit its operand, or the
+    program would compute something other than what ``verify`` checks;
+    :func:`repro.service.session.check_open_request` refuses it before
+    any machine is built.
+    """
+
+    def declare(builder):
+        builder.arg_ranges = ranges
+        return builder
+
+    return declare
+
+
 # --------------------------------------------------------------------------
 # Mesa
 # --------------------------------------------------------------------------
 
+@arg_ranges(n=(1, WORD_MAX))
 def mesa_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     """Load/store/branch-heavy loop: sum 1..n into local 0."""
     ctx = mesa.build_mesa_machine(config)
@@ -83,6 +109,9 @@ def mesa_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     )
 
 
+# Recursion depth k: one 16-word frame per level, and the frame stack
+# (FRAMES_VA..FRAMES_LIMIT, less one frame of headroom) holds 255.
+@arg_ranges(k=(0, (mesa.FRAMES_LIMIT - mesa.FRAMES_VA) // mesa.FRAME_SIZE - 1))
 def mesa_fib(k: int = 12, config: MachineConfig = PRODUCTION) -> Workload:
     """Call-heavy recursion: fib(k) via FC/ENTER/RET."""
     ctx = mesa.build_mesa_machine(config)
@@ -111,6 +140,9 @@ def mesa_fib(k: int = 12, config: MachineConfig = PRODUCTION) -> Workload:
     )
 
 
+# Two elements at least (one pass compares a pair); the array runs from
+# 0x3800 up to the frame stack.  The seed only primes a host-side LCG.
+@arg_ranges(n=(2, mesa.FRAMES_VA - 0x3800), seed=(None, None))
 def mesa_bubble_sort(
     n: int = 16, seed: int = 1, config: MachineConfig = PRODUCTION
 ) -> Workload:
@@ -154,6 +186,7 @@ def mesa_bubble_sort(
     return Workload("mesa_bubble_sort", ctx, check)
 
 
+@arg_ranges(iters=(1, WORD_MAX))
 def mesa_mul_kernel(iters: int = 40, config: MachineConfig = PRODUCTION) -> Workload:
     """Hardware multiply steps: sum of i*i for i in 1..iters (mod 2^16)."""
     ctx = mesa.build_mesa_machine(config)
@@ -174,6 +207,7 @@ def mesa_mul_kernel(iters: int = 40, config: MachineConfig = PRODUCTION) -> Work
     )
 
 
+@arg_ranges(iters=(1, WORD_MAX))
 def mesa_field_kernel(iters: int = 100, config: MachineConfig = PRODUCTION) -> Workload:
     """Field read/modify/write on a packed record (RF/WF/SETF)."""
     ctx = mesa.build_mesa_machine(config)
@@ -208,6 +242,7 @@ def mesa_field_kernel(iters: int = 100, config: MachineConfig = PRODUCTION) -> W
 # Lisp
 # --------------------------------------------------------------------------
 
+@arg_ranges(n=(1, LISP_HEAP_CELLS))
 def lisp_list_sum(n: int = 50, config: MachineConfig = PRODUCTION) -> Workload:
     """CAR/CDR walk summing an n-element list."""
     ctx = lisp.build_lisp_machine(config)
@@ -230,6 +265,7 @@ def lisp_list_sum(n: int = 50, config: MachineConfig = PRODUCTION) -> Workload:
     )
 
 
+@arg_ranges(iters=(1, WORD_MAX))
 def lisp_call_kernel(
     iters: int = 20, config: MachineConfig = PRODUCTION
 ) -> Workload:
@@ -264,6 +300,7 @@ def lisp_call_kernel(
     )
 
 
+@arg_ranges(n=(1, LISP_HEAP_CELLS))
 def lisp_cons_kernel(n: int = 30, config: MachineConfig = PRODUCTION) -> Workload:
     """Build an n-element list with CONS, then measure its sum."""
     ctx = lisp.build_lisp_machine(config)
@@ -296,6 +333,7 @@ def lisp_cons_kernel(n: int = 30, config: MachineConfig = PRODUCTION) -> Workloa
 # BCPL and Smalltalk
 # --------------------------------------------------------------------------
 
+@arg_ranges(n=(1, WORD_MAX))
 def bcpl_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     ctx = bcpl.build_bcpl_machine(config)
     b = BytecodeAssembler(ctx.table)
@@ -313,6 +351,8 @@ def bcpl_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     )
 
 
+# The loop tests at the top, so zero sends is a valid (empty) run.
+@arg_ranges(sends=(0, WORD_MAX))
 def smalltalk_counter(sends: int = 50, config: MachineConfig = PRODUCTION) -> Workload:
     """Message-send benchmark: `counter add: 5` *sends* times."""
     ctx = smalltalk.build_smalltalk_machine(config)

@@ -640,7 +640,7 @@ class Fleet:
             raise ServiceError(f"invalid session name {name!r}")
         if name in self._known:
             raise ServiceError(f"session {name!r} already exists")
-        check_open_request(args, fault)
+        check_open_request(workload, args, fault)
         self._make_room()
         worker = self._place()
         message = {

@@ -29,6 +29,7 @@ equal to serial ones.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import re
@@ -52,13 +53,17 @@ def valid_session_name(name: Any) -> bool:
     return isinstance(name, str) and _NAME_RE.match(name) is not None
 
 
-def check_open_request(args: Any, fault: Any) -> None:
-    """Refuse malformed workload *args* or *fault* template up front.
+def check_open_request(workload: Any, args: Any, fault: Any) -> None:
+    """Refuse an unknown *workload*, malformed *args* or *fault* up front.
 
     Both must be mappings (or None), and every workload argument a plain
     ``int`` (``bool`` refused): a string would reach the byte-code
-    assembler as a label, a ``True`` would silently run as 1.
+    assembler as a label, a ``True`` would silently run as 1.  Where the
+    builder declares its arguments (``arg_ranges``), each must be one of
+    them and inside its range: outside it the run would end in a wrong
+    result, reported as if the machine had failed.
     """
+    ranges = getattr(_resolve_builder(workload), "arg_ranges", None)
     for what, value in (("args", args), ("fault", fault)):
         if value is not None and not isinstance(value, Mapping):
             raise ServiceError(f"{what} must be a mapping, got {value!r}")
@@ -67,9 +72,24 @@ def check_open_request(args: Any, fault: Any) -> None:
             raise ServiceError(
                 f"workload arg {key!r} must be an int, got {value!r}"
             )
+        if ranges is None:
+            continue
+        if key not in ranges:
+            raise ServiceError(
+                f"bad workload args: {workload} takes no argument {key!r} "
+                f"(takes {', '.join(sorted(ranges))})"
+            )
+        low, high = ranges[key]
+        if (low is not None and value < low) or (
+            high is not None and value > high
+        ):
+            raise ServiceError(
+                f"bad workload args: {workload} {key}={value} is outside "
+                f"{low}..{high}"
+            )
 
 
-def _resolve_builder(name: str):
+def _resolve_builder(name: Any):
     """Workload factory for *name*, resolved lazily to dodge import cycles.
 
     ``repro.exp`` imports this module (the boot cache lives here), so the
@@ -78,6 +98,8 @@ def _resolve_builder(name: str):
     """
     from ..perf.workloads import ALL_WORKLOADS
 
+    if not isinstance(name, str):
+        raise ServiceError(f"workload must be a name, got {name!r}")
     if name in ALL_WORKLOADS:
         return ALL_WORKLOADS[name]
     from ..exp.kernels import bypass_kernel, bypass_kernel_padded
@@ -176,9 +198,12 @@ class Session:
 
     Because booted workloads are shared through the boot cache (their
     ``ctx.cpu`` is swapped per fork), a session pins its own machine in
-    ``self.cpu`` and re-binds the context before every operation; hosts
-    are single-threaded per process, so many live sessions of the same
-    workload coexist safely in one process.
+    ``self.cpu`` and binds the context to it for the length of each
+    operation that reads it; hosts are single-threaded per process, so
+    many live sessions of the same workload coexist safely in one
+    process.  Between operations the shared context is unbound: left
+    pointing at this machine, it would keep the machine alive after the
+    session was suspended, closed or dropped.
     """
 
     def __init__(
@@ -205,6 +230,7 @@ class Session:
             "workload": workload.name, "args": {},
         }
         self._meter_base = self.cpu.counters.state_dict()
+        workload.ctx.cpu = None  # booted_workload bound it; see _bound()
 
     # ------------------------------------------------------------------
     # construction
@@ -230,7 +256,7 @@ class Session:
         defaults to "whenever a fault plan is armed", the fleet's
         recovery posture.
         """
-        check_open_request(args, fault)
+        check_open_request(workload_name, args, fault)
         config = config if config is not None else PRODUCTION
         if fault is not None:
             try:
@@ -261,9 +287,23 @@ class Session:
 
     @property
     def ctx(self):
-        """The workload's context, bound to THIS session's machine."""
+        """The workload's context, bound to THIS session's machine.
+
+        The binding stays until the next operation of any session of
+        this workload: the caller holds the context.
+        """
         self.workload.ctx.cpu = self.cpu
         return self.workload.ctx
+
+    @contextlib.contextmanager
+    def _bound(self):
+        """Bind the workload's context to this machine for one operation."""
+        ctx = self.workload.ctx
+        ctx.cpu = self.cpu
+        try:
+            yield
+        finally:
+            ctx.cpu = None
 
     @property
     def halted(self) -> bool:
@@ -312,12 +352,12 @@ class Session:
             raise ServiceError(f"slice budget must be positive, got {cycles}")
         if self.failure is not None or self.cpu.halted:
             return SliceResult(cycles=0, halted=self.cpu.halted)
-        self.workload.ctx.cpu = self.cpu  # re-bind the shared workload
         try:
             if self.supervise:
                 ran = self._ensure_supervisor().run(max_cycles=cycles)
                 return SliceResult(cycles=ran, halted=self.cpu.halted)
-            return self.workload.run_slice(cycles)
+            with self._bound():
+                return self.workload.run_slice(cycles)
         except DoradoError as exc:
             self.failure = f"{type(exc).__name__}: {exc}"
             raise
@@ -365,8 +405,8 @@ class Session:
 
     def verify(self) -> bool:
         """The workload's correctness oracle against this session's machine."""
-        self.workload.ctx.cpu = self.cpu
-        return bool(self.workload.verify())
+        with self._bound():
+            return bool(self.workload.verify())
 
     # ------------------------------------------------------------------
     # state: load, suspend, resume

@@ -48,6 +48,7 @@ the recovery supervisor turns that into a rollback.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -85,10 +86,17 @@ class MachineCheckSanitizer:
     def __init__(self, machine, check_interval: int = 256) -> None:
         if check_interval < 1:
             raise ValueError("check_interval must be at least 1")
-        self.machine = machine
+        # Weak: once installed, the machine's cycle hook holds this
+        # sanitizer, so a strong back-reference would make a cycle
+        # (DESIGN.md 5.12).  Whoever runs the sweeps owns the machine.
+        self._machine = weakref.ref(machine)
         self.check_interval = check_interval
         self._countdown = check_interval
         self.sweeps = 0
+
+    @property
+    def machine(self):
+        return self._machine()
 
     # ------------------------------------------------------------------
     # bus plumbing

@@ -22,7 +22,7 @@ import pytest
 
 from repro.config import PRODUCTION
 from repro.errors import EmulatorError, ServiceError
-from repro.perf.workloads import mesa_loop_sum
+from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
 from repro.service import (
     Fleet,
     Frontend,
@@ -32,7 +32,7 @@ from repro.service import (
     loadtest_json,
     run_loadtest,
 )
-from repro.service.loadtest import build_script
+from repro.service.loadtest import ROTATION, build_script
 from repro.state import canonical_json, config_signature, parse_canonical_json
 
 MESA_CYCLES = json.loads(
@@ -134,6 +134,37 @@ def test_session_rejects_bad_names_and_workloads():
 def test_session_refuses_malformed_args_and_fault(kw, message):
     with pytest.raises(ServiceError, match=message):
         Session.build("mesa_loop_sum", **kw)
+
+
+def _size_range(workload):
+    """A rotation workload's one argument and its declared range."""
+    (key, (low, high)), = ALL_WORKLOADS[workload].arg_ranges.items()
+    return key, low, high
+
+
+@pytest.mark.parametrize("workload", ROTATION)
+def test_out_of_range_workload_args_are_refused(workload):
+    """Just outside either edge is the client's error, not a wrong
+    result of the machine."""
+    key, low, high = _size_range(workload)
+    for value in (low - 1, high + 1):
+        with pytest.raises(ServiceError, match="outside"):
+            Session.build(workload, args={key: value})
+
+
+@pytest.mark.parametrize(
+    "edge", ["low", pytest.param("high", marks=pytest.mark.slow)]
+)
+@pytest.mark.parametrize("workload", ROTATION)
+def test_edge_workload_args_still_verify(workload, edge):
+    """Each edge of a declared range runs to a verified result (the high
+    edges take 1-5M cycles each, so they run with the slow tier)."""
+    key, low, high = _size_range(workload)
+    session = Session.build(
+        workload, args={key: low if edge == "low" else high}
+    )
+    session.run(max_cycles=6_000_000)  # raises unless verified
+    assert session.verify()
 
 
 def test_suspend_resume_roundtrip_is_byte_identical():
@@ -466,7 +497,8 @@ def test_fleet_refuses_malformed_requests_without_losing_the_worker(tmp_path):
 
 @pytest.mark.parametrize("kw", [
     {"args": "zz"}, {"fault": "zz"}, {"args": {"n": "x"}},
-    {"args": {"n": True}},
+    {"args": {"n": True}}, {"args": {"n": 0}}, {"args": {"n": 70000}},
+    {"args": {"bogus": 1}},
 ])
 def test_fleet_refuses_malformed_open_before_evicting(tmp_path, kw):
     """A malformed open is refused up front: the full fleet evicts

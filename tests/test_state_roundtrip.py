@@ -251,7 +251,7 @@ def _warm_traced_machine():
     from repro.core.tracecache import TraceCache
 
     cpu = mesa_loop_sum(60, config=PRODUCTION).ctx.cpu
-    cpu._traces = TraceCache(cpu, hot_threshold=2)
+    cpu._traces = TraceCache(hot_threshold=2)
     cpu.run(1200)
     assert cpu._traces.traces, "machine never got hot"
     assert cpu._traces.entries > 0

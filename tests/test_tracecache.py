@@ -50,7 +50,7 @@ def _goto(dest: int, load: int = 0, ff: int = 0) -> MicroInstruction:
 def _ring_machine(slots: int, hot_threshold: int = 2) -> Processor:
     """A PRODUCTION machine spinning a ring of *slots* GOTOs."""
     cpu = Processor(PRODUCTION)
-    cpu._traces = TraceCache(cpu, hot_threshold=hot_threshold)
+    cpu._traces = TraceCache(hot_threshold=hot_threshold)
     for slot in range(slots):
         cpu.im[slot] = _goto((slot + 1) % slots, load=int(LoadControl.T), ff=slot & 0xFF)
     return cpu
@@ -136,8 +136,8 @@ def test_short_straight_recording_is_blacklisted():
     assert cache.stats()["recording"] is True
     # Two traceable steps, then a task switch: under MIN_STRAIGHT_STEPS.
     assert MIN_STRAIGHT_STEPS > 2
-    cache.record_step(0, 3, 0, 4)
-    cache.record_step(0, 4, 1, 5)
+    cache.record_step(cpu, 0, 3, 0, 4)
+    cache.record_step(cpu, 0, 4, 1, 5)
     assert key in cache.blacklist
     assert key not in cache.traces
     assert cache._rec_key is None
@@ -158,7 +158,7 @@ def test_abort_recording_discards_cleanly():
     cpu.run(max_cycles=50)
     cache = cpu._traces
     cache.begin_recording((0, 2))
-    cache.record_step(0, 2, 0, 3)
+    cache.record_step(cpu, 0, 2, 0, 3)
     cache.abort_recording()
     assert cache._rec_key is None
     assert cache._rec_steps is None
@@ -172,8 +172,8 @@ def test_untraceable_plan_cuts_the_recording():
     cache = cpu._traces
     cpu._plans[5] = None  # simulate a slot the plan compiler rejected
     cache.begin_recording((0, 4))
-    cache.record_step(0, 4, 0, 5)
-    cache.record_step(0, 5, 0, 6)  # plan is None: finish as straight
+    cache.record_step(cpu, 0, 4, 0, 5)
+    cache.record_step(cpu, 0, 5, 0, 6)  # plan is None: finish as straight
     assert (0, 4) in cache.blacklist  # one step < MIN_STRAIGHT_STEPS
     assert cache._rec_key is None
 
