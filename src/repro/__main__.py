@@ -182,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = profiler = None
     if args.trace:
         tracer = PipelineTracer(cpu).install()
-    if args.profile or args.metrics_json is not None:
+    if args.profile:
         profiler = OpcodeProfiler(session.ctx)
 
     # Observers come off the bus whatever the run did -- success,
@@ -214,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if tracer is not None:
         print()
         print(tracer.timeline())
-    if args.profile and profiler is not None:
+    if profiler is not None:
         print()
         print(format_opcode_costs(
             profiler.table(),

@@ -40,9 +40,8 @@ and cycle counts, which ``tests/test_fastpath_parity.py`` enforces.
 Observability hangs off one slot: both cycle implementations end with a
 single ``trace_hook is None`` check, and the instrumentation bus
 (:attr:`Processor.instruments`, DESIGN.md section 5.3) compiles any
-number of named subscribers -- tracers, profilers, the machine-check
-sanitizer -- into that hook, restoring ``None`` when the last one
-detaches.  Held cycles are attributed by cause (storage busy / MEMDATA
+number of named subscribers -- the tracer and the opcode profiler --
+into that hook, restoring ``None`` when the last one detaches.  Held cycles are attributed by cause (storage busy / MEMDATA
 wait / IFU wait) in :class:`~repro.core.counters.Counters.hold_causes`,
 identically on both paths.
 """

@@ -178,11 +178,11 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
 #: Supervision (checkpoint snapshots + sanitizer sweeps) may cost at
 #: most this factor in wall-clock over the bare run; ``main`` enforces
 #: it when a ``--baseline`` carries a ``supervised_overhead`` section.
-#: The dominant term is stepping with the sanitizer's per-cycle hook
-#: installed; a checkpoint snapshot walks only the storage pages the
-#: machine has touched, not the whole image.  The bound is deliberately
-#: loose enough for CI noise but tight enough that an accidentally-hot
-#: sanitizer (or per-cycle snapshots) fails.
+#: The supervised run keeps the compiled-trace tier: sweeps and
+#: checkpoint snapshots (which walk only touched storage pages) cost
+#: about equally, plus traces cut short at sweep boundaries.  The bound
+#: is deliberately loose enough for CI noise but tight enough that an
+#: accidentally-hot sanitizer (or per-cycle snapshots) fails.
 SUPERVISED_OVERHEAD_LIMIT = 8.0
 
 

@@ -3,10 +3,10 @@
 The Dorado was debugged and tuned without scope probes -- section 4's
 console and the section 7 tables came from microcode counters and
 traces.  The simulator's equivalents (:class:`~repro.perf.tracing.
-PipelineTracer`, :class:`~repro.perf.measure.OpcodeProfiler`, the
-recovery supervisor's :class:`~repro.supervise.sanitize.
-MachineCheckSanitizer`) share the machine's hook slots through this
-bus.  Following the cycle-accurate-simulator-generation literature
+PipelineTracer` and :class:`~repro.perf.measure.OpcodeProfiler`) share
+the machine's hook slots through this bus; a machine that is only run
+-- supervised or not -- has no subscriber, so ``run()`` keeps its
+compiled-trace tier.  Following the cycle-accurate-simulator-generation literature
 (Reshadi & Dutt, PAPERS.md), it keeps a hard rule: **when nothing is
 attached, the hot loop pays exactly one ``is None`` check per cycle**
 -- the same check the plan-cache fast path already carries.
@@ -114,9 +114,6 @@ class InstrumentationBus:
     def names(self) -> Tuple[str, ...]:
         """Installed subscriber names, in installation (= delivery) order."""
         return tuple(self._subs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._subs
 
     def __len__(self) -> int:
         return len(self._subs)

@@ -13,8 +13,8 @@ which makes Hold windows and task multiplexing visible at a glance.
 
 The tracer is one subscriber on the machine's instrumentation bus
 (:class:`~repro.perf.instrument.InstrumentationBus`): it composes with
-the :class:`~repro.perf.measure.OpcodeProfiler`, the machine-check
-sanitizer and any other subscriber in either attach order, and
+the :class:`~repro.perf.measure.OpcodeProfiler` and any other
+subscriber in either attach order, and
 detaching it leaves the others in place.  Its records are the hold-span
 and task-switch record: :meth:`PipelineTracer.hold_windows` finds each
 task's held spans without another task's cycles splitting them.  The

@@ -55,7 +55,7 @@ from ..errors import (
 )
 from ..workers import Worker, can_fork
 from .chaos import ChaosInjector, ServiceFaultConfig, ServiceFaultKind, ServiceFaultPlan
-from .session import Session, booted_workload, check_open_request, valid_session_name
+from .session import Session, check_open_request, prewarm_boot_cache, valid_session_name
 from .spool import spool_read, spool_write
 
 #: Spool generations retained per session: the corruption fallback depth.
@@ -284,7 +284,7 @@ class Fleet:
         from ..config import PRODUCTION
 
         for wname, wargs, wconfig in prewarm:
-            booted_workload(
+            prewarm_boot_cache(
                 wname,
                 tuple(sorted((wargs or {}).items())),
                 wconfig if wconfig is not None else PRODUCTION,

@@ -143,6 +143,21 @@ def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
 _BOOT_CACHE: Dict[Tuple[str, Tuple, MachineConfig], Tuple[Workload, Any]] = {}
 
 
+def prewarm_boot_cache(
+    name: str, args: Tuple, config: MachineConfig
+) -> Tuple[Workload, Any]:
+    """The cached (workload, pristine machine) for a fault-free *config*,
+    built on a miss.  Forks nothing and leaves the context unbound, so
+    a fleet's workers inherit no machine that nobody runs."""
+    key = (name, args, config)
+    cached = _BOOT_CACHE.get(key)
+    if cached is None:
+        workload = _resolve_builder(name)(config=config, **dict(args))
+        cached = _BOOT_CACHE[key] = (workload, workload.ctx.cpu)
+        workload.ctx.cpu = None
+    return cached
+
+
 def booted_workload(
     name: str,
     args: Tuple = (),
@@ -151,27 +166,22 @@ def booted_workload(
 ) -> Workload:
     """A runnable workload on a fresh machine for *config*.
 
-    Cache hit: the stored pristine processor is forked and swapped into
-    the workload's context (every accessor and verify closure reads
-    ``ctx.cpu`` late, so the fork is the machine that runs).  Miss:
-    build, boot, and remember the pristine machine.
+    A fault-free config's cached pristine processor is forked and
+    swapped into the workload's context (every accessor and verify
+    closure reads ``ctx.cpu`` late, so the fork is the machine that
+    runs).  A faulted config is built directly and never cached.
 
-    With *state*, the machine is restored to that snapshot: a cache hit
-    forks the pristine boot straight into it, without snapshotting the
-    boot first; a directly built machine restores it in place.
+    With *state*, the machine is restored to that snapshot: a cached
+    boot is forked straight into it, without snapshotting the boot
+    first; a directly built machine restores it in place.
     """
     args = tuple(args)
-    key = (name, args, config)
-    cached = _BOOT_CACHE.get(key) if config.fault_injection is None else None
-    if cached is None:
+    if config.fault_injection is not None:
         workload = _resolve_builder(name)(config=config, **dict(args))
-        if config.fault_injection is not None:
-            if state is not None:
-                workload.ctx.cpu.restore(state)
-            return workload
-        _BOOT_CACHE[key] = (workload, workload.ctx.cpu)
-        cached = _BOOT_CACHE[key]
-    workload, pristine = cached
+        if state is not None:
+            workload.ctx.cpu.restore(state)
+        return workload
+    workload, pristine = prewarm_boot_cache(name, args, config)
     workload.ctx.cpu = pristine.fork(state)
     return workload
 

@@ -2,11 +2,10 @@
 
 Three layers close the loop from detection to recovery:
 
-* :class:`~repro.supervise.sanitize.MachineCheckSanitizer` -- periodic
-  sweeps of cheap microarchitectural invariants, subscribed on the
-  instrumentation bus (zero overhead when off).
-* :class:`~repro.supervise.supervisor.Supervisor` -- periodic
-  checkpoints, failure classification, bounded
+* :class:`~repro.supervise.sanitize.MachineCheckSanitizer` -- cheap
+  microarchitectural invariants, swept over the live machine.
+* :class:`~repro.supervise.supervisor.Supervisor` -- sweeps between
+  ``run()`` chunks, periodic checkpoints, failure classification, bounded
   rollback-to-last-good-and-replay, plan-cache -> interpreter
   degradation.
 * :func:`~repro.supervise.diverge.find_divergence` -- lockstep

@@ -4,11 +4,12 @@ The Dorado checked itself continuously -- parity on every internal
 memory, ECC on storage, a dedicated high-priority fault task (sections
 4.3 and 6 of the paper).  The simulator's equivalent is a registry of
 *invariant checks* over the live machine, swept every ``check_interval``
-cycles from the instrumentation bus's ``cycle`` channel.  Nothing here
-may perturb the machine: every check reads internal structures directly
-(``cache.sets``, ``storage.dump``) instead of going through accessors
-that update LRU clocks or consume scheduled fault events, so a
-sanitized run is cycle-for-cycle and byte-for-byte identical to an
+cycles by the recovery supervisor between ``run()`` chunks, so a
+supervised machine runs the same execution path as any other.  Nothing
+here may perturb the machine: every check reads internal structures
+directly (``cache.sets``, ``storage.dump``) instead of going through
+accessors that update LRU clocks or consume scheduled fault events, so
+a sanitized run is cycle-for-cycle and byte-for-byte identical to an
 unsanitized one.
 
 The invariant catalogue (DESIGN.md section 5.5):
@@ -41,16 +42,16 @@ The invariant catalogue (DESIGN.md section 5.5):
     a degraded machine must not keep tripping on plans it no longer
     executes.
 
-A failed sweep raises :class:`~repro.errors.CorruptionDetected`
-carrying every failure, after counting ``Counters.checks_failed`` --
-the recovery supervisor turns that into a rollback.
+A failed :meth:`~MachineCheckSanitizer.sweep` raises
+:class:`~repro.errors.CorruptionDetected` carrying every failure, after
+counting ``Counters.checks_failed`` -- the recovery supervisor turns
+that into a rollback.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import CorruptionDetected
 from ..mem.map import REAL_PAGE_MASK
@@ -73,54 +74,29 @@ class CheckFailure:
 
 
 class MachineCheckSanitizer:
-    """Sweeps the invariant catalogue over one machine, periodically.
+    """The invariant catalogue over one machine.
 
-    ``install()`` subscribes to the instrumentation bus's ``cycle``
-    channel under a fixed name, so the zero-overhead-when-off property
-    is the bus's own: an uninstalled sanitizer costs the hot loop
-    nothing.  Between sweeps the per-cycle cost is one decrement.
+    Holds no schedule: whoever runs the machine decides when to sweep
+    (:class:`~repro.supervise.Supervisor`, every ``check_interval``
+    cycles).  The machine does not refer to its sanitizer.
     """
 
-    SUBSCRIBER = "machine-check"
-
-    def __init__(self, machine, check_interval: int = 256) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
-        # Weak: once installed, the machine's cycle hook holds this
-        # sanitizer, so a strong back-reference would make a cycle
-        # (DESIGN.md 5.12).  Whoever runs the sweeps owns the machine.
-        self._machine = weakref.ref(machine)
-        self.check_interval = check_interval
-        self._countdown = check_interval
+    def __init__(self, machine) -> None:
+        self.machine = machine
         self.sweeps = 0
 
-    @property
-    def machine(self):
-        return self._machine()
-
-    # ------------------------------------------------------------------
-    # bus plumbing
-    # ------------------------------------------------------------------
-
-    def install(self) -> "MachineCheckSanitizer":
-        self._countdown = self.check_interval
-        self.machine.instruments.install(self.SUBSCRIBER, cycle=self._tick)
-        return self
-
-    def uninstall(self) -> None:
-        if self.SUBSCRIBER in self.machine.instruments:
-            self.machine.instruments.uninstall(self.SUBSCRIBER)
-
-    def _tick(self, now, task, pc, inst, held) -> None:
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self.check_interval
+    def sweep(self) -> None:
+        """Run every check; on failure raise :class:`CorruptionDetected`
+        with the task and microaddress about to run, at cycle ``now``."""
         failures = self.run_checks()
         if failures:
-            self.machine.counters.checks_failed += len(failures)
+            machine = self.machine
+            machine.counters.checks_failed += len(failures)
             raise CorruptionDetected(
-                failures, task=task, pc=pc, cycle=now,
+                failures,
+                task=machine.pipe.this_task,
+                pc=machine.this_pc,
+                cycle=machine.now,
             )
 
     # ------------------------------------------------------------------

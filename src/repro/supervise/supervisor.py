@@ -14,8 +14,10 @@ The protocol (DESIGN.md section 5.5):
    ``checkpoint_interval`` cycles.  A checkpoint is only *promoted* to
    last-known-good after the slice beyond it completed with no
    detector firing and no new latched fault.
-2. Run each slice with the sanitizer subscribed.  Recoverable
-   failures -- the :class:`~repro.errors.TransientFault` family,
+2. Run each slice in ``machine.run()`` chunks that end every
+   ``check_interval`` cycles (replayed cycles count too), and sweep the
+   sanitizer between chunks.  Recoverable failures -- the
+   :class:`~repro.errors.TransientFault` family,
    :class:`~repro.errors.MicrocodeCrash`
    (including ``HoldTimeout``), :class:`~repro.errors.EmulatorError` --
    trigger rollback; structural errors (:class:`~repro.errors.
@@ -80,12 +82,15 @@ class Supervisor:
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
+        if check_interval < 1:
+            raise ValueError("check_interval must be at least 1")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         self.machine = machine
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
-        self.sanitizer = MachineCheckSanitizer(machine, check_interval)
+        self.check_interval = check_interval
+        self.sanitizer = MachineCheckSanitizer(machine)
         self.log: List[dict] = []
         self._checkpoint = None
         self._retries = 0
@@ -106,27 +111,39 @@ class Supervisor:
         start = counters.cycles
         limit = start + max_cycles
         self._retries = 0
+        self._countdown = self.check_interval
         self._checkpoint = machine.snapshot()
-        self.sanitizer.install()
-        try:
-            while not machine.halted and counters.cycles < limit:
-                target = min(
-                    self._checkpoint_cycle() + self.checkpoint_interval, limit
-                )
-                try:
-                    machine.run(target - counters.cycles)
-                except self.RECOVERABLE as exc:
-                    self._recover(exc)
-                    continue
-                failure = self._boundary_failure()
-                if failure is not None:
-                    self._recover(failure)
-                    continue
-                self._checkpoint = machine.snapshot()
-                self._retries = 0
-        finally:
-            self.sanitizer.uninstall()
+        while not machine.halted and counters.cycles < limit:
+            target = min(
+                self._checkpoint_cycle() + self.checkpoint_interval, limit
+            )
+            try:
+                self._run_checked(target)
+            except self.RECOVERABLE as exc:
+                self._recover(exc)
+                continue
+            failure = self._boundary_failure()
+            if failure is not None:
+                self._recover(failure)
+                continue
+            self._checkpoint = machine.snapshot()
+            self._retries = 0
         return counters.cycles - start
+
+    def _run_checked(self, target: int) -> None:
+        """Run to cycle *target* (or HALT) in ``run()`` chunks that end
+        where the sweep countdown reaches zero, sweeping between them."""
+        machine = self.machine
+        counters = machine.counters
+        while not machine.halted and counters.cycles < target:
+            before = counters.cycles
+            try:
+                machine.run(min(self._countdown, target - before))
+            finally:  # cycles run before a failure count too
+                self._countdown -= counters.cycles - before
+            if not self._countdown:
+                self._countdown = self.check_interval
+                self.sanitizer.sweep()
 
     def _checkpoint_cycle(self) -> int:
         return self._checkpoint.data["core"]["counters"]["cycles"]

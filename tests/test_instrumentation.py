@@ -66,7 +66,7 @@ def test_names_report_installation_order():
     bus.install("b", cycle=lambda *a: None)
     bus.install("a", cycle=lambda *a: None)
     assert bus.names() == ("b", "a")
-    assert "b" in bus and len(bus) == 2
+    assert len(bus) == 2
     bus.uninstall("b")
     assert bus.names() == ("a",)
     bus.uninstall_all()
@@ -245,6 +245,20 @@ def test_cli_profiles_and_writes_metrics(tmp_path, capsys):
     metrics = json.loads(out.read_text())
     assert metrics["workload"]["name"] == "mesa_loop_sum"
     assert metrics["counters"]["cycles"] == metrics["workload"]["cycles"]
+
+
+@pytest.mark.parametrize("supervise", [[], ["--supervise"]], ids=["bare", "supervised"])
+def test_cli_metrics_json_alone_keeps_the_traced_tier(tmp_path, capsys, supervise):
+    """Writing metrics attaches no observer, so the run enters traces."""
+    from repro.__main__ import main
+
+    out = tmp_path / "metrics.json"
+    assert main(["--workload", "mesa_loop_sum", "--metrics-json", str(out),
+                 *supervise]) == 0
+    metrics = json.loads(out.read_text())
+    assert metrics["tiers"]["tier"] == "traced"
+    assert metrics["tiers"]["traced_cycles"] > 0
+    assert metrics["subscribers"] == []
 
 
 def test_cli_rejects_observers_without_workload(capsys):

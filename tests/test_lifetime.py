@@ -19,9 +19,9 @@ from repro.core.processor import Processor
 from repro.perf.tracing import PipelineTracer
 from repro.perf.workloads import mesa_loop_sum
 from repro.service import Session
-from repro.service.fleet import SessionHost
+from repro.service.fleet import Fleet, SessionHost
 from repro.service.loadtest import FAULT_TEMPLATE, ROTATION
-from repro.supervise import MachineCheckSanitizer
+from repro.service.session import _BOOT_CACHE, clear_boot_cache
 from repro.workers import Worker, can_fork
 
 #: fleet_churn-sized arguments: a few 1200-cycle slices each.
@@ -107,17 +107,40 @@ def test_machine_with_a_fault_task_is_freed():
 
 
 def test_instrumented_machine_is_freed():
-    """Neither the bus nor a still-installed sanitizer refers back to the
-    machine strongly, and a detached tracer leaves no edge behind."""
+    """The bus does not refer back to the machine strongly, and a
+    detached tracer leaves no edge behind."""
     machine = mesa_loop_sum(20).ctx.cpu
     tracer = PipelineTracer(machine).install()
-    sanitizer = MachineCheckSanitizer(machine, check_interval=8).install()
     machine.run(200)
-    assert sanitizer.sweeps > 0 and tracer.records
+    assert tracer.records
     tracer.uninstall()
     ref = weakref.ref(machine)
-    del machine, tracer, sanitizer
+    del machine, tracer
     assert ref() is None, "the machine's observers kept it alive"
+
+
+def test_fleet_prewarm_forks_no_machine_and_pins_none(monkeypatch):
+    """Prewarming fills the boot cache with pristine templates only: no
+    template is forked, and no cached context holds a machine that the
+    fleet's workers would inherit."""
+    forks = 0
+    fork = Processor.fork
+
+    def counting_fork(self, state=None):
+        nonlocal forks
+        forks += 1
+        return fork(self, state)
+
+    clear_boot_cache()
+    monkeypatch.setattr(Processor, "fork", counting_fork)
+    fleet = Fleet(workers=1, prewarm=[(w, SIZES[w], None) for w in ROTATION])
+    try:
+        assert forks == 0
+        assert len(_BOOT_CACHE) == len(ROTATION)
+        assert all(w.ctx.cpu is None for w, _ in _BOOT_CACHE.values())
+    finally:
+        fleet.close()
+        clear_boot_cache()
 
 
 def _freeze_count(message):

@@ -23,6 +23,7 @@ separately:
 """
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -34,7 +35,8 @@ from repro import (
     HoldTimeout,
     Processor,
 )
-from repro.config import PRODUCTION
+from repro.config import INTERPRETED, PRODUCTION
+from repro.core.counters import RECOVERY_FIELDS
 from repro.errors import (
     CorruptionDetected,
     TransientFault,
@@ -45,6 +47,8 @@ from repro.mem.map import REAL_PAGE_MASK
 from repro.perf.instrument import metrics_snapshot
 from repro.perf.report import DEMO_CHECKPOINT_INTERVAL, demo_fault_config
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
+from repro.service import Session
+from repro.service.loadtest import FAULT_TEMPLATE, ROTATION
 from repro.types import MUNCH_WORDS
 from repro.supervise import (
     MachineCheckSanitizer,
@@ -160,6 +164,23 @@ def test_recovery_converges_identically_on_both_cycle_paths():
 # --------------------------------------------------------------------------
 
 
+#: Sweeps a clean supervised run makes (checkpoint_interval=1900,
+#: check_interval=256): one per 256 cycles run, wherever the chunks and
+#: checkpoints fall.
+CLEAN_SWEEPS = {
+    "bcpl_loop_sum": 12,
+    "lisp_call_kernel": 21,
+    "lisp_cons_kernel": 32,
+    "lisp_list_sum": 29,
+    "mesa_bubble_sort": 33,
+    "mesa_fib": 89,
+    "mesa_field_kernel": 15,
+    "mesa_loop_sum": 18,
+    "mesa_mul_kernel": 7,
+    "smalltalk_counter": 15,
+}
+
+
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_supervision_is_invisible_on_a_clean_run(name):
     """Empty fault plan, sanitizer on: cycle- and state-identical."""
@@ -179,19 +200,70 @@ def test_supervision_is_invisible_on_a_clean_run(name):
     assert supervised.verify()
     assert supervisor.log == []
     assert supervised.ctx.cpu.counters.rollbacks == 0
-    assert supervisor.sanitizer.sweeps > 0, "the sanitizer must have swept"
+    assert supervisor.sanitizer.sweeps == CLEAN_SWEEPS[name]
     assert architectural_json(supervised.ctx.cpu.snapshot()) == (
         architectural_json(bare.ctx.cpu.snapshot())
     )
 
 
-def test_uninstalled_sanitizer_leaves_the_bus_idle():
-    cpu = mesa_loop_sum(60).ctx.cpu
-    sanitizer = MachineCheckSanitizer(cpu).install()
-    assert cpu.trace_hook is not None
-    sanitizer.uninstall()
-    assert cpu.trace_hook is None, "zero-overhead-when-off is the bus's idle state"
-    sanitizer.uninstall()  # idempotent
+@pytest.mark.parametrize(
+    "interval, sweeps, rollbacks",
+    [(DEMO_CHECKPOINT_INTERVAL, 23, 2), (300, 21, 2), (1000, 22, 1)],
+)
+def test_sweep_cadence_counts_replayed_cycles(interval, sweeps, rollbacks):
+    """A run that rolls back sweeps once per 256 cycles *run*, replayed
+    cycles included: 4807 forward cycles plus each replayed slice."""
+    workload = mesa_loop_sum(200, config=_demo_config())
+    supervisor = Supervisor(
+        workload.ctx.cpu, checkpoint_interval=interval, max_retries=3
+    )
+    supervisor.run(max_cycles=50_000)
+    assert workload.verify()
+    assert workload.ctx.cpu.counters.rollbacks == rollbacks
+    assert supervisor.sanitizer.sweeps == sweeps
+
+
+# --------------------------------------------------------------------------
+# Supervised sessions run the production path: compiled traces included
+# --------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_interp_run(workload):
+    session = Session.build(workload, config=INTERPRETED)
+    session.run()
+    counters = session.cpu.counters.summary()
+    return counters, architectural_json(session.cpu.snapshot())
+
+
+def _trajectory(counters):
+    """``counters.summary()`` minus the supervision record."""
+    return {k: v for k, v in counters.items() if k not in RECOVERY_FIELDS}
+
+
+@pytest.mark.parametrize("churned", [False, True], ids=["resident", "churned"])
+@pytest.mark.parametrize("seed", [101, 202, 303])
+@pytest.mark.parametrize("workload", ROTATION)
+def test_supervised_session_runs_traced_and_matches_clean_interp(
+    workload, seed, churned
+):
+    """A faulted, supervised session -- kept resident, or suspended and
+    resumed between 1200-cycle slices -- converges to the clean
+    interpreted run and spends its cycles in compiled traces."""
+    session = Session.build(workload, fault=dict(FAULT_TEMPLATE, seed=seed))
+    assert session.supervise
+    traced = 0  # summed over every machine of the session's life
+    while not session.halted:
+        assert session.run_slice(1200).cycles > 0
+        if churned and not session.halted:
+            traced += session.cpu._traces.stats()["traced_cycles"]
+            session = Session.resume(session.suspend())
+    traced += session.cpu._traces.stats()["traced_cycles"]
+    assert session.verify()
+    counters, arch = _clean_interp_run(workload)
+    assert _trajectory(session.cpu.counters.summary()) == _trajectory(counters)
+    assert architectural_json(session.cpu.snapshot()) == arch
+    assert traced > 0, "a supervised session must run compiled traces"
 
 
 # --------------------------------------------------------------------------
@@ -287,22 +359,21 @@ def test_sweep_raises_corruption_detected_and_counts(ran_machine):
     cpu = ran_machine
     line = _clean_clean_line(cpu)
     line.words[0] ^= 0x0004
-    sanitizer = MachineCheckSanitizer(cpu, check_interval=8).install()
-    try:
-        with pytest.raises(CorruptionDetected) as caught:
-            cpu.run(64)
-    finally:
-        sanitizer.uninstall()
+    with pytest.raises(CorruptionDetected) as caught:
+        MachineCheckSanitizer(cpu).sweep()
     error = caught.value
     assert error.failures and error.failures[0].startswith("cache")
     assert error.cycle is not None
+    assert (error.task, error.pc, error.cycle) == (
+        cpu.pipe.this_task, cpu.this_pc, cpu.now,
+    ), "a sweep describes the end-of-cycle state it saw"
     assert cpu.counters.checks_failed >= 1
     assert "machine check failed" in str(error)
 
 
 def test_check_interval_must_be_positive(ran_machine):
     with pytest.raises(ValueError):
-        MachineCheckSanitizer(ran_machine, check_interval=0)
+        Supervisor(ran_machine, check_interval=0)
 
 
 # --------------------------------------------------------------------------
