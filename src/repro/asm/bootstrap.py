@@ -19,8 +19,8 @@ so the sentinel is unambiguous.
 
 The loader's IM writes land through the console's staging path
 (``IM_ADDR_B`` / ``IM_WRITE_*``), which reports every completed write
-to the processor so the execution-plan cache drops the slot's compiled
-plan (DESIGN.md section 5.1) -- freshly loaded microcode is never
+to the processor so it drops the slot's compiled steps (DESIGN.md
+section 5.1) -- freshly loaded microcode is never
 shadowed by a stale decode, even when the loader overwrites itself.
 """
 

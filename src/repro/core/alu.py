@@ -9,6 +9,11 @@ The ALU produces, besides the 16-bit output, the carry-out, signed
 overflow, zero, and negative indications that feed the branch
 conditions; carry-out is also latched per task so multi-precision
 arithmetic can use ``CarryIn.SAVED``.
+
+:func:`compute` is the interpreter's ALU and the reference for the
+compiled tiers: the trace compiler (:mod:`repro.core.tracecache`)
+inlines a slot's ALUFM entry into the code it generates, so an
+``ALUFM_WRITE`` drops that code rather than anything here.
 """
 
 from __future__ import annotations
@@ -200,81 +205,11 @@ def compute(control: AluControl, a: int, b: int, saved_carry: bool) -> AluResult
     raise EncodingError(f"unknown ALU function {func!r}")
 
 
-def _fast_op(control: AluControl):
-    """Compile one ALUFM entry into a direct-dispatch closure.
-
-    The closure takes ``(a, b, saved_carry)`` and returns the tuple
-    ``(value, carry, overflow, arithmetic)`` -- the same facts as
-    :class:`AluResult`, without constructing one per cycle.  The
-    execution-plan fast path calls these; :func:`compute` remains the
-    reference implementation and the differential suite holds the two
-    to identical results.
-    """
-    func = control.func
-    mode = control.carry_in
-
-    def adder_pair(lhs_of, rhs_of, cin_of):
-        def op(a, b, saved_carry):
-            a &= WORD_MASK
-            b &= WORD_MASK
-            x = lhs_of(a, b)
-            y = rhs_of(a, b)
-            total = x + y + cin_of(saved_carry)
-            value = total & WORD_MASK
-            x15 = (x >> 15) & 1
-            overflow = x15 == (y >> 15) & 1 and (value >> 15) & 1 != x15
-            return value, total > WORD_MASK, overflow, True
-        return op
-
-    if mode == CarryIn.SAVED:
-        cin = lambda saved: 1 if saved else 0
-    else:
-        constant_cin = int(mode)
-        cin = lambda saved: constant_cin
-
-    if func == AluFunc.A_PLUS_B:
-        return adder_pair(lambda a, b: a, lambda a, b: b, cin)
-    if func == AluFunc.A_MINUS_B:
-        # A + not B + 1; SAVED replaces the +1 for multi-precision.
-        borrow = cin if mode == CarryIn.SAVED else (lambda saved: 1)
-        return adder_pair(lambda a, b: a, lambda a, b: (~b) & WORD_MASK, borrow)
-    if func == AluFunc.B_MINUS_A:
-        return adder_pair(lambda a, b: b, lambda a, b: (~a) & WORD_MASK,
-                          lambda saved: 1)
-    if func == AluFunc.A_PLUS_1:
-        return adder_pair(lambda a, b: a, lambda a, b: 0, lambda saved: 1)
-    if func == AluFunc.A_MINUS_1:
-        return adder_pair(lambda a, b: a, lambda a, b: WORD_MASK, lambda saved: 0)
-    if func == AluFunc.B_PLUS_1:
-        return adder_pair(lambda a, b: b, lambda a, b: 0, lambda saved: 1)
-
-    logical = {
-        AluFunc.A_AND_B: lambda a, b: a & b,
-        AluFunc.A_OR_B: lambda a, b: a | b,
-        AluFunc.A_XOR_B: lambda a, b: a ^ b,
-        AluFunc.A_ONLY: lambda a, b: a,
-        AluFunc.B_ONLY: lambda a, b: b,
-        AluFunc.NOT_B: lambda a, b: (~b) & WORD_MASK,
-        AluFunc.NOT_A: lambda a, b: (~a) & WORD_MASK,
-        AluFunc.A_AND_NOT_B: lambda a, b: a & ~b & WORD_MASK,
-        AluFunc.A_OR_NOT_B: lambda a, b: (a | (~b & WORD_MASK)) & WORD_MASK,
-        AluFunc.ZERO: lambda a, b: 0,
-    }[func]
-
-    def op(a, b, saved_carry):
-        return logical(a & WORD_MASK, b & WORD_MASK), False, False, False
-
-    return op
-
-
 class Alu:
     """The ALU together with its writeable ALUFM map."""
 
     def __init__(self) -> None:
         self._alufm: List[AluControl] = list(STANDARD_ALUFM)
-        #: Per-slot direct-dispatch closures, kept in lockstep with the
-        #: map; the processor's plan fast path indexes this list.
-        self.fast_ops = [_fast_op(c) for c in self._alufm]
 
     def control(self, aluop: int) -> AluControl:
         """The ALUFM entry selected by a 4-bit ALUOp field."""
@@ -282,9 +217,7 @@ class Alu:
 
     def write_alufm(self, aluop: int, bits: int) -> None:
         """FF ``ALUFM_WRITE``: replace an ALUFM word (low 6 bits of B)."""
-        control = AluControl.decode(bits & 0x3F)
-        self._alufm[aluop & 0xF] = control
-        self.fast_ops[aluop & 0xF] = _fast_op(control)
+        self._alufm[aluop & 0xF] = AluControl.decode(bits & 0x3F)
 
     def read_alufm(self, aluop: int) -> int:
         return self._alufm[aluop & 0xF].encode()
@@ -296,9 +229,8 @@ class Alu:
     # --- snapshot protocol (DESIGN.md section 5.4) -------------------------
 
     def state_dict(self) -> dict:
-        """The ALUFM map as its 6-bit encodings; ``fast_ops`` is derived."""
+        """The ALUFM map as its 6-bit encodings."""
         return {"alufm": [c.encode() for c in self._alufm]}
 
     def load_state(self, state: dict) -> None:
         self._alufm = [AluControl.decode(bits) for bits in state["alufm"]]
-        self.fast_ops = [_fast_op(c) for c in self._alufm]

@@ -29,8 +29,8 @@ class Console:
         self._im_address_latch = 0
         self._im_partial = 0
         #: Called with the IM address after every completed microstore
-        #: write, so the processor can invalidate its execution-plan
-        #: cache for that slot (DESIGN.md section 5).
+        #: write, so the processor can drop the code it compiled from
+        #: that slot (DESIGN.md section 5.1).
         self.on_im_write: Optional[Callable[[int], None]] = None
 
     # --- microcode-side paths (FF functions) ------------------------------

@@ -14,7 +14,7 @@ from typing import Dict, List
 from ..types import NUM_TASKS
 
 #: Hold-cause codes, as returned by ``Processor._check_hold`` and mirrored
-#: by the plan path's compiled hold flags (the priority order is the
+#: by the compiled hold flags of execution plans (the priority order is the
 #: hardware's: a fast-I/O start blocked by busy storage, then MEMDATA not
 #: ready, then NextMacro with no decoded dispatch).
 HOLD_NONE = 0
@@ -65,7 +65,7 @@ class Counters:
     hold_causes: List[int] = field(default_factory=lambda: [0, 0, 0])
     #: Recovery-supervisor bookkeeping (RECOVERY_FIELDS): sanitizer
     #: checks tripped, checkpoints rolled back to, replays launched,
-    #: and plan-cache -> interpreter degradations.
+    #: and compiled-steps -> interpreter degradations.
     checks_failed: int = 0
     rollbacks: int = 0
     replays: int = 0

@@ -1,42 +1,42 @@
-"""Decoded execution plans for the cycle-stepped core.
+"""Decoded execution plans: the trace compiler's view of one IM slot.
 
-The IM is effectively immutable between console/bootstrap writes, yet
-the interpretive :meth:`~repro.core.processor.Processor.step` used to
-re-derive everything about a microinstruction on every cycle -- BSelect
-constant-ness, ASelect reference kind, Hold relevance, NextControl type,
-FF classification.  Following the cycle-accurate-simulator-generation
-literature (Reshadi & Dutt, PAPERS.md), we hoist all of that out of the
-cycle loop: the first time an IM address is fetched it is *compiled*
-into a flat :class:`ExecutionPlan` -- plain ints and bools in
-``__slots__``, with every PC-relative NEXTPC target precomputed (plans
-are per-slot, so THISPC is a compile-time constant) -- and the hot loop
-executes plans.
+The IM is effectively immutable between console/bootstrap writes, so
+what the interpreter re-derives about a microinstruction every cycle --
+BSelect constant-ness, ASelect reference kind, Hold relevance,
+NextControl type, FF classification -- can be derived once per slot.
+Following the cycle-accurate-simulator-generation literature (Reshadi &
+Dutt, PAPERS.md), the first fetch of an IM address *compiles* it into a
+flat :class:`ExecutionPlan` -- plain ints and bools in ``__slots__``,
+with every PC-relative NEXTPC target precomputed (plans are per-slot,
+so THISPC is a compile-time constant).  A plan executes nothing itself:
+:mod:`repro.core.tracecache` folds its fields into the generated source
+of the plan tier's one-cycle steps and of the traced tier's regions.
 
 Invalidation (the paper's section 6.2.3 write paths): any IM rewrite
-must drop the slot's plan.  All three write paths funnel through
-``im[address] = ...`` on the processor's :class:`MicrostoreImage` --
-``Console.im_write_high`` (microcode FF writes, which is also how the
-:mod:`repro.asm.bootstrap` resident loader stores words), host-side
-``load_image``, and direct assignments from tests or debuggers -- so the
-instrumented list is the single choke point, and the console calls the
-same hook explicitly for belt-and-braces coverage.
+must drop what was compiled from the slot.  All three write paths
+funnel through ``im[address] = ...`` on the processor's
+:class:`MicrostoreImage` -- ``Console.im_write_high`` (microcode FF
+writes, which is also how the :mod:`repro.asm.bootstrap` resident
+loader stores words), host-side ``load_image``, and direct assignments
+from tests or debuggers -- so the instrumented list is the single choke
+point, and the console calls the same hook explicitly for
+belt-and-braces coverage.
 
-The plan encodes *static* facts only.  Dynamic state -- SHIFTCTL, ALUFM
-contents, RBASE/MEMBASE, the bypass latch -- is still read at execution
-time, which is what keeps the fast path observationally equivalent to
-the interpretive one (``tests/test_fastpath_parity.py`` proves it
-bit-identical, counters and cycle counts included).
+The plan encodes *static* facts only.  Dynamic state -- SHIFTCTL,
+RBASE/MEMBASE, the bypass latch -- is still read by the generated code
+at execution time, which is what keeps the compiled tiers
+observationally equivalent to the interpretive one
+(``tests/test_fastpath_parity.py`` proves it bit-identical, counters
+and cycle counts included).  The slot's ALUFM entry is folded into the
+generated code, which is why FF ``ALUFM_WRITE`` drops it.
 
 The compiled Hold flags (``hold_fastio``, ``hold_md``,
 ``hold_nextmacro``) map one-to-one onto the processor's hold-cause
 codes (:data:`~repro.core.counters.HOLD_STORAGE` /
 :data:`~repro.core.counters.HOLD_MD` /
-:data:`~repro.core.counters.HOLD_IFU`), checked in the same priority
-order on both cycle paths, so hold-cause attribution is parity-safe.
-Instrumentation stays off this fast path entirely: the plan loop's only
-concession to observers is the one ``trace_hook is not None`` check it
-has always had, and the instrumentation bus compiles down to exactly
-that slot.
+:data:`~repro.core.counters.HOLD_IFU`), and the generated code checks
+them in the interpreter's priority order, so hold-cause attribution is
+parity-safe.
 """
 
 from __future__ import annotations
@@ -70,13 +70,11 @@ A_MD = 3       #: MEMDATA as of this instruction's operand fetch
 A_Q = 4
 
 # --- EXTB source codes (plan.extb_kind); 0 = take the generic slow path ----
-EXTB_OTHER = 0   #: INPUT, FAULTS, or a non-EXTB FF (raises), via _read_extb
+EXTB_OTHER = 0   #: CPREG, THISTASK, INPUT, FAULTS, or a non-EXTB FF (raises)
 EXTB_MD = 1
 EXTB_IFUDATA = 2
-EXTB_CPREG = 3
 EXTB_LINK = 4
 EXTB_IFUPC = 5
-EXTB_THISTASK = 6
 
 # --- memory-reference kinds (plan.ref_kind) ---------------------------------
 REF_NONE = 0
@@ -108,8 +106,8 @@ NEXT_NOTIFY = 7      #: next_target, plus a console notification
 NEXT_BAD = 8         #: mis-encoded: re-run ControlSection.compute to raise
 
 #: FF codes that have no side effect in _apply_ff (beyond what the
-#: operand-read / RESULT-override / NEXTPC stages already did), so the
-#: fast path can skip the call entirely.
+#: operand-read / RESULT-override / NEXTPC stages already did), so
+#: generated code can skip the call entirely.
 _NO_EFFECT_FFS = (
     frozenset(
         {
@@ -137,10 +135,8 @@ _RES_KINDS = {
 _EXTB_KINDS = {
     int(FF.EXTB_MEMDATA): EXTB_MD,
     int(FF.EXTB_IFUDATA): EXTB_IFUDATA,
-    int(FF.EXTB_CPREG): EXTB_CPREG,
     int(FF.EXTB_LINK): EXTB_LINK,
     int(FF.EXTB_IFUPC): EXTB_IFUPC,
-    int(FF.EXTB_THISTASK): EXTB_THISTASK,
 }
 
 #: FF codes whose use of MEMDATA makes the instruction Hold until the
@@ -151,7 +147,7 @@ _MD_HOLD_FFS = frozenset(
 
 
 class ExecutionPlan:
-    """One IM slot, compiled: flat fields the fast path reads directly."""
+    """One IM slot, compiled: flat fields the trace compiler folds in."""
 
     __slots__ = (
         "inst",
@@ -370,12 +366,12 @@ def compile_plan(inst: MicroInstruction, pc: int, control) -> ExecutionPlan:
 
 
 class MicrostoreImage(list):
-    """The IM word array, instrumented so writes invalidate plans.
+    """The IM word array, instrumented so writes invalidate compiled code.
 
     Every IM write path -- :meth:`Console.im_write_high`, host-side
     ``load_image``, the bootstrap loader's FF writes, and direct
     ``cpu.im[addr] = inst`` pokes from tests and debuggers -- ends in a
-    ``__setitem__`` here, which drops the corresponding execution plan.
+    ``__setitem__`` here, which drops what was compiled from the slot.
     """
 
     def __init__(self, size: int, on_write: Callable[[object], None]) -> None:

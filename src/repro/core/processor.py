@@ -23,27 +23,27 @@ instruction normally sees its predecessor's results; with
 instruction deep return stale data -- the Model 0 behaviour whose
 "subtle bugs and significant loss of performance" section 5.6 recounts.
 
-Two implementations of the cycle coexist:
+The microword's semantics are written twice: here, in
+:meth:`Processor._step_interp`, the interpretive reference that
+re-decodes the microword's fields every cycle, and in the trace
+compiler (:mod:`repro.core.tracecache`), which generates specialized
+Python from them.  The live ``Processor.tier`` (initially
+``config.tier``) picks what runs: ``"interp"`` the reference,
+``"plan"`` each slot's compiled one-cycle step, looked up per
+``(task, pc)`` in the machine's step table (DESIGN.md section 5.1), and
+``"traced"`` the steps plus compiled hot regions inside ``run()``
+(DESIGN.md section 5.6).  All three are bit-identical in architectural
+state, counters, and cycle counts, which
+``tests/test_fastpath_parity.py`` enforces.
 
-* :meth:`Processor._step_interp` -- the interpretive reference, which
-  re-decodes the microword's fields every cycle; and
-* :meth:`Processor._step_plan` -- the fast path, which executes
-  per-slot :class:`~repro.core.plancache.ExecutionPlan` objects compiled
-  on first fetch and invalidated on IM writes (DESIGN.md section 5).
-
-The live ``Processor.tier`` (initially ``config.tier``) selects between
-them: ``"interp"`` the first, ``"plan"`` the second, and ``"traced"``
-the second plus compiled traces inside ``run()`` (DESIGN.md section
-5.6).  All three are bit-identical in architectural state, counters,
-and cycle counts, which ``tests/test_fastpath_parity.py`` enforces.
-
-Observability hangs off one slot: both cycle implementations end with a
-single ``trace_hook is None`` check, and the instrumentation bus
-(:attr:`Processor.instruments`, DESIGN.md section 5.3) compiles any
+Observability hangs off one slot, ``trace_hook``: the instrumentation
+bus (:attr:`Processor.instruments`, DESIGN.md section 5.3) compiles any
 number of named subscribers -- the tracer and the opcode profiler --
-into that hook, restoring ``None`` when the last one detaches.  Held cycles are attributed by cause (storage busy / MEMDATA
-wait / IFU wait) in :class:`~repro.core.counters.Counters.hold_causes`,
-identically on both paths.
+into that hook, restoring ``None`` when the last one detaches, and a
+cycle observed by a hook always runs through the reference.  Held
+cycles are attributed by cause (storage busy / MEMDATA wait / IFU
+wait) in :class:`~repro.core.counters.Counters.hold_causes`,
+identically on every tier.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .microword import (
     ASel,
     BSel,
     Condition,
-    LoadControl,
     MicroInstruction,
     Misc,
     NextControl,
@@ -76,43 +75,7 @@ from .microword import (
     constant_value,
 )
 from .nextpc import ControlSection, NextOutcome
-from .plancache import (
-    A_IFU,
-    A_MD,
-    A_Q,
-    A_RM,
-    A_T,
-    B_CONST,
-    B_Q,
-    B_RM,
-    B_T,
-    EXTB_CPREG,
-    EXTB_IFUDATA,
-    EXTB_IFUPC,
-    EXTB_LINK,
-    EXTB_MD,
-    EXTB_THISTASK,
-    NEXT_BRANCH,
-    NEXT_CALL,
-    NEXT_DISPATCH8,
-    NEXT_DISPATCH256,
-    NEXT_MACRO,
-    NEXT_NOTIFY,
-    NEXT_RETURN,
-    NEXT_STATIC,
-    REF_FETCH,
-    REF_IOFETCH,
-    REF_IOSTORE,
-    REF_STORE,
-    RES_LSH,
-    RES_RSH,
-    RES_SHIFT_MASKMD,
-    RES_SHIFT_MASKZ,
-    RES_SHIFT_OUT,
-    ExecutionPlan,
-    MicrostoreImage,
-    compile_plan,
-)
+from .plancache import MicrostoreImage
 from .registers import RegisterFile
 from .tracecache import TraceCache
 from .shifter import ShiftControl, shift, shift_masked
@@ -157,20 +120,17 @@ class Processor:
         self.memory = MemorySystem(config, self.counters)
         self.ifu = Ifu(self.memory, decode_cycles=config.ifu_decode_cycles)
         self.console = Console(config.im_size)
-        # Plans are compiled per IM slot on first fetch and dropped when
-        # the slot is rewritten; the MicrostoreImage funnels every write
-        # path (console, bootstrap loader, load_image, direct pokes)
-        # into _invalidate_plan.
-        self._plans: List[Optional[ExecutionPlan]] = [None] * config.im_size
         self.tier = config.tier
-        # The compiled-trace tier (DESIGN.md section 5.6) sits on top of
-        # the plan cache and shares its invalidation choke point; the
-        # cache object itself is mechanism (never snapshotted, never
-        # shared across fork()).
+        # What the plan and traced tiers run (DESIGN.md sections 5.1 and
+        # 5.6): the table of compiled steps, filled per (task, pc) on
+        # first fetch, and the compiled regions.  Mechanism: never
+        # snapshotted, and fork() starts an empty one.  The
+        # MicrostoreImage funnels every IM write path (console,
+        # bootstrap loader, load_image, direct pokes) into _invalidate_im.
         self._traces = TraceCache()
         # Nothing the machine owns refers back to it strongly (DESIGN.md
         # 5.12), so the IM-write hook reaches it through a weak reference.
-        on_im_write = _weak_hook(self, Processor._invalidate_plan)
+        on_im_write = _weak_hook(self, Processor._invalidate_im)
         self.im: MicrostoreImage = MicrostoreImage(config.im_size, on_im_write)
         self.console.on_im_write = on_im_write
         self.symbols: Dict[str, int] = {}
@@ -244,8 +204,9 @@ class Processor:
             self._device_by_task[device.task] = device
         self._devices.append(device)
         device.attach(self)
-        # Compiled traces bind the device roster (tick unrolling, fast
-        # I/O ports, IOATN): a roster change invalidates them.
+        # Compiled steps and regions unroll the device roster's ticks:
+        # a roster change invalidates them.
+        self._traces.steps.clear()
         self._traces.invalidate_all()
 
     def boot(self, pc: int = 0, task: int = EMULATOR_TASK) -> None:
@@ -305,7 +266,7 @@ class Processor:
         Covers the processor proper: pipeline position, the bypass
         latch, and every data/control-section component.  The IM, the
         memory system, the IFU, and the devices have their own sections
-        in :meth:`snapshot` -- and the plan cache, hooks, and the
+        in :meth:`snapshot` -- and the compiled code, hooks, and the
         instrumentation bus are mechanism, deliberately absent.
         """
         return {
@@ -387,8 +348,8 @@ class Processor:
         Raises :class:`~repro.errors.StateError` when the snapshot's
         version, config signature, device roster, or fault plan does not
         match this machine.  IM slots whose stored encoding equals the
-        current word are left untouched, so a warm restore keeps its
-        compiled plans.
+        current word are left untouched, so a warm restore keeps their
+        compiled steps unless the ALUFM changed.
         """
         from ..errors import StateError
         from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
@@ -429,18 +390,21 @@ class Processor:
                     MicroInstruction.decode(stored) if stored is not None else None
                 )
 
+        alufm = self.alu._alufm
         self.load_state(data["core"])
+        if self.alu._alufm != alufm:
+            self._traces.steps.clear()  # steps inline their ALUFM entry
         self.memory.load_state(data["mem"], port_of=lambda i: self._devices[i])
         self.ifu.load_state(data["ifu"])
         for device, device_state in zip(self._devices, data["io"]):
             device.load_state(device_state)
         if injector is not None:
             injector.load_state(data["fault"])
-        # Compiled traces are dropped on every restore (even a warm one
-        # that kept its plans): they bind register/ref objects that
+        # Compiled regions are dropped on every restore (even a warm one
+        # that kept its steps): they bind register/ref objects that
         # load_state may have replaced, and the protocol's byte-identity
         # guarantee is simplest to audit when a restored machine always
-        # re-warms from the plan path.
+        # re-warms from its steps.
         self._traces.invalidate_all()
 
     def fork(self, state=None) -> "Processor":
@@ -503,13 +467,30 @@ class Processor:
         if self.tier == "interp":
             self._step_interp()
         else:
-            self._step_plan()
+            self._step_compiled()
+
+    def _step_compiled(self) -> None:
+        """One cycle on the plan and traced tiers: the slot's compiled step.
+
+        A cycle observed by a ``trace_hook`` steps through the reference
+        implementation instead.
+        """
+        cache = self._traces
+        if self.trace_hook is not None:
+            cache.interp_cycles += 1
+            self._step_interp()
+            return
+        task = self.pipe.this_task
+        pc = self.this_pc
+        entry = cache.steps.get((task, pc)) or cache.fill(self, task, pc)
+        entry[0](self, 1)
 
     def _step_interp(self) -> None:
         """One cycle, interpretively: re-decode every microword field.
 
-        This is the reference implementation; :meth:`_step_plan` must
-        remain observationally identical to it.
+        This is the reference implementation; the steps and regions the
+        trace compiler generates must remain observationally identical
+        to it.
         """
         task = self.pipe.this_task
         pc = self.this_pc
@@ -563,7 +544,7 @@ class Processor:
             return self._run_traced(max_cycles)
         # The hot loop: bind the cycle implementation and the counters
         # once instead of re-resolving them a million times.
-        step = self._step_interp if self.tier == "interp" else self._step_plan
+        step = self._step_interp if self.tier == "interp" else self._step_compiled
         counters = self.counters
         start = counters.cycles
         limit = start + max_cycles
@@ -575,8 +556,8 @@ class Processor:
         """The ``run()`` hot loop with the compiled-trace tier engaged.
 
         Executes a cached trace whenever the machine stands at a trace
-        entry, plan-steps everywhere else, and feeds the trace cache's
-        hot-region detector from the plain steps' back edges and from
+        entry, runs the slot's step everywhere else, and feeds the trace
+        cache's hot-region detector from the steps' back edges and from
         the pcs traces exit to.  Traces are confined
         to ``run()`` on purpose: ``run_until`` evaluates its predicate
         between *every* cycle, and ``step()`` is the single-cycle
@@ -587,7 +568,7 @@ class Processor:
         limit = start + max_cycles
         cache = self._traces
         traces = cache.traces
-        step = self._step_plan
+        step = self._step_compiled
         pipe = self.pipe
         memory = self.memory
         while not self.halted and counters.cycles < limit:
@@ -610,7 +591,7 @@ class Processor:
                         continue
                     # Zero progress: a fast-mode entry guard failed or
                     # the budget is smaller than one loop iteration.
-                    # Fall through to a plan step so run() always
+                    # Fall through to the slot's step so run() always
                     # advances.
                     cache.stalls += 1
             held_before = counters.held_cycles
@@ -634,7 +615,7 @@ class Processor:
 
     def run_until(self, predicate: Callable[["Processor"], bool], max_cycles: int = 1_000_000) -> int:
         """Step until *predicate(self)* or *max_cycles*; returns cycles used."""
-        step = self._step_interp if self.tier == "interp" else self._step_plan
+        step = self._step_interp if self.tier == "interp" else self._step_compiled
         counters = self.counters
         start = counters.cycles
         limit = start + max_cycles
@@ -642,342 +623,14 @@ class Processor:
             step()
         return counters.cycles - start
 
-    # ------------------------------------------------------------------
-    # the execution-plan fast path (DESIGN.md section 5)
-    # ------------------------------------------------------------------
-
-    def _invalidate_plan(self, index) -> None:
-        """Drop the compiled plan(s) for a rewritten IM slot.
-
-        Compiled traces span many slots and fold plan fields into
-        generated source, so any IM write drops the whole trace cache
-        (hot counts, blacklist and in-flight recordings included) --
-        simple, and trivially stale-proof.
-        """
+    def _invalidate_im(self, index) -> None:
+        """Drop what was compiled from a rewritten IM slot (or slice)."""
+        size = len(self.im)
         if isinstance(index, slice):
-            for i in range(*index.indices(len(self._plans))):
-                self._plans[i] = None
+            pcs = range(*index.indices(size))
         else:
-            self._plans[index] = None
-        self._traces.invalidate_all()
-
-    def _get_plan(self, pc: int, task: int) -> ExecutionPlan:
-        """The slot's plan, compiling it on this first fetch."""
-        inst = self.im[pc]
-        if inst is None:
-            raise MicrocodeCrash(f"task {task} fetched uninitialized microstore at {pc:#o}")
-        plan = compile_plan(inst, pc, self.control)
-        self._plans[pc] = plan
-        return plan
-
-    def _step_plan(self) -> None:
-        """One cycle through the plan cache.
-
-        Same observable behaviour as :meth:`_step_interp`, with decode
-        hoisted to compile time and the cycle tail (counters, TPC, the
-        NEXT decision, clock ticks, arbitration) inlined.
-        """
-        pipe = self.pipe
-        task = pipe.this_task
-        pc = self.this_pc
-        plan = self._plans[pc]
-        if plan is None:
-            plan = self._get_plan(pc, task)
-        memory = self.memory
-
-        # --- Hold (section 5.7); mirrors _check_hold, cause included.
-        held = False
-        if not plan.hold_none:
-            if plan.hold_fastio and memory.storage_busy:
-                held = True
-                hold_cause = HOLD_STORAGE
-            elif plan.hold_md and not memory.md_ready(task):
-                held = True
-                hold_cause = HOLD_MD
-            elif plan.hold_nextmacro and not self.ifu.dispatch_ready:
-                held = True
-                hold_cause = HOLD_IFU
-        if held:
-            self._consecutive_holds += 1
-            if self._consecutive_holds > (self._hold_limit or HOLD_LIMIT):
-                raise self._hold_timeout(task, pc, hold_cause)
-            self.counters.hold_causes[hold_cause - 1] += 1
-            next_pc = pc  # "no operation, jump to self"
-            blocked = False
-            if self._pending:
-                self._commit_pending()  # clocks keep running (section 5.7)
-        else:
-            self._consecutive_holds = 0
-            next_pc, blocked = self._execute_plan(plan, task, pc)
-
-        counters = self.counters
-        counters.cycles += 1
-        counters.task_cycles[task] += 1
-        if held:
-            counters.held_cycles += 1
-            counters.task_held[task] += 1
-        else:
-            counters.instructions += 1
-            counters.task_instructions[task] += 1
-        if self.trace_hook is not None:
-            self.trace_hook(self.now, pc, plan.inst, held)
-
-        # TPC is written every cycle with THISTASKNEXTPC (section 6.2.2);
-        # then the NEXT decision (TaskPipeline.decide_next, inlined).
-        tpc = pipe.tpc
-        tpc[task] = next_pc
-        best = pipe.best_task
-        if blocked:
-            counters.blocks += 1
-            pipe.ready &= ~(1 << task)
-            nxt = best
-        elif best > task:
-            pipe.ready |= 1 << task
-            nxt = best
-        else:
-            nxt = task
-        pipe.ready &= ~(1 << nxt)
-        pipe.this_task = nxt
-        if nxt != task:
-            counters.task_switches += 1
-        self.this_pc = tpc[nxt]
-
-        # Devices observe the NEXT published at the end of the *previous*
-        # cycle (the two-instruction minimum of section 6.2.1).
-        granted_task = self._published_next
-        self._published_next = nxt
-        for device in self._devices:
-            device.tick(self, granted=(granted_task == device.task))
-
-        # Clock the memory and the IFU; both reduce to now += 1 when
-        # nothing is in flight.
-        if memory._fast_in_flight:
-            memory.tick()
-        else:
-            memory.now += 1
-        ifu = self.ifu
-        if ifu.running:
-            ifu.tick()
-        else:
-            ifu.now += 1
-        self.now += 1
-
-        # Stage 1 of the task pipeline (TaskPipeline.arbitrate, inlined).
-        requests = pipe.lines | pipe.ready
-        best = requests.bit_length() - 1 if requests else EMULATOR_TASK
-        pipe.best_task = best
-        pipe.best_pc = tpc[best]
-
-    def _execute_plan(self, plan: ExecutionPlan, task: int, pc: int) -> Tuple[int, bool]:
-        """Execute one compiled instruction; mirrors :meth:`_execute`."""
-        regs = self.regs
-        memory = self.memory
-        pending = self._pending
-        bypass = self.config.bypass_enabled
-        ff = plan.ff
-        stack_op = plan.block and task == EMULATOR_TASK
-        # Every MD use sees the value as of this instruction's operand
-        # fetch, even if the instruction also starts a new reference.
-        md_before = memory._refs[task].md_value
-
-        # --- operand reads (first half cycle), through the bypass network.
-        if stack_op:
-            rm_value = self.stack.read_top()
-        else:
-            rm_addr = ((regs.rbase[task] & 0xF) << 4) | plan.rsel
-            rm_value = pending.get(rm_addr) if bypass else None
-            if rm_value is None:
-                rm_value = regs.rm[rm_addr]
-        t_value = pending.get(T_KEY_BASE + task) if bypass else None
-        if t_value is None:
-            t_value = regs.t[task]
-
-        # --- B bus.
-        b_kind = plan.b_kind
-        if b_kind == B_CONST:
-            b_value = plan.b_const
-        elif b_kind == B_RM:
-            b_value = rm_value
-        elif b_kind == B_T:
-            b_value = t_value
-        elif b_kind == B_Q:
-            b_value = regs.q
-        else:  # EXTB: the plan names the external source.
-            extb = plan.extb_kind
-            if extb == EXTB_MD:
-                b_value = md_before
-            elif extb == EXTB_IFUDATA:
-                b_value = self.ifu.read_operand()
-            elif extb == EXTB_CPREG:
-                b_value = self.console.cpreg
-            elif extb == EXTB_LINK:
-                b_value = word(self.control.link[task])
-            elif extb == EXTB_IFUPC:
-                b_value = word(self.ifu.pc)
-            elif extb == EXTB_THISTASK:
-                b_value = task
-            else:  # INPUT, FAULTS, or a mis-encoded selector
-                b_value = self._read_extb(task, ff)
-
-        # --- A bus (MEMADDRESS is a copy of A).
-        a_kind = plan.a_kind
-        if a_kind == A_RM:
-            a_value = rm_value
-        elif a_kind == A_T:
-            a_value = t_value
-        elif a_kind == A_MD:
-            a_value = md_before
-        elif a_kind == A_IFU:
-            a_value = self.ifu.read_operand()
-        else:  # A_Q
-            a_value = regs.q
-
-        # Operand reads are done: the previous instruction's results (if
-        # any) land in the RAMs now (Figure 2).
-        if pending:
-            rm = regs.rm
-            t = regs.t
-            for key, value in pending.items():
-                if key < T_KEY_BASE:
-                    rm[key] = value
-                else:
-                    t[key - T_KEY_BASE] = value & 0xFFFF
-            pending.clear()
-
-        # --- ALU (direct-dispatch closure; same facts as AluResult).
-        alu_value, carry, overflow, arithmetic = self.alu.fast_ops[plan.aluop](
-            a_value, b_value, regs.saved_carry[task]
-        )
-        if arithmetic:
-            regs.saved_carry[task] = carry
-
-        # --- RESULT bus: ALU output unless an FF source overrides it.
-        result = alu_value
-        res_kind = plan.res_kind
-        if res_kind:
-            if res_kind == RES_SHIFT_OUT:
-                result = shift(ShiftControl.decode(regs.shiftctl), rm_value, t_value)
-            elif res_kind == RES_SHIFT_MASKZ:
-                result = shift_masked(
-                    ShiftControl.decode(regs.shiftctl), rm_value, t_value, 0
-                )
-            elif res_kind == RES_SHIFT_MASKMD:
-                result = shift_masked(
-                    ShiftControl.decode(regs.shiftctl), rm_value, t_value, md_before
-                )
-            elif res_kind == RES_LSH:
-                result = (alu_value << 1) & 0xFFFF
-            elif res_kind == RES_RSH:
-                result = (alu_value >> 1) & 0xFFFF
-            else:  # RES_OTHER: the READ_* family
-                override = self._result_override(
-                    task, ff, rm_value, t_value, a_value, b_value, alu_value
-                )
-                if override is not None:
-                    result = override
-
-        # --- memory reference start (address = A, store data = B).
-        ref_kind = plan.ref_kind
-        if ref_kind:
-            membase = regs.membase[task]
-            if ref_kind == REF_FETCH:
-                memory.start_fetch(task, membase, a_value)
-            elif ref_kind == REF_STORE:
-                memory.start_store(task, membase, a_value, b_value)
-            elif ref_kind == REF_IOFETCH:
-                port = self._device_by_task.get(task)
-                if port is None:
-                    raise DeviceError(
-                        f"task {task} started fast I/O with no device attached"
-                    )
-                memory.start_fastio_fetch(task, membase, a_value, port)
-            elif ref_kind == REF_IOSTORE:
-                port = self._device_by_task.get(task)
-                if port is None:
-                    raise DeviceError(
-                        f"task {task} started fast I/O with no device attached"
-                    )
-                memory.start_fastio_store(task, membase, a_value, port)
-            else:  # REF_BAD: raise the exact interpretive error
-                self._start_reference(plan.inst, task, a_value, b_value, plan.ff_is_function)
-
-        # --- late branch condition (ORed into NEXTPC's low bit).
-        condition_taken = False
-        cond = plan.cond
-        if cond >= 0:
-            if cond == 0:  # ALU_ZERO
-                condition_taken = alu_value == 0
-            elif cond == 1:  # ALU_NONZERO
-                condition_taken = alu_value != 0
-            elif cond == 2:  # ALU_NEG
-                condition_taken = alu_value >= 0x8000
-            elif cond == 3:  # CARRY
-                condition_taken = carry
-            elif cond == 4:  # COUNT_NONZERO, with the decrement side effect
-                condition_taken = regs.count != 0
-                regs.count = (regs.count - 1) & 0xFFFF
-            elif cond == 5:  # R_ODD
-                condition_taken = bool(result & 1)
-            elif cond == 7:  # OVERFLOW
-                condition_taken = overflow
-            else:  # IOATN
-                device = self._device_by_address.get(regs.ioaddress[task])
-                condition_taken = bool(device is not None and device.attention)
-
-        # --- FF side effects.
-        if plan.ff_effect:
-            self._apply_ff(plan.inst, task, ff, b_value, a_value, result, md_before)
-
-        # --- NEXTPC (targets precomputed per slot; see compile_plan).
-        consumed = plan.consumes_ifu
-        next_kind = plan.next_kind
-        if next_kind == NEXT_STATIC:
-            next_pc = plan.next_target
-        elif next_kind == NEXT_BRANCH:
-            next_pc = plan.next_target | (1 if condition_taken else 0)
-        elif next_kind == NEXT_MACRO:
-            if consumed:
-                self.ifu.consume_operand()
-                consumed = False
-            next_pc = self.ifu.take_dispatch()
-        elif next_kind == NEXT_CALL:
-            self.control.link[task] = plan.link_value
-            next_pc = plan.next_target
-        elif next_kind == NEXT_RETURN:
-            link = self.control.link
-            next_pc = link[task]
-            link[task] = plan.link_value
-        elif next_kind == NEXT_DISPATCH8:
-            next_pc = (plan.next_target + (b_value & 0x7)) & self.control.im_mask
-        elif next_kind == NEXT_DISPATCH256:
-            next_pc = (plan.next_target + (b_value & 0xFF)) & self.control.im_mask
-        elif next_kind == NEXT_NOTIFY:
-            next_pc = plan.next_target
-            self.console.record_notify(pc)
-        else:  # NEXT_BAD: mis-encoded; the reference path raises
-            self.control.compute(
-                plan.inst, pc, task, condition_taken, b_value, plan.ff_is_function
-            )
-            raise AssertionError("NEXT_BAD plan failed to raise")
-        if consumed:
-            self.ifu.consume_operand()
-
-        # --- writeback: stage this instruction's result in the latch.
-        # The RM address is recomputed because an FF (RBASE_B) may have
-        # changed RBASE this very instruction.
-        if stack_op:
-            self.stack.adjust(plan.stack_delta)
-            if plan.loads_rm:
-                self.stack.write_top(result)
-            if plan.loads_t:
-                pending[T_KEY_BASE + task] = result
-        else:
-            if plan.loads_rm:
-                pending[((regs.rbase[task] & 0xF) << 4) | plan.rsel] = result
-            if plan.loads_t:
-                pending[T_KEY_BASE + task] = result
-
-        return next_pc, plan.block and task != EMULATOR_TASK
+            pcs = (index % size,)
+        self._traces.invalidate_slots(pcs)
 
     # ------------------------------------------------------------------
     # hold evaluation (section 5.7)
@@ -1369,8 +1022,9 @@ class Processor:
             regs.write_membase(task, b)
         elif ff == FF.ALUFM_WRITE:
             self.alu.write_alufm(inst.aluop, b)
-            # Compiled traces inline ALUFM semantics into generated
-            # code; rewriting an ALU operation drops them all.
+            # Compiled steps and regions inline ALUFM semantics into
+            # generated code; rewriting an ALU operation drops them all.
+            self._traces.steps.clear()
             self._traces.invalidate_all()
         elif ff == FF.BASE_LO_B:
             self.memory.translator.write_base_low(regs.read_membase(task), b)

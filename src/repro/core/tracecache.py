@@ -1,82 +1,92 @@
-"""Compiled-trace execution: hot plan runs specialized into Python source.
+"""Compiled execution: plans specialized into Python source.
 
-The plan cache (:mod:`repro.core.plancache`) hoists microword *decode*
-out of the cycle loop but still pays one Python dispatch per field per
-cycle: every cycle re-tests ``b_kind``/``a_kind``/``res_kind``/
-``next_kind`` even though the instruction at a given IM slot never
-changes between invalidations.  Following the compiled-simulation
-literature (Reshadi & Dutt, PAPERS.md), this module removes that last
-dispatch layer for *hot* code: when the run loop observes the same
-region head ``(task, entry_pc)`` often enough -- the target of a back
-edge, or the pc a trace exits to -- it records one pass through the
-region, emits specialized Python source for the whole trace -- plan
-fields folded to literals, the ALUFM operation and FF side effect of
-each step inlined as straight-line arithmetic, the shifter decoded once
-per SHIFTCTL value, the bypass-latch commit specialized to the
+This module is where the plan and traced tiers get their code.  The
+plan (:mod:`repro.core.plancache`) hoists microword *decode* out of the
+cycle loop; the generator here removes the per-field *dispatch* too:
+plan fields folded to literals, the ALUFM operation and FF side effect
+of each step inlined as straight-line arithmetic, the shifter decoded
+once per SHIFTCTL value, the bypass-latch commit specialized to the
 statically known writes of the predecessor step, and the cycle tail
-(counters, TPC, the NEXT decision, clock ticks, arbitration) reduced to
-what the recorded schedule can actually observe -- ``exec``\\ s it, and
-caches the closure.  ``Processor._run_traced`` then executes traces
-from its hot loop and falls back to the plan interpreter everywhere
-else.
+(counters, TPC, the NEXT decision, clock ticks, arbitration) reduced
+to what the compiled schedule can actually observe.  It emits two
+shapes (Reshadi & Dutt, PAPERS.md, generate a simulator from one model
+the same way):
+
+* a *step* -- one IM slot, one cycle -- for every ``(task, pc)`` on
+  its first fetch: :meth:`TraceCache.fill` puts it in the machine's
+  step table, which is all the plan tier runs (DESIGN.md section 5.1);
+* a *region* for hot code: when ``Processor._run_traced`` observes the
+  same region head ``(task, entry_pc)`` often enough -- the target of a
+  back edge, or the pc a region exits to -- it records one pass through
+  the region and compiles it, and then calls the region instead of
+  stepping (DESIGN.md section 5.6).
 
 Correctness contract (DESIGN.md section 5.6):
 
-* A trace is a pure transliteration of ``Processor._step_plan`` for a
-  recorded sequence of plans.  Every architectural effect -- bypass
-  latch commits, saved carry, hold-cause attribution, device ticks,
-  memory/IFU clocks, task arbitration -- happens cycle-exactly, so the
-  three-way differential matrix in ``tests/test_fastpath_parity.py``
-  (interp vs plan vs traced) stays bit-identical, counters included.
-* Traces *batch* only values nothing else can observe mid-trace: the
-  cycle counters, ``this_pc``, ``now`` and ``_published_next`` live in
-  locals and are flushed in a ``finally``, so even a mid-cycle
-  exception (HoldTimeout, an injected TransientFault, a DeviceError)
-  leaves the machine byte-identical to the plan path's.
-* The *single-task fast tail*.  When the trace belongs to the emulator
-  task and compile-time state proves no other task can become runnable
-  (no devices attached, no fault task, no fault injector, no
-  WAKEUP/READY/TPC writes inside the trace), the generated entry guard
-  checks ``pipe.lines | pipe.ready == 1`` and the trace then skips the
-  per-cycle scheduler entirely: task 0's wakeup line is permanently
-  asserted, so arbitration returns task 0 every cycle and ``TPC[0]``,
-  ``best_pc`` and ``memory.now`` batch in locals, flushed in the same
-  ``finally``.  A trace that never touches the IFU cannot start or
-  stop it: if the IFU was running at entry it ticks every cycle, and
-  otherwise ``ifu.now`` batches too.  If the guard fails, the trace
-  returns having touched nothing and the run loop takes the plan path
-  for that cycle.
-* Bail-out rules.  A trace exits -- after completing the current cycle
-  exactly -- whenever the NEXT decision leaves the trace's task, a
+* Generated code is a pure transliteration of
+  ``Processor._step_interp`` for a sequence of plans.  Every
+  architectural effect -- bypass latch commits, saved carry, hold-cause
+  attribution, device ticks, memory/IFU clocks, task arbitration --
+  happens cycle-exactly, so the three-way differential matrix in
+  ``tests/test_fastpath_parity.py`` (interp vs plan vs traced) stays
+  bit-identical, counters included.
+* Generated code *batches* only values nothing else can observe
+  mid-call: the cycle counters, ``this_pc``, ``now`` and
+  ``_published_next`` live in locals and are flushed in a ``finally``,
+  so even a mid-cycle exception (HoldTimeout, an injected
+  TransientFault, a DeviceError) leaves the machine byte-identical to
+  the interpreter's.
+* Steps compile in general mode and have no entry guard: a call with
+  budget 1 runs exactly one cycle.  They bind nothing machine-specific
+  (devices are read from ``cpu._devices``), so steps are shared by
+  every machine of one composition through a process-wide memo keyed
+  on every fact the emitter folds in.  Regions stay per machine.
+* The *single-task fast tail* (regions only).  When the region belongs
+  to the emulator task and compile-time state proves no other task can
+  become runnable (no devices attached, no fault task, no fault
+  injector, no WAKEUP/READY/TPC writes inside it), the generated entry
+  guard checks ``pipe.lines | pipe.ready == 1`` and the region then
+  skips the per-cycle scheduler entirely: task 0's wakeup line is
+  permanently asserted, so arbitration returns task 0 every cycle and
+  ``TPC[0]``, ``best_pc`` and ``memory.now`` batch in locals, flushed
+  in the same ``finally``.  A region that never touches the IFU cannot
+  start or stop it: if the IFU was running at entry it ticks every
+  cycle, and otherwise ``ifu.now`` batches too.  If the guard fails,
+  the region returns having touched nothing and the run loop runs the
+  slot's step for that cycle.
+* Bail-out rules.  A region exits -- after completing the current
+  cycle exactly -- whenever the NEXT decision leaves its task, a
   dynamic NEXTPC (branch, IFU dispatch, return, B-dispatch) diverges
-  from the recorded path, or the cycle budget is spent.  Traces are
-  never *entered* while a ``trace_hook`` is installed (instrumentation
-  sees every cycle interpretively) or while a memory fault is latched.
+  from the recorded path, or the cycle budget is spent.  Nothing
+  compiled runs while a ``trace_hook`` is installed (instrumentation
+  sees every cycle interpretively), and regions are not entered while
+  a memory fault is latched.
 * Invalidation.  Any IM write -- console, bootstrap loader,
   ``load_image``, direct pokes, slices -- funnels through
-  ``MicrostoreImage.__setitem__`` into ``Processor._invalidate_plan``,
-  which calls :meth:`TraceCache.invalidate_all`: traces, hot counts,
-  the blacklist and any in-flight recording are all dropped.  The only
-  *in-run* IM write path (FF ``IM_WRITE_HI``) is excluded from traces
-  entirely, so generated code can never run stale.  Because traces
-  inline ALUFM semantics, FF ``ALUFM_WRITE`` is likewise untraceable
-  and ``Processor._apply_ff`` invalidates the cache when it rewrites an
-  ALU operation.  ``restore()`` and ``attach_device()`` also
-  invalidate; ``fork()`` builds a fresh machine and therefore a fresh,
-  empty cache -- closures are never shared between machines.
-* Untraceable steps.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
-  ``HALT`` (the trace loop does not re-check ``halted`` per cycle), FF
-  ``BREAKPOINT`` (its message reads ``this_pc``, which is batched), FF
-  ``IM_WRITE_HI`` and ``ALUFM_WRITE`` (self-modifying code), fast I/O
-  references and NOTIFY (no workload's hot path contains one, so the
-  plan path runs them) end a recording; the trace covers the prefix.
-  A recording that reaches a pc it has already recorded (an inner
-  loop) is cut short too, so inner loops compile as compact loop
-  traces instead of being unrolled into the enclosing region.
+  ``MicrostoreImage.__setitem__`` into ``Processor._invalidate_im``,
+  which drops the rewritten slots' steps and calls
+  :meth:`TraceCache.invalidate_all`: regions, hot counts, the blacklist
+  and any in-flight recording are all dropped.  The only *in-run* IM
+  write path (FF ``IM_WRITE_HI``) never compiles, so generated code can
+  never run stale.  Because generated code inlines ALUFM semantics, FF
+  ``ALUFM_WRITE`` never compiles either, and ``Processor._apply_ff``
+  drops steps and regions when it rewrites an ALU operation.
+  ``attach_device()`` drops both, ``restore()`` drops the regions (and
+  the steps when the ALUFM differs), and ``fork()`` builds a machine
+  with an empty table and no regions.
+* Untraceable plans.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
+  ``HALT`` (generated code does not re-check ``halted`` per cycle), FF
+  ``BREAKPOINT`` (its message reads ``this_pc``, which is batched) and
+  FF ``IM_WRITE_HI`` and ``ALUFM_WRITE`` (self-modifying code) do not
+  compile: such a slot's table entry steps through the interpreter, and
+  a recording that reaches one ends; the region covers the prefix.  A
+  recording that reaches a pc it has already recorded (an inner loop)
+  is cut short too, so inner loops compile as compact loop regions
+  instead of being unrolled into the enclosing region.
 * Compilation is memoized process-wide on the generated source text:
   two machines that get identical microcode hot in the same places
-  share code objects (each still ``exec``\\ s into its own namespace,
-  so closures and their environments are never shared).
+  share code objects (each region is still ``exec``\\ d into its own
+  namespace).
 """
 
 from __future__ import annotations
@@ -88,7 +98,6 @@ from .functions import FF, bank_argument, is_membase_small
 from .plancache import (
     A_IFU,
     A_MD,
-    A_Q,
     A_RM,
     A_T,
     B_CONST,
@@ -122,15 +131,17 @@ from .plancache import (
     RES_SHIFT_MASKZ,
     RES_SHIFT_OUT,
     ExecutionPlan,
+    compile_plan,
 )
 from .shifter import ShiftControl
+from ..errors import MicrocodeCrash
 from ..types import EMULATOR_TASK
 
 #: Back-edge executions of one ``(task, entry_pc)`` before recording.
 HOT_THRESHOLD = 8
 
 #: Hard cap on recorded steps; a region longer than this compiles as a
-#: straight-line prefix (the tail stays on the plan interpreter).
+#: straight-line prefix (the tail runs on its slots' steps).
 MAX_TRACE_STEPS = 128
 
 #: A non-loop recording shorter than this is blacklisted: the entry
@@ -150,7 +161,7 @@ _UNTRACEABLE_FFS = frozenset(
 
 #: NEXTPC kinds whose target is a compile-time constant: no divergence
 #: guard is emitted for them.
-_STATIC_NEXT_KINDS = frozenset({NEXT_STATIC, NEXT_CALL})
+_STATIC_NEXT_KINDS = frozenset({NEXT_STATIC, NEXT_CALL, NEXT_NOTIFY})
 
 #: FF codes that touch scheduler state the single-task fast tail
 #: proves constant; a trace containing one compiles in general mode.
@@ -179,12 +190,24 @@ _LOGICAL_ALU = {
 _COMPILE_MEMO: Dict[Tuple[str, str], object] = {}
 _COMPILE_MEMO_LIMIT = 512
 
+#: Process-wide memo of compiled steps, keyed on every fact the emitter
+#: folds into one (see :meth:`TraceCache.fill`).  A step binds nothing
+#: machine-specific, so every machine of one composition shares it: a
+#: fork or a resumed session fills its table without codegen.
+_STEP_MEMO: Dict[tuple, object] = {}
+_STEP_MEMO_LIMIT = 4096
+
+
+def _interp_step(cpu, budget: int) -> None:
+    """The table entry of a slot that does not compile: one cycle of
+    the reference implementation."""
+    cpu._traces.interp_cycles += 1
+    cpu._step_interp()
+
 
 def plan_traceable(plan: ExecutionPlan) -> bool:
-    """Whether *plan* may appear inside a trace."""
-    if plan.ref_kind in (REF_BAD, REF_IOFETCH, REF_IOSTORE):
-        return False
-    if plan.next_kind in (NEXT_BAD, NEXT_NOTIFY):
+    """Whether *plan* compiles, as a step or inside a region."""
+    if plan.ref_kind == REF_BAD or plan.next_kind == NEXT_BAD:
         return False
     return not (plan.ff_is_function and plan.ff in _UNTRACEABLE_FFS)
 
@@ -212,7 +235,9 @@ class _Writer:
 class _Ctx:
     """Per-trace analysis shared by the step emitters."""
 
-    def __init__(self, cpu, task: int, entry: int, steps, loop: bool) -> None:
+    def __init__(
+        self, cpu, task: int, entry: int, steps, loop: bool, step: bool
+    ) -> None:
         self.task = task
         self.entry = entry
         self.loop = loop
@@ -265,8 +290,10 @@ class _Ctx:
         #: Single-task fast mode: statically, nothing can make another
         #: task runnable (task 0's own wakeup line is permanent, so
         #: with the entry guard arbitration returns task 0 forever).
+        #: A step has no entry guard: it always compiles in general mode.
         self.fast = (
-            task == EMULATOR_TASK
+            not step
+            and task == EMULATOR_TASK
             and not self.devices
             and cpu._fault_task is None
             and cpu.memory.injector is None
@@ -301,27 +328,29 @@ class _Ctx:
         return "mb0" if self.mb_stable else f"mb[{self.task}]"
 
 
-def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
+def compile_trace(
+    cpu, task: int, entry: int, steps, loop: bool, step: bool = False
+):
     """Codegen one trace into ``(closure, source)``.
 
     *steps* is the recorded ``[(pc, plan), ...]`` for one pass through
     the region starting at *entry*; *loop* says the last step's
     successor is *entry* again (the generated function then iterates in
-    place instead of returning after one pass).
+    place instead of returning after one pass).  *step* compiles the
+    single ``(pc, plan)`` of a plan-tier table entry: general mode, so
+    a call with budget 1 runs exactly one cycle.
     """
     w = _Writer()
-    ctx = _Ctx(cpu, task, entry, steps, loop)
+    ctx = _Ctx(cpu, task, entry, steps, loop, step)
     env: Dict[str, object] = {}
     if ctx.has_shift:
         env["SCdecode"] = ShiftControl.decode
-    for j, device in enumerate(ctx.devices):
-        env[f"D{j}"] = device
 
     w.emit("def trace(cpu, budget):")
     w.indent()
     # Bindings the fast-mode entry guards read come first: a failed
-    # guard returns having touched nothing, and the run loop takes the
-    # plan path for that cycle.
+    # guard returns having touched nothing, and the run loop runs the
+    # slot's step for that cycle.
     w.emit("pipe = cpu.pipe")
     w.emit("memory = cpu.memory")
     w.emit("ifu = cpu.ifu")
@@ -357,6 +386,8 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     w.emit("stack = cpu.stack")
     w.emit("link = cpu.control.link")
     w.emit("console = cpu.console")
+    for j in range(len(ctx.devices)):
+        w.emit(f"D{j} = cpu._devices[{j}]")
     if ctx.uses_ioatn:
         w.emit("devmap = cpu._device_by_address")
         w.emit("ioaddr = regs.ioaddress")
@@ -385,8 +416,8 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     if ctx.lazy:
         # One conservative budget check reserves the first iteration;
         # later iterations re-reserve at the loop bottom.  A zero-
-        # progress return is handled by the run loop (it plan-steps
-        # once instead of re-entering).
+        # progress return is handled by the run loop (it runs the
+        # slot's step once instead of re-entering).
         w.emit(f"if budget < {ctx.n_steps}: return")
     w.emit("while True:")
     w.indent()
@@ -449,7 +480,7 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     w.dedent()
 
     source = w.render()
-    filename = f"<trace task{task} pc{entry:#o}>"
+    filename = f"<{'step' if step else 'trace'} task{task} pc{entry:#o}>"
     memo_key = (filename, source)
     code = _COMPILE_MEMO.get(memo_key)
     if code is None:
@@ -618,7 +649,7 @@ def _emit_tail_general(
 ) -> None:
     """Counters + TPC + NEXT decision + clocks + arbitration, one cycle.
 
-    Mirrors the tail of ``Processor._step_plan`` exactly, with the
+    Mirrors the tail of ``Processor._step_interp`` exactly, with the
     trace's counter batching.  Leaves ``nxt`` bound for the caller's
     exit checks.
     """
@@ -649,7 +680,7 @@ def _emit_tail_general(
     w.emit("pipe.this_task = nxt")
     w.emit("tp = tpc[nxt]")
     if ctx.devices:
-        # Devices read machine.now (pre-increment, as on the plan path).
+        # Devices read machine.now (pre-increment, as in the interpreter).
         w.emit("cpu.now = now_")
         w.emit("g = pub")
         w.emit("pub = nxt")
@@ -701,6 +732,8 @@ def _emit_step(
     if not plan.hold_none:
         nowv = "mnow" if fast else "memory.now"
         conds = []
+        if plan.hold_fastio:
+            conds.append((f"memory._storage_busy_until > {nowv}", 1))
         if plan.hold_md:
             conds.append(
                 (f"not (ref.md_valid and ref.md_ready_at <= {nowv})", 2)
@@ -1010,6 +1043,11 @@ def _emit_step(
         if fast:
             w.emit("memory.now = mnow")
         w.emit(f"memory.start_store({task}, {ctx.mbase()}, a, b)")
+    elif ref_kind in (REF_IOFETCH, REF_IOSTORE):
+        env[f"I{i}"] = plan.inst
+        if fast:
+            w.emit("memory.now = mnow")
+        w.emit(f"cpu._start_reference(I{i}, {task}, a, b, True)")
 
     # --- late branch condition.
     cond = plan.cond
@@ -1085,7 +1123,10 @@ def _emit_step(
     elif next_kind == NEXT_DISPATCH256:
         w.emit(f"np = ({plan.next_target} + (b & 0xFF)) & {ctx.im_mask}")
         next_expr = "np"
-    else:  # pragma: no cover - plan_traceable rejects NEXT_BAD and NOTIFY
+    elif next_kind == NEXT_NOTIFY:
+        w.emit(f"console.record_notify({pc})")
+        next_expr = str(plan.next_target)
+    else:  # pragma: no cover - plan_traceable rejects NEXT_BAD
         raise AssertionError("untraceable next_kind reached codegen")
     if plan.consumes_ifu and not consumed_inline:
         w.emit("ifu.consume_operand()")
@@ -1163,18 +1204,25 @@ def _emit_step(
 
 
 class TraceCache:
-    """Hot-region detection, recording, codegen and the closure cache.
+    """A machine's compiled code: the step table, and hot-region
+    detection, recording, codegen and the region cache.
 
     Pure mechanism: nothing here appears in snapshots, and
     :meth:`invalidate_all` must leave the machine architecturally
     untouched.  The cache is created per :class:`Processor` and never
-    shared (``fork()`` builds a new machine, hence a new empty cache).
-    It holds no reference to its processor: the run loop passes the
-    machine to :meth:`record_step`, the only step that reads it, so a
-    machine stays acyclic and is freed as soon as its owner drops it.
+    shared (``fork()`` builds a new machine, hence a new empty cache);
+    only the step functions in its table are shared, through the
+    process-wide step memo.  It holds no reference to its processor:
+    the run loop passes the machine to :meth:`fill` and
+    :meth:`record_step`, the only methods that read it, so a machine
+    stays acyclic and is freed as soon as its owner drops it.
     """
 
     def __init__(self, hot_threshold: int = HOT_THRESHOLD) -> None:
+        #: The plan tier's table: (task, pc) -> ``(step, plan)``, the
+        #: slot's shared compiled step (``step(cpu, 1)`` runs one cycle)
+        #: and the :class:`ExecutionPlan` it was generated from.
+        self.steps: Dict[Tuple[int, int], Tuple[object, ExecutionPlan]] = {}
         #: (task, entry_pc) -> compiled closure ``trace(cpu, budget)``.
         self.traces: Dict[Tuple[int, int], object] = {}
         #: (task, entry_pc) -> generated source, for tests and debugging.
@@ -1193,12 +1241,72 @@ class TraceCache:
         #: Cycles run inside traces, and entries that made no progress.
         self.traced_cycles = 0
         self.stalls = 0
+        #: Cycles a plan or traced machine stepped through
+        #: ``Processor._step_interp``: untraceable slots and hooked cycles.
+        self.interp_cycles = 0
         #: Codegen failures as (key, repr(exc)); parity tests assert
         #: this stays empty on the gold workloads.
         self.failures: List[Tuple[Tuple[int, int], str]] = []
         self._rec_key: Optional[Tuple[int, int]] = None
         self._rec_steps: Optional[List[Tuple[int, ExecutionPlan]]] = None
         self._rec_pcs: Set[int] = set()
+
+    # ------------------------------------------------------------------
+    # the step table
+    # ------------------------------------------------------------------
+
+    def fill(self, cpu, task: int, pc: int) -> Tuple[object, ExecutionPlan]:
+        """Build the table entry for *(task, pc)* on this first fetch.
+
+        The plan is compiled afresh from the IM word, never taken from
+        another machine, and the step comes from the process-wide memo
+        whenever a machine of the same composition generated it before.
+        """
+        inst = cpu.im[pc]
+        if inst is None:
+            raise MicrocodeCrash(
+                f"task {task} fetched uninitialized microstore at {pc:#o}"
+            )
+        plan = compile_plan(inst, pc, cpu.control)
+        step = _interp_step
+        if plan_traceable(plan):
+            control = cpu.control
+            key = (
+                task,
+                pc,
+                inst.encode(),
+                cpu.alu.control(plan.aluop),
+                cpu.config.bypass_enabled,
+                cpu._hold_limit,
+                control.im_mask,
+                control.page_size,
+                tuple(device.task for device in cpu._devices),
+            )
+            step = _STEP_MEMO.get(key)
+            if step is None:
+                try:
+                    step, source = compile_trace(
+                        cpu, task, pc, [(pc, plan)], False, step=True
+                    )
+                except Exception as exc:  # codegen must never take the machine down
+                    self.failures.append(((task, pc), repr(exc)))
+                    step = _interp_step
+                else:
+                    step.source = source  # for tests and debugging
+                    if len(_STEP_MEMO) >= _STEP_MEMO_LIMIT:
+                        _STEP_MEMO.clear()
+                    _STEP_MEMO[key] = step
+        entry = self.steps[(task, pc)] = (step, plan)
+        return entry
+
+    def invalidate_slots(self, pcs) -> None:
+        """An IM write to *pcs*: drop their entries (every task's) and,
+        since regions fold many slots into one source, every region."""
+        steps = self.steps
+        if steps:
+            for key in [key for key in steps if key[1] in pcs]:
+                del steps[key]
+        self.invalidate_all()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1265,13 +1373,14 @@ class TraceCache:
         if pc == key[1] and steps:
             # Back at the entry: the loop body is complete.  (This
             # cycle -- the second iteration's first step -- already ran
-            # on the plan path; the trace takes over at the next entry.)
+            # as a step; the trace takes over at the next entry.)
             self._finish(cpu, loop=True)
             return
-        plan = cpu._plans[pc]
-        if plan is None or not plan_traceable(plan):
+        entry = self.steps.get((task, pc))
+        if entry is None or not plan_traceable(entry[1]):
             self._finish(cpu, loop=False)
             return
+        plan = entry[1]
         steps.append((pc, plan))
         self._rec_pcs.add(pc)
         if new_task != task or len(steps) >= MAX_TRACE_STEPS:
@@ -1312,6 +1421,8 @@ class TraceCache:
     def stats(self) -> dict:
         """Cache health, for the perf report and tests."""
         return {
+            "steps": len(self.steps),
+            "interp_cycles": self.interp_cycles,
             "traces": len(self.traces),
             "compiled": self.compiled,
             "entries": self.entries,

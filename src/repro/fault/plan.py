@@ -14,8 +14,8 @@ cycle window; :meth:`InjectionPlan.from_config` expands it with a
 deterministic generator into a sorted schedule of :class:`FaultEvent`
 objects keyed by (cycle, component).  An event fires at the first
 matching operation at-or-after its cycle, which makes injection
-independent of the simulator's cycle implementation: the plan-cache and
-interpretive cores count cycles identically, so they consume the same
+independent of the simulator's cycle implementation: the compiled and
+interpretive tiers count cycles identically, so they consume the same
 events at the same operations and produce identical fault traces.
 """
 

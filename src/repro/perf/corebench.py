@@ -4,7 +4,7 @@
 representative workloads -- the E1 Mesa emulator loop, the E2 BitBlt
 inner loop, and the E4 fast-I/O display service -- under all three
 cycle implementations: the interpretive reference (``INTERPRETED``),
-the decoded execution-plan path (``PLAN_ONLY``), and the compiled-trace
+the compiled one-cycle steps (``PLAN_ONLY``), and the compiled-trace
 tier that PRODUCTION layers on top (``repro.core.tracecache``).  It
 writes ``BENCH_core.json`` with the cycles-per-second of each and the
 tier-over-tier speedups.  Only the run phase is timed (see
@@ -16,7 +16,7 @@ receipt.
 
 The benchmark runs with no instrumentation-bus subscribers attached, so
 it also pins the bus's zero-cost guarantee: an idle bus leaves
-``Processor.trace_hook`` as ``None`` and the plan-cache loop pays the
+``Processor.trace_hook`` as ``None`` and the step loop pays the
 same single check it paid before the bus existed.  ``--baseline`` reruns
 the bench and compares against a previously written BENCH_core.json:
 simulated cycle counts must match exactly, and each scenario's speedup

@@ -9,7 +9,7 @@ the machine's hook slots through this bus; a machine that is only run
 compiled-trace tier.  Following the cycle-accurate-simulator-generation literature
 (Reshadi & Dutt, PAPERS.md), it keeps a hard rule: **when nothing is
 attached, the hot loop pays exactly one ``is None`` check per cycle**
--- the same check the plan-cache fast path already carries.
+-- the same check the compiled-step loop already carries.
 
 :class:`InstrumentationBus` (one per machine, created lazily by
 ``Processor.instruments``) keeps *named* subscribers in deterministic
@@ -53,7 +53,7 @@ class InstrumentationBus:
     Subscribers are invoked in installation order; installing and
     uninstalling recompiles the machine's hook slots, so the
     zero-subscriber state is literally ``trace_hook is None`` -- the
-    plan-cache fast path is untouched when nobody is listening.
+    compiled tiers are untouched when nobody is listening.
     """
 
     def __init__(self, machine) -> None:

@@ -429,6 +429,8 @@ class Session:
         checkpoint meters the work *it* did, not its previous life's.
         """
         self.cpu.restore(state)
+        if self._supervisor is not None:
+            self._supervisor.discard_checkpoint()
         self._meter_base = self.cpu.counters.state_dict()
 
     def suspend(self) -> str:

@@ -7,9 +7,8 @@ subsystem in this simulator declares exactly that state through one
 protocol -- ``state_dict() -> dict`` returning plain data (ints, bools,
 strings, lists, dicts; no object references, no aliasing of live
 containers) and ``load_state(dict)`` copying it back in.  Derived
-mechanism -- the execution-plan cache, instrumentation hooks, decode
-tables, compiled ALU closures -- is explicitly excluded and rebuilt
-when needed.
+mechanism -- compiled steps and regions, instrumentation hooks, decode
+tables -- is explicitly excluded and rebuilt when needed.
 
 This module assembles the per-subsystem dicts into a versioned
 :class:`MachineState` (see :meth:`repro.core.processor.Processor.

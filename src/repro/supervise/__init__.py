@@ -6,7 +6,7 @@ Three layers close the loop from detection to recovery:
   microarchitectural invariants, swept over the live machine.
 * :class:`~repro.supervise.supervisor.Supervisor` -- sweeps between
   ``run()`` chunks, periodic checkpoints, failure classification, bounded
-  rollback-to-last-good-and-replay, plan-cache -> interpreter
+  rollback-to-last-good-and-replay, compiled-steps -> interpreter
   degradation.
 * :func:`~repro.supervise.diverge.find_divergence` -- lockstep
   differential comparison of the two cycle implementations on forks of

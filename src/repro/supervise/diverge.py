@@ -1,21 +1,21 @@
-"""Differential divergence detection: plan cache versus interpreter.
+"""Differential divergence detection: compiled steps versus interpreter.
 
-The two cycle implementations of :class:`~repro.core.processor.
-Processor` are required to be observationally identical; when the
-recovery supervisor suspects a compiled plan (a tripped ``plans``
-machine check, or repeated replay failures), :func:`find_divergence`
-settles the question experimentally.  It forks the machine twice --
-shared-nothing clones via the PR 4 snapshot protocol -- pins one fork
-to each implementation, grafts the *live* plan cache onto the plan-side
-fork (``fork()`` deliberately rebuilds clones with an empty cache, so
-the suspect plans must be carried over explicitly), and steps both in
-lockstep.  Each cycle a cheap probe tuple is compared; on the first
+The plan tier's compiled steps and the interpreter of
+:class:`~repro.core.processor.Processor` are required to be
+observationally identical; when the recovery supervisor suspects the
+step table (a tripped ``plans`` machine check, or repeated replay
+failures), :func:`find_divergence` settles the question
+experimentally.  It forks the machine twice -- shared-nothing clones
+via the PR 4 snapshot protocol -- pins one fork to each tier, grafts
+the *live* step table onto the plan-side fork (``fork()`` starts
+clones with an empty table, so the suspect entries must be carried
+over explicitly), and steps both in lockstep.  Each cycle a cheap probe tuple is compared; on the first
 mismatch, or at the window's end, a full snapshot comparison through
 :func:`~repro.state.diff_states` names the exact divergent
 architectural paths.
 
-A ``None`` return is a clean bill of health: over the window the plan
-cache and the interpreter agreed bit-for-bit.
+A ``None`` return is a clean bill of health: over the window the
+steps and the interpreter agreed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ def find_divergence(machine, window: int = 2000) -> Optional[DivergenceReport]:
     """
     plan_fork = machine.fork()
     interp_fork = machine.fork()
-    # fork() rebuilds with an empty plan cache; the whole point is to
-    # test the machine's *current* plans, so graft them onto the
-    # plan-side fork.  ExecutionPlans are flat pure data -- sharing
-    # them cannot couple the forks.
-    plan_fork._plans = list(machine._plans)
+    # fork() starts an empty step table; the whole point is to test the
+    # machine's *current* steps, so graft its table onto the plan-side
+    # fork.  A step takes the machine it runs as an argument and a plan
+    # is flat pure data -- sharing the entries cannot couple the forks.
+    plan_fork._traces.steps.update(machine._traces.steps)
     plan_fork.tier = "plan"
     interp_fork.tier = "interp"
 

@@ -36,9 +36,9 @@ The invariant catalogue (DESIGN.md section 5.5):
     The prefetch buffer invariant ``0 <= buffered - pc <= 7`` (the
     6-byte buffer plus the word-fetch overshoot) and 16-bit operands.
 ``plans``
-    Every compiled :class:`~repro.core.plancache.ExecutionPlan` still
-    agrees with the IM slot it was compiled from (same object or same
-    34-bit encoding).  Skipped when the machine runs interpretively --
+    The :class:`~repro.core.plancache.ExecutionPlan` of every step-table
+    entry still agrees with the IM slot it was compiled from (same
+    object or same 34-bit encoding).  Skipped when the machine runs interpretively --
     a degraded machine must not keep tripping on plans it no longer
     executes.
 
@@ -222,9 +222,7 @@ class MachineCheckSanitizer:
         if machine.tier == "interp":
             return
         im = machine.im
-        for pc, plan in enumerate(machine._plans):
-            if plan is None:
-                continue
+        for (_, pc), (_, plan) in machine._traces.steps.items():
             inst = im[pc]
             if inst is None:
                 failures.append(CheckFailure(

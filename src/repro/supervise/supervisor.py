@@ -13,7 +13,10 @@ The protocol (DESIGN.md section 5.5):
 1. Snapshot the machine (PR 4's ``MachineState``) every
    ``checkpoint_interval`` cycles.  A checkpoint is only *promoted* to
    last-known-good after the slice beyond it completed with no
-   detector firing and no new latched fault.
+   detector firing and no new latched fault.  A run that starts where
+   the previous one promoted its last checkpoint reuses it instead of
+   snapshotting the same state again; whoever replaces the machine's
+   state between runs calls :meth:`Supervisor.discard_checkpoint`.
 2. Run each slice in ``machine.run()`` chunks that end every
    ``check_interval`` cycles (replayed cycles count too), and sweep the
    sanitizer between chunks.  Recoverable failures -- the
@@ -29,7 +32,7 @@ The protocol (DESIGN.md section 5.5):
    final state.  The recovery counters (``RECOVERY_FIELDS``) are
    carried over too -- they describe the supervision, not the
    trajectory.
-4. When the evidence implicates the plan cache (a ``plans`` machine
+4. When the evidence implicates the step table (a ``plans`` machine
    check, or repeated replay failures) the supervisor runs the
    differential divergence detector; a confirmed divergence degrades
    the machine to the interpreter path for the rest of the run.
@@ -112,7 +115,8 @@ class Supervisor:
         limit = start + max_cycles
         self._retries = 0
         self._countdown = self.check_interval
-        self._checkpoint = machine.snapshot()
+        if self._checkpoint is None or self._checkpoint_cycle() != start:
+            self._checkpoint = machine.snapshot()
         while not machine.halted and counters.cycles < limit:
             target = min(
                 self._checkpoint_cycle() + self.checkpoint_interval, limit
@@ -144,6 +148,11 @@ class Supervisor:
             if not self._countdown:
                 self._countdown = self.check_interval
                 self.sanitizer.sweep()
+
+    def discard_checkpoint(self) -> None:
+        """Forget the promoted checkpoint: the machine's state was
+        replaced between runs, so the next run snapshots afresh."""
+        self._checkpoint = None
 
     def _checkpoint_cycle(self) -> int:
         return self._checkpoint.data["core"]["counters"]["cycles"]

@@ -550,11 +550,15 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
     """All three shift FFs decode the live SHIFTCTL exactly once.
 
     ``_result_override`` used to decode it up to three times per
-    instruction; both it and the plan fast path now share a single
-    decode, which this test pins by counting calls through the
-    processor's module-level ``ShiftControl`` reference.
+    instruction; both it and the generated steps share a single decode,
+    which this test pins by counting calls through the interpreter's
+    and the trace compiler's module-level ``ShiftControl`` references.
+    The step memo is swapped for an empty one, so every step is
+    generated here, bound to the counting decode, whatever earlier
+    tests left in the process-wide memo.
     """
     import repro.core.processor as processor_mod
+    import repro.core.tracecache as tracecache_mod
     from repro.core.functions import FF
     from repro.core.shifter import ShiftControl, field_control, shift, shift_masked
 
@@ -567,6 +571,8 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
             return ShiftControl.decode(value)
 
     monkeypatch.setattr(processor_mod, "ShiftControl", CountingShiftControl)
+    monkeypatch.setattr(tracecache_mod, "ShiftControl", CountingShiftControl)
+    monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
 
     control = field_control(4, 6)
     word, fill = 0x0A50, 0x9C01

@@ -35,8 +35,9 @@ from repro import (
     HoldTimeout,
     Processor,
 )
-from repro.config import INTERPRETED, PRODUCTION
+from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION
 from repro.core.counters import RECOVERY_FIELDS
+from repro.core.tracecache import _interp_step, compile_trace
 from repro.errors import (
     CorruptionDetected,
     TransientFault,
@@ -223,6 +224,58 @@ def test_sweep_cadence_counts_replayed_cycles(interval, sweeps, rollbacks):
     assert supervisor.sanitizer.sweeps == sweeps
 
 
+def test_resident_session_snapshots_each_state_once(monkeypatch):
+    """A slice that starts where the previous one promoted its last
+    checkpoint reuses it: a resident supervised session in 1200-cycle
+    slices snapshots each cycle once, its rollback included."""
+    taken = []
+    snapshot = Processor.snapshot
+
+    def counting(cpu):
+        taken.append(cpu.counters.cycles)
+        return snapshot(cpu)
+
+    monkeypatch.setattr(Processor, "snapshot", counting)
+    session = Session.build(
+        "mesa_loop_sum", args={"n": 200}, fault=dict(FAULT_TEMPLATE, seed=101)
+    )
+    while not session.halted:
+        session.run_slice(1200)
+    assert session.cpu.counters.rollbacks >= 1
+    assert taken == sorted(set(taken)), f"duplicate snapshots: {taken}"
+    assert taken == [0, 1200, 2400, 3600, 4800, 4807]
+    monkeypatch.undo()
+    assert session.verify()
+
+
+def test_load_between_slices_rolls_back_to_the_loaded_state():
+    """``Session.load`` replaces the machine's state between slices, so
+    the supervisor must not roll back to the checkpoint it promoted
+    before the load, even one taken at the very same cycle."""
+    session = Session.build("mesa_loop_sum", args={"n": 200}, supervise=True)
+    other = Session.build("mesa_loop_sum", args={"n": 300}, supervise=True)
+    session.run_slice(1200)
+    other.run_slice(1200)
+    session.load(other.cpu.snapshot())
+
+    cpu = session.cpu
+    run = cpu.run
+
+    def fail_once(cycles):
+        del cpu.run  # back to Processor.run for the replay
+        run(min(cycles, 100))
+        raise TransientFault("injected", cycle=cpu.counters.cycles)
+
+    cpu.run = fail_once
+    session.run_slice(1200)
+    other.run_slice(1200)
+    assert cpu.counters.rollbacks == 1
+    assert session.supervisor.log[0]["to_cycle"] == 1200
+    assert architectural_json(cpu.snapshot()) == architectural_json(
+        other.cpu.snapshot()
+    )
+
+
 # --------------------------------------------------------------------------
 # Supervised sessions run the production path: compiled traces included
 # --------------------------------------------------------------------------
@@ -334,18 +387,59 @@ def test_sanitizer_catches_ifu_buffer_overrun(ran_machine):
     assert "ifu" in _failed_checks(ran_machine)
 
 
-def test_sanitizer_catches_plan_im_disagreement(ran_machine):
-    cpu = ran_machine
-    pc = cpu.this_pc
-    plan = cpu._plans[pc]
-    assert plan is not None, "the running microword must be compiled by now"
-    donor = next(
+def _running_entry_key(cpu):
+    key = (cpu.pipe.this_task, cpu.this_pc)
+    assert key in cpu._traces.steps, "the running microword must be compiled by now"
+    return key
+
+
+def _donor_word(cpu, pc):
+    """Some other microword of the loaded program."""
+    return next(
         inst
         for address in range(cpu.config.im_size)
         if (inst := cpu.im[address]) is not None
         and inst.encode() != cpu.im[pc].encode()
     )
-    plan.inst = donor
+
+
+def _corrupt_entry(cpu, key, inst=None):
+    """Corrupt *cpu*'s own table entry at *key* in place: flip its plan's
+    load bits (and give it source word *inst*), then swap in a step
+    generated from the corrupted plan, bypassing the shared step memo."""
+    _, plan = cpu._traces.steps[key]
+    if inst is not None:
+        plan.inst = inst
+    plan.loads_t = not plan.loads_t
+    plan.loads_rm = not plan.loads_rm
+    task, pc = key
+    bad, _ = compile_trace(cpu, task, pc, [(pc, plan)], False, step=True)
+    cpu._traces.steps[key] = (bad, plan)
+
+
+def _assert_fresh_machines_match_interp(n):
+    """A machine built after a corruption still runs byte-identical to
+    the interpreter on both compiled tiers: the process-wide step memo
+    was not poisoned by the corrupted table."""
+    reference = mesa_loop_sum(n, config=INTERPRETED)
+    reference.run()
+    expected = architectural_json(reference.ctx.cpu.snapshot())
+    for config in (PLAN_ONLY, PRODUCTION):
+        fresh = mesa_loop_sum(n, config=config)
+        fresh.run()  # verifies the result
+        assert fresh.ctx.cpu.counters == reference.ctx.cpu.counters
+        assert architectural_json(fresh.ctx.cpu.snapshot()) == expected
+
+
+def test_sanitizer_catches_plan_im_disagreement(ran_machine):
+    cpu = ran_machine
+    key = _running_entry_key(cpu)
+    steps = cpu._traces.steps
+    donor = next(
+        entry for other, entry in steps.items()
+        if entry[1].inst.encode() != cpu.im[key[1]].encode()
+    )
+    steps[key] = donor  # the step and plan of another microword
     failures = MachineCheckSanitizer(cpu).run_checks()
     assert any(f.check == "plans" for f in failures)
 
@@ -353,6 +447,7 @@ def test_sanitizer_catches_plan_im_disagreement(ran_machine):
     # must not keep tripping on plans it no longer executes.
     cpu.tier = "interp"
     assert "plans" not in _failed_checks(cpu)
+    _assert_fresh_machines_match_interp(60)
 
 
 def test_sweep_raises_corruption_detected_and_counts(ran_machine):
@@ -467,19 +562,20 @@ def test_find_divergence_acquits_a_healthy_machine(ran_machine):
 def test_find_divergence_convicts_a_corrupted_plan(ran_machine):
     cpu = ran_machine
     before = cpu.snapshot().to_json()
-    corrupted = 0
-    for plan in cpu._plans:
-        if plan is not None:
-            plan.loads_t = not plan.loads_t
-            plan.loads_rm = not plan.loads_rm
-            corrupted += 1
-    assert corrupted, "the workload must have compiled something"
+    compiled = [
+        key for key, (step, _) in cpu._traces.steps.items()
+        if step is not _interp_step
+    ]
+    assert compiled, "the workload must have compiled something"
+    for key in compiled:
+        _corrupt_entry(cpu, key)
     report = find_divergence(cpu, window=2000)
     assert report is not None
     assert report.diffs and report.cycle >= cpu.now
     assert "divergence at cycle" in str(report)
     # The detector works on forks; the machine itself never moved.
     assert cpu.snapshot().to_json() == before
+    _assert_fresh_machines_match_interp(60)
 
 
 def test_plan_implicating_corruption_degrades_to_interpreter():
@@ -487,22 +583,12 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     cpu = workload.ctx.cpu
     cpu.run(600)
 
-    # A corrupted compiled plan: wrong source microword (trips the
+    # A corrupted table entry: wrong source microword (trips the
     # sanitizer's plans check) and wrong behaviour (confirms under the
     # differential detector).  The IM itself stays correct, so the
     # interpreter path is the cure.
-    pc = cpu.this_pc
-    plan = cpu._plans[pc]
-    assert plan is not None
-    donor = next(
-        inst
-        for address in range(cpu.config.im_size)
-        if (inst := cpu.im[address]) is not None
-        and inst.encode() != cpu.im[pc].encode()
-    )
-    plan.inst = donor
-    plan.loads_t = not plan.loads_t
-    plan.loads_rm = not plan.loads_rm
+    key = _running_entry_key(cpu)
+    _corrupt_entry(cpu, key, inst=_donor_word(cpu, key[1]))
 
     supervisor = Supervisor(
         cpu, checkpoint_interval=600, max_retries=5, check_interval=64
@@ -516,6 +602,7 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     assert degrade["first_diff"]
     # The metrics export reports the tier running now, not the config.
     assert metrics_snapshot(cpu)["tiers"]["tier"] == "interp"
+    _assert_fresh_machines_match_interp(200)
 
 
 # --------------------------------------------------------------------------

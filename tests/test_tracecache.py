@@ -8,15 +8,20 @@ the stats surface -- on small hand-built machines where each edge is
 easy to reach deliberately, and the coverage the tier reaches on the
 rotation workloads (side exits as region heads, IFU-free traces under a
 running IFU).  Codegen the rotation workloads never reach is checked
-against PLAN_ONLY on hand-built ``run()`` loops.
+against the interpreter on hand-built ``run()`` loops.  The plan tier's
+table of shared one-step traces is pinned here too: what the shared
+step memo must key on, ALUFM rewrites, and forks and resumed sessions
+that fill their tables without generating any source.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from repro import FF, Assembler, Processor
-from repro.config import PLAN_ONLY, PRODUCTION
+from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION
+from repro.core.alu import AluControl, AluFunc
 from repro.core.functions import count_small
 from repro.core.microword import (
     ASel,
@@ -28,15 +33,18 @@ from repro.core.microword import (
     NextType,
 )
 from repro.core.plancache import compile_plan
+import repro.core.tracecache as tracecache_mod
 from repro.core.tracecache import (
     HOT_THRESHOLD,
     MAX_TRACE_STEPS,
     MIN_STRAIGHT_STEPS,
     TraceCache,
+    _interp_step,
+    compile_trace,
     plan_traceable,
 )
 from repro.io.display import DisplayController
-from repro.perf.workloads import ALL_WORKLOADS, smalltalk_counter
+from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum, smalltalk_counter
 from repro.supervise import architectural_json
 
 
@@ -170,10 +178,13 @@ def test_untraceable_plan_cuts_the_recording():
     cpu = _ring_machine(8)
     cpu.run(max_cycles=50)
     cache = cpu._traces
-    cpu._plans[5] = None  # simulate a slot the plan compiler rejected
+    # Simulate a slot whose table entry holds an untraceable plan.
+    halt = MicroInstruction(ff=int(FF.HALT), nc=NextControl.pack(NextType.GOTO, 6))
+    step, _ = cache.steps[(0, 5)]
+    cache.steps[(0, 5)] = (step, compile_plan(halt, 5, cpu.control))
     cache.begin_recording((0, 4))
     cache.record_step(cpu, 0, 4, 0, 5)
-    cache.record_step(cpu, 0, 5, 0, 6)  # plan is None: finish as straight
+    cache.record_step(cpu, 0, 5, 0, 6)  # untraceable: finish as straight
     assert (0, 4) in cache.blacklist  # one step < MIN_STRAIGHT_STEPS
     assert cache._rec_key is None
 
@@ -290,23 +301,24 @@ def test_side_exit_landing_becomes_a_trace_head():
 
 def test_ifu_free_trace_ticks_a_running_ifu():
     """A fast trace that never touches the IFU enters (and makes
-    progress) while the IFU prefetches, byte-identical to PLAN_ONLY."""
+    progress) while the IFU prefetches, byte-identical to the
+    interpreter."""
     traced = smalltalk_counter(sends=600)
-    plan = smalltalk_counter(sends=600, config=PLAN_ONLY)
+    interp = smalltalk_counter(sends=600, config=INTERPRETED)
     cache = traced.ctx.cpu._traces
     traced.run_slice(20_000)
-    plan.run_slice(20_000)
+    interp.run_slice(20_000)
     ifu_free = {key for key, src in cache.sources.items() if "ifon = ifu.running" in src}
     assert ifu_free, "smalltalk_counter compiles IFU-free fast traces"
     seen = []
     _watch_traces(cache, seen)
     for _ in range(10):
         traced.run_slice(997)
-        plan.run_slice(997)
+        interp.run_slice(997)
     assert any(ifon and key in ifu_free for ifon, key, _ in seen)
     traced.run()  # to HALT, verifying the result
-    plan.run()
-    a, b = traced.ctx.cpu, plan.ctx.cpu
+    interp.run()
+    a, b = traced.ctx.cpu, interp.ctx.cpu
     assert a.counters == b.counters
     assert architectural_json(a.snapshot()) == architectural_json(b.snapshot())
 
@@ -422,16 +434,18 @@ def test_unexercised_codegen_matches_the_plan_tier(name):
     codegen as plain datapath transliteration, and COUNT writes/reads and
     the THISTASK EXTB read take the generic ``_apply_ff``,
     ``_result_override`` and ``_read_extb`` calls: each compiles into a
-    trace that runs, and the machine ends byte-identical to PLAN_ONLY."""
+    trace that runs, and the machine ends byte-identical to the
+    interpreter (the plan tier is generated by the same codegen, so it
+    is no independent reference)."""
     body, line = UNEXERCISED[name]
     traced = _loop_machine(PRODUCTION, body)
-    plan = _loop_machine(PLAN_ONLY, body)
+    interp = _loop_machine(INTERPRETED, body)
     cache = traced._traces
     assert cache.failures == []
     assert any(line in src for src in cache.sources.values())
     assert cache.stats()["traced_cycles"] > traced.counters.cycles // 2
-    assert traced.counters == plan.counters
-    assert architectural_json(traced.snapshot()) == architectural_json(plan.snapshot())
+    assert traced.counters == interp.counters
+    assert architectural_json(traced.snapshot()) == architectural_json(interp.snapshot())
 
 
 def test_keyboard_ioatn_spin_runs_traced():
@@ -446,8 +460,42 @@ def test_keyboard_ioatn_spin_runs_traced():
     assert cache.stats()["traced_cycles"] > 2500
 
 
-def test_fast_io_and_notify_are_untraceable():
-    """Fast I/O references and NOTIFY end a recording, like HALT."""
+def _step_source(cpu, task, pc):
+    """A step for *(task, pc)* generated afresh on *cpu*, bypassing the
+    process-wide memo: the source its table entry must hold."""
+    plan = compile_plan(cpu.im[pc], pc, cpu.control)
+    return compile_trace(cpu, task, pc, [(pc, plan)], False, step=True)[1]
+
+
+def _compiled_entries(cpu):
+    return {
+        key: step for key, (step, _) in cpu._traces.steps.items()
+        if step is not _interp_step
+    }
+
+
+def _notify_ring(config) -> Processor:
+    """The 8-slot GOTO ring with slot 3 a NOTIFY (fall through to 4),
+    run hot enough to trace."""
+    cpu = _ring_machine(8)
+    cpu.tier = config.tier
+    cpu.im[3] = MicroInstruction(
+        aluop=7, bsel=BSel.CONST_LZ, lc=LoadControl.T, ff=3,
+        nc=NextControl.pack(NextType.MISC, int(Misc.NOTIFY) << 3),
+    )
+    cpu.run(max_cycles=200)
+    return cpu
+
+
+def test_fast_io_and_notify_compile():
+    """Fast I/O references and NOTIFY compile like any other slot.  The
+    fast-I/O display scenario, with and without explicit notification,
+    and a ring with a NOTIFY slot run them from compiled steps (and,
+    traced, inside a region) byte-identical to the interpreter."""
+    from tests.test_fastpath_parity import (
+        CONFIGS, _display_run, assert_same_machine, machine_state,
+    )
+
     cpu = Processor(PRODUCTION)
     fetch = MicroInstruction(
         asel=ASel.RM_FETCH, bsel=BSel.RM, ff=int(FF.IOFETCH),
@@ -458,6 +506,175 @@ def test_fast_io_and_notify_are_untraceable():
         nc=NextControl.pack(NextType.GOTO, 1),
     )
     notify = MicroInstruction(nc=NextControl.pack(NextType.MISC, int(Misc.NOTIFY) << 3))
-    for inst in (fetch, store, notify):
-        assert not plan_traceable(compile_plan(inst, 0, cpu.control))
-    assert plan_traceable(compile_plan(_goto(1), 0, cpu.control))
+    for inst in (fetch, store, notify, _goto(1)):
+        assert plan_traceable(compile_plan(inst, 0, cpu.control))
+
+    for explicit_notify in (False, True):
+        reference = _display_run(INTERPRETED, explicit_notify)
+        for label, config in CONFIGS[1:]:
+            ran = _display_run(config, explicit_notify)
+            assert_same_machine(ran, reference)
+            assert ran._traces.stats()["interp_cycles"] == 0
+            sources = [step.source for step in _compiled_entries(ran).values()]
+            assert any("cpu._start_reference(" in src for src in sources)
+
+    reference = _notify_ring(INTERPRETED)
+    assert len(reference.console.notifications) == 25
+    for label, config in CONFIGS[1:]:
+        ran = _notify_ring(config)
+        assert machine_state(ran) == machine_state(reference)
+        assert ran._traces.stats()["interp_cycles"] == 0
+        assert "console.record_notify(3)" in ran._traces.steps[(0, 3)][0].source
+    assert any("console.record_notify(3)" in src for src in ran._traces.sources.values())
+
+
+def _composition_machines():
+    """One plan-tier machine of every composition in the parity matrix,
+    run far enough to fill its step table."""
+    from tests.test_fastpath_parity import (
+        _CORRECTABLE, _disk_run, _display_run, _ring_run,
+    )
+
+    def mesa(**overrides):
+        workload = mesa_loop_sum(60, config=dataclasses.replace(PLAN_ONLY, **overrides))
+        workload.run()
+        return workload.ctx.cpu
+
+    def loop(**overrides):
+        return _loop_machine(dataclasses.replace(PLAN_ONLY, **overrides), _count_small_body)
+
+    machines = {
+        "device-free": mesa(),
+        "fault task": mesa(fault_task=9),
+        "injector": mesa(fault_injection=_CORRECTABLE),
+        "hold limit": mesa(hold_limit=5000),
+        "bypass": loop(),
+        "no bypass": loop(bypass_enabled=False),
+        "display": _display_run(PLAN_ONLY, explicit_notify=True),
+        "disk": _disk_run(PLAN_ONLY),
+    }
+    for node in _ring_run(PLAN_ONLY).nodes:
+        machines[f"ring node {node.index}"] = node.cpu
+    return machines
+
+
+def test_shared_steps_key_on_every_composition_fact(monkeypatch):
+    """Machines of every composition share one step memo; each table
+    entry must still hold exactly the step generated for its own
+    machine, so the memo key covers everything the emitter folds in."""
+    monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
+    machines = _composition_machines()
+    for name, cpu in machines.items():
+        compiled = _compiled_entries(cpu)
+        assert compiled, name
+        for (task, pc), step in compiled.items():
+            assert step.source == _step_source(cpu, task, pc), (name, task, pc)
+    # The memo really was shared: the compositions that run the same
+    # program hit each other's steps wherever their facts agree.
+    shared = set(_compiled_entries(machines["device-free"]).values())
+    assert shared & set(_compiled_entries(machines["injector"]).values())
+
+
+def _alufm_rewrite_machine(config):
+    """Two passes over one loop whose ADD (ALUOp 0) the first pass
+    compiles; between the passes ALUFM_WRITE turns ALUOp 0 into XOR."""
+    asm = Assembler(config)
+    asm.registers({"x": 1, "n": 2, "pass": 3})
+    asm.emit(r="pass", b=2, alu="B", load="RM")
+    asm.label("outer")
+    asm.emit(r="n", b=41, alu="B", load="RM")
+    asm.label("loop")
+    asm.emit(r="x", a="RM", b=0x0023, alu=0, load="RM")
+    asm.emit(r="n", a="RM", alu="DEC", load="RM", branch=("ZERO", "done", "loop"))
+    asm.label("done")
+    asm.emit(r="x", b="RM", ff=FF.TRACE)
+    asm.emit(r="pass", a="RM", alu="DEC", load="RM", branch=("ZERO", "end", "rewrite"))
+    asm.label("rewrite")
+    asm.emit(b=AluControl(AluFunc.A_XOR_B).encode(), alu="B", load="T")
+    asm.emit(b="T", alu=0, ff=FF.ALUFM_WRITE, goto="outer")
+    asm.label("end")
+    asm.emit(ff=FF.HALT, idle=True)
+    cpu = Processor(config)
+    cpu.load_image(asm.assemble())
+    return cpu
+
+
+def test_alufm_write_recompiles_a_compiled_loop():
+    """A loop's ADD step (and, traced, its region) is compiled before
+    ALUFM_WRITE rewrites ALUOp 0; the second pass must run XOR on every
+    tier, byte-identical to the interpreter.  Restoring the start state
+    brings ADD back under steps compiled for XOR: they must go too."""
+    reference = _alufm_rewrite_machine(INTERPRETED)
+    reference.run(max_cycles=5_000)
+    assert reference.halted
+    added = (0x0023 * 41) & 0xFFFF
+    assert reference.console.trace == [added, added ^ 0x0023]
+    expected = architectural_json(reference.snapshot())
+    for config in (PLAN_ONLY, PRODUCTION):
+        cpu = _alufm_rewrite_machine(config)
+        start = cpu.snapshot()
+        for _ in range(2):
+            cpu.run(max_cycles=5_000)
+            assert cpu.console.trace == reference.console.trace
+            assert cpu.counters == reference.counters
+            assert architectural_json(cpu.snapshot()) == expected
+            cpu.restore(start)
+        assert cpu._traces.failures == []
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_SIZES))
+def test_forks_and_resumed_sessions_generate_no_step_source(name, monkeypatch):
+    """Once one run of a workload has filled the step memo, a fork of a
+    fresh session and a ``Session.resume`` of it fill their tables from
+    the memo: no step source is generated for them."""
+    from repro.service import Session
+
+    monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
+    Session.build(name).run()
+    generated = []
+    compile_real = tracecache_mod.compile_trace
+
+    def counting(*args, step=False, **kwargs):
+        if step:
+            generated.append(args[1:3])
+        return compile_real(*args, step=step, **kwargs)
+
+    monkeypatch.setattr(tracecache_mod, "compile_trace", counting)
+    session = Session.build(name)
+    session.run_slice(1200)
+    clone = session.cpu.fork()
+    clone.run(1200)
+    resumed = Session.resume(session.suspend())
+    resumed.run()
+    assert clone._traces.steps and resumed.cpu._traces.steps
+    assert generated == []
+
+
+def _plan_tier_machines():
+    from repro.graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
+    from repro.graphics.bitmap import Bitmap
+    from tests.test_fastpath_parity import _display_run
+
+    for name in sorted(ROTATION_SIZES):
+        workload = ALL_WORKLOADS[name](config=PLAN_ONLY)
+        workload.run()
+        yield name, workload.ctx.cpu
+    cpu = build_bitblt_machine(PLAN_ONLY)
+    Bitmap(cpu.memory, 0x2000, 17, 16).load_pattern()
+    run_bitblt(
+        cpu, BitBltFunction.COPY, src_va=0x2000, dst_va=0x8000,
+        words_per_row=16, rows=16, src_pitch=17, dst_pitch=16, shift=5,
+    )
+    yield "E2 bitblt", cpu
+    yield "E4 display", _display_run(PLAN_ONLY, explicit_notify=False)
+
+
+def test_plan_tier_steps_through_the_interpreter_only_to_halt():
+    """On the plan tier every slot of the rotation workloads, BitBlt and
+    the fast-I/O display runs a compiled step: at most the HALT steps
+    through the interpreter, and the stats report the table."""
+    for name, cpu in _plan_tier_machines():
+        stats = cpu._traces.stats()
+        assert stats["interp_cycles"] <= 1, name
+        assert stats["steps"] == len(cpu._traces.steps) > 0, name
+        assert stats["traced_cycles"] == 0, name
