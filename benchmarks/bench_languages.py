@@ -79,7 +79,7 @@ def test_bcpl_fib(benchmark):
     def run():
         ctx = bcpl_fib_iterative()
         ctx.run(1_000_000)
-        assert static_value(ctx, 0) == FIB_EXPECTED
+        assert static_value(ctx.cpu, 0) == FIB_EXPECTED
         return ctx.cpu.counters.cycles
 
     cycles = benchmark(run)

@@ -50,7 +50,7 @@ def main() -> None:
     print(f"compiled to {len(stream)} byte-code bytes")
 
     ctx.load_program(stream)
-    profiler = OpcodeProfiler(ctx)
+    profiler = OpcodeProfiler(ctx.cpu)
     cycles = ctx.run(10_000_000)
     assert ctx.halted
 

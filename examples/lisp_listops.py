@@ -62,9 +62,9 @@ def main() -> None:
     define_function(ctx, FN_DOUBLE, b.address_of("double"))
     set_symbol_value(ctx, 2, TAG_INT, 0)
 
-    profiler = OpcodeProfiler(ctx)
+    profiler = OpcodeProfiler(ctx.cpu)
     cycles = ctx.run(5_000_000)
-    tag, total = symbol_value(ctx, 1)
+    tag, total = symbol_value(ctx.cpu, 1)
     print(f"(reduce + (mapcar double '(5 4 3 2 1))) = {total}  [tag {tag}]")
     print(f"{cycles} microcycles, "
           f"{cycles / ctx.cpu.ifu.dispatches:.1f} cycles per byte code")

@@ -33,7 +33,7 @@ def main() -> None:
     b.op("LL", 0); b.op("RET")
 
     ctx.load_program(b.assemble())
-    profiler = OpcodeProfiler(ctx)
+    profiler = OpcodeProfiler(ctx.cpu)
     cycles = ctx.run(5_000_000)
 
     result = ctx.memory_word(FRAMES_VA + 2)

@@ -183,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace:
         tracer = PipelineTracer(cpu).install()
     if args.profile:
-        profiler = OpcodeProfiler(session.ctx)
+        profiler = OpcodeProfiler(cpu)
 
     # Observers come off the bus whatever the run did -- success,
     # diagnosed failure, or a verify oracle blowing up.  Timelines and

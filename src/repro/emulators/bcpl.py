@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..asm.assembler import Assembler
 from ..config import MachineConfig, PRODUCTION
 from ..core.functions import FF
+from ..core.processor import Processor
 from ..ifu.decoder import DecodeEntry, DecodeTable, OperandKind
 from .isa import EmulatorContext, build_machine
 
@@ -123,8 +124,9 @@ def _init(ctx: EmulatorContext) -> None:
     cpu.regs.write_rm_absolute(REG_SP, RETSTACK_DISP)
 
 
-def static_value(ctx: EmulatorContext, index: int) -> int:
-    return ctx.memory_word(STATICS_VA + index)
+def static_value(cpu: Processor, index: int) -> int:
+    """Static *index* on machine *cpu*."""
+    return cpu.memory.debug_read(STATICS_VA + index)
 
 
 def set_static(ctx: EmulatorContext, index: int, value: int) -> None:

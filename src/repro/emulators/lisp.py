@@ -24,6 +24,7 @@ from __future__ import annotations
 from ..asm.assembler import Assembler
 from ..config import MachineConfig, PRODUCTION
 from ..core.functions import FF
+from ..core.processor import Processor
 from ..ifu.decoder import DecodeEntry, DecodeTable, OperandKind
 from .isa import EmulatorContext, build_machine
 
@@ -403,9 +404,10 @@ def set_symbol_value(ctx: EmulatorContext, symbol: int, tag: int, value: int) ->
     ctx.set_memory_word(base + 1, value)
 
 
-def symbol_value(ctx: EmulatorContext, symbol: int):
+def symbol_value(cpu: Processor, symbol: int):
+    """(tag, value) of *symbol* on machine *cpu*."""
     base = SYMBOLS_VA + 4 * symbol
-    return ctx.memory_word(base), ctx.memory_word(base + 1)
+    return cpu.memory.debug_read(base), cpu.memory.debug_read(base + 1)
 
 
 def stack_top(ctx: EmulatorContext):

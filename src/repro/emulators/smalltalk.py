@@ -21,6 +21,7 @@ from typing import Dict, List
 from ..asm.assembler import Assembler
 from ..config import MachineConfig, PRODUCTION
 from ..core.functions import FF
+from ..core.processor import Processor
 from ..ifu.decoder import DecodeEntry, DecodeTable, OperandKind
 from .isa import EmulatorContext, build_machine
 
@@ -233,8 +234,10 @@ class ObjectMemory:
     def make_instance(self, class_va: int, ivars: List[int]) -> int:
         return self._alloc([class_va] + list(ivars))
 
-    def ivar(self, oop: int, index: int) -> int:
-        return self.ctx.memory_word(oop + 1 + index)
+    @staticmethod
+    def ivar(cpu: Processor, oop: int, index: int) -> int:
+        """Instance variable *index* of object *oop* on machine *cpu*."""
+        return cpu.memory.debug_read(oop + 1 + index)
 
 
 def build_smalltalk_machine(

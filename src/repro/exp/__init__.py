@@ -37,7 +37,6 @@ from .evaluate import (
     TierParityEvaluator,
     default_evaluators,
 )
-from .kernels import bypass_kernel, bypass_kernel_padded
 from .matrix import (
     CLUSTER_WORKLOAD,
     WORKLOAD_DEFS,
@@ -78,8 +77,6 @@ __all__ = [
     "WorkloadDef",
     "ablation_matrix",
     "aggregate",
-    "bypass_kernel",
-    "bypass_kernel_padded",
     "canonical_dumps",
     "clear_boot_cache",
     "cluster_matrix",

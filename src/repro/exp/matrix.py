@@ -34,11 +34,10 @@ from ..config import TIERS
 from ..core.counters import HOLD_CAUSE_NAMES
 from ..errors import DoradoError
 from ..fault.plan import FaultConfig, derive_seed
-from ..perf.workloads import ALL_WORKLOADS, Workload
+from ..perf.workloads import MODEL0_SAFE, SESSION_WORKLOADS, Workload
 from ..service.session import Session, arch_hash, clear_boot_cache
 from ..workers import can_fork, map_unordered
 from .configs import variant
-from .kernels import bypass_kernel, bypass_kernel_padded
 from .scenario import ScenarioSpec
 
 __all__ = [
@@ -72,15 +71,8 @@ class WorkloadDef:
 
 
 WORKLOAD_DEFS: Dict[str, WorkloadDef] = {
-    **{
-        name: WorkloadDef(name, factory, model0_safe=False)
-        for name, factory in ALL_WORKLOADS.items()
-    },
-    "bypass_kernel": WorkloadDef("bypass_kernel", bypass_kernel,
-                                 model0_safe=False),
-    "bypass_kernel_padded": WorkloadDef(
-        "bypass_kernel_padded", bypass_kernel_padded, model0_safe=True
-    ),
+    name: WorkloadDef(name, build, model0_safe=name in MODEL0_SAFE)
+    for name, build in SESSION_WORKLOADS.items()
 }
 
 

@@ -32,7 +32,7 @@ import json
 import platform
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from ..config import TIERS, MachineConfig
 from ..core.processor import Processor
@@ -75,21 +75,33 @@ def _e2_bitblt(config: MachineConfig) -> Callable[[], Callable[[], int]]:
     return stage
 
 
+def display_band(
+    config: MachineConfig, explicit_notify: bool = False, munches: int = 128
+) -> Tuple[Processor, DisplayController]:
+    """The display scenario: an idle emulator task, the display's
+    fast-I/O microcode, and a band of *munches* patterned munches armed
+    for refresh.  Run it with ``cpu.run_until(lambda m: display.done)``.
+    """
+    asm = Assembler(config)
+    asm.emit(idle=True)
+    display_fast_microcode(asm)
+    cpu = Processor(config)
+    cpu.load_image(asm.assemble())
+    cpu.memory.identity_map()
+    display = DisplayController(
+        munch_interval_cycles=8, explicit_notify=explicit_notify
+    )
+    cpu.attach_device(display)
+    for i in range(munches * MUNCH_WORDS):
+        cpu.memory.debug_write(0x4000 + i, i & 0xFFFF)
+    display.begin_band(cpu, 0x4000, munches)
+    return cpu, display
+
+
 def _e4_fast_io(config: MachineConfig) -> Callable[[], Callable[[], int]]:
     """E4: the display's fast-I/O munch service, tasking included."""
     def stage() -> Callable[[], int]:
-        asm = Assembler(config)
-        asm.emit(idle=True)
-        display_fast_microcode(asm)
-        cpu = Processor(config)
-        cpu.load_image(asm.assemble())
-        cpu.memory.identity_map()
-        display = DisplayController(munch_interval_cycles=8, explicit_notify=False)
-        cpu.attach_device(display)
-        munches = 128
-        for i in range(munches * MUNCH_WORDS):
-            cpu.memory.debug_write(0x4000 + i, i & 0xFFFF)
-        display.begin_band(cpu, 0x4000, munches)
+        cpu, display = display_band(config)
 
         def run() -> int:
             cpu.run_until(lambda m: display.done, max_cycles=200_000)
@@ -157,7 +169,7 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
                 f"({cold_cycles} != {cycles})"
             )
         cold_cycles = cycles
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     end_state = cpu.snapshot()
 
     warm_best = float("inf")
@@ -165,7 +177,7 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
         t0 = time.perf_counter()
         cpu.restore(end_state)
         warm_best = min(warm_best, time.perf_counter() - t0)
-    if not workload.verify():
+    if not workload.verify(workload.cpu):
         raise AssertionError("restored machine failed workload verification")
     return {
         "simulated_cycles": cold_cycles,
@@ -218,7 +230,7 @@ def run_supervised_bench(repeats: int = 3) -> dict:
         t0 = time.perf_counter()
         workload = mesa_loop_sum(200)
         supervisor = Supervisor(
-            workload.ctx.cpu, checkpoint_interval=1500, check_interval=256
+            workload.cpu, checkpoint_interval=1500, check_interval=256
         )
         cycles = supervisor.run()
         supervised_best = min(supervised_best, time.perf_counter() - t0)
@@ -227,7 +239,7 @@ def run_supervised_bench(repeats: int = 3) -> dict:
                 f"supervision perturbed the simulated cycle count "
                 f"({bare_cycles} != {cycles})"
             )
-        if not workload.verify():
+        if not workload.verify(workload.cpu):
             raise AssertionError("supervised run failed workload verification")
     overhead = supervised_best / bare_best
     return {

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..emulators.isa import EmulatorContext
+from ..core.processor import Processor
 from ..types import EMULATOR_TASK
 
 
@@ -94,22 +94,18 @@ class OpcodeProfiler:
     NextMacro is charged to the instruction it finishes.
     """
 
-    def __init__(self, ctx: EmulatorContext) -> None:
-        self.ctx = ctx
+    def __init__(self, machine: Processor) -> None:
+        self.machine = machine
         self.stats: Dict[str, OpcodeStats] = {}
         self._current: Optional[str] = None
         self._pending_name: Optional[str] = None
         self._installed = False
         self._name: Optional[str] = None
-        self._machine = None
         self.install()
 
     def install(self) -> "OpcodeProfiler":
         if not self._installed:
-            # Detach from this machine later, wherever the context
-            # (shared by a boot cache's sessions) points by then.
-            self._machine = self.ctx.cpu
-            self._name = self._machine.instruments.install(
+            self._name = self.machine.instruments.install(
                 cycle=self._on_cycle, dispatch=self._on_dispatch
             )
             self._installed = True
@@ -117,10 +113,9 @@ class OpcodeProfiler:
 
     def uninstall(self) -> None:
         if self._installed:
-            self._machine.instruments.uninstall(self._name)
+            self.machine.instruments.uninstall(self._name)
             self._installed = False
             self._name = None
-            self._machine = None
 
     # --- bus subscribers ----------------------------------------------------
 

@@ -20,11 +20,14 @@ from ..emulators.isa import BytecodeAssembler
 from ..graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
 from ..graphics.bitmap import Bitmap
 from ..io.disk import DISK_TASK, DiskController, DiskGeometry, disk_microcode
-from ..io.display import DISPLAY_TASK, DisplayController, display_fast_microcode
+from ..io.display import DISPLAY_TASK
 from ..types import MUNCH_WORDS, WORD_BITS
+from .corebench import display_band
 from .measure import OpcodeProfiler, OpcodeStats
 from .workloads import (
     bcpl_loop_sum,
+    bypass_kernel,
+    bypass_kernel_padded,
     lisp_call_kernel,
     lisp_list_sum,
     mesa_fib,
@@ -49,13 +52,13 @@ def experiment_e1() -> List[Row]:
     rows: List[Row] = []
 
     w = mesa_loop_sum(100)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     w.run()
     rows.append(("Mesa load (LL)", "1-2", _fmt(prof.mean("LL").mean_microinstructions)))
     rows.append(("Mesa store (SL)", "1-2", _fmt(prof.mean("SL").mean_microinstructions)))
 
     w = mesa_field_kernel(60)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     w.run()
     rf = prof.mean("RF").mean_microinstructions + prof.mean("SETF").mean_microinstructions
     wf = prof.mean("WF").mean_microinstructions + prof.mean("SETF").mean_microinstructions
@@ -63,7 +66,7 @@ def experiment_e1() -> List[Row]:
     rows.append(("Mesa write field (SETF+WF)", "5-10", _fmt(wf)))
 
     w = mesa_fib(10)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     w.run()
     mesa_call = (
         prof.mean("FC").mean_microinstructions
@@ -73,7 +76,7 @@ def experiment_e1() -> List[Row]:
     rows.append(("Mesa function call (FC+ENTER+RET)", "~50", _fmt(mesa_call)))
 
     w = lisp_list_sum(40)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     w.run()
     rows.append(("Lisp load (LLV)", "~5", _fmt(prof.mean("LLV").mean_microinstructions)))
     rows.append(("Lisp store (SLV)", "~5", _fmt(prof.mean("SLV").mean_microinstructions)))
@@ -81,7 +84,7 @@ def experiment_e1() -> List[Row]:
     rows.append(("Lisp CDR", "10-20", _fmt(prof.mean("CDR").mean_microinstructions)))
 
     w = lisp_call_kernel(15)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     w.run()
     lisp_call = (
         prof.mean("CALLL").mean_microinstructions
@@ -174,17 +177,7 @@ def experiment_e3() -> List[Row]:
 # --------------------------------------------------------------------------
 
 def _display_run(explicit_notify: bool, munches: int = 128):
-    asm = Assembler()
-    asm.emit(idle=True)
-    display_fast_microcode(asm)
-    cpu = Processor()
-    cpu.load_image(asm.assemble())
-    cpu.memory.identity_map()
-    display = DisplayController(munch_interval_cycles=8, explicit_notify=explicit_notify)
-    cpu.attach_device(display)
-    for i in range(munches * MUNCH_WORDS):
-        cpu.memory.debug_write(0x4000 + i, i & 0xFFFF)
-    display.begin_band(cpu, 0x4000, munches)
+    cpu, display = display_band(PRODUCTION, explicit_notify, munches)
     cpu.run_until(lambda m: display.done, max_cycles=200_000)
     counters = cpu.counters
     occupancy = counters.task_cycles[DISPLAY_TASK] / counters.cycles
@@ -331,12 +324,11 @@ def experiment_e6(target_fill: float = 0.98) -> List[Row]:
 def _bypass_kernel(config: MachineConfig, padded: bool) -> int:
     """Run the matrix's bypass kernel directly; returns cycles.
 
-    The kernel microcode itself lives in :mod:`repro.exp.kernels` (the
-    experiment matrix schedules the same two workloads); this wrapper
-    keeps the historical (config, padded) call shape for benchmarks.
+    The kernel microcode itself lives in :mod:`repro.perf.workloads`
+    (the experiment matrix schedules the same two workloads); this
+    wrapper keeps the historical (config, padded) call shape for
+    benchmarks.
     """
-    from ..exp.kernels import bypass_kernel, bypass_kernel_padded
-
     build = bypass_kernel_padded if padded else bypass_kernel
     return build(config=config).run()
 
@@ -411,13 +403,13 @@ def experiment_e9() -> List[Row]:
 
 def experiment_e10() -> List[Row]:
     w = mesa_loop_sum(100)
-    prof = OpcodeProfiler(w.ctx)
+    prof = OpcodeProfiler(w.cpu)
     cycles = w.run()
     simple = prof.class_cycles(["LIT", "SL", "ADD", "SUB"])
     return [
         ("Simple macroinstruction, cycles", "1", _fmt(prof.class_cycles(["SL", "LIT"]))),
         ("Simple ALU macroinstruction, cycles", "1-2", _fmt(simple)),
-        ("Whole loop, cycles/byte-code", "-", _fmt(cycles / w.ctx.cpu.ifu.dispatches)),
+        ("Whole loop, cycles/byte-code", "-", _fmt(cycles / w.cpu.ifu.dispatches)),
     ]
 
 
@@ -530,7 +522,7 @@ def experiment_fault_injection() -> List[Row]:
     )
     w = mesa_loop_sum(200, config=faulted)
     w.run()  # raises unless the workload still verifies
-    counters = w.ctx.cpu.counters
+    counters = w.cpu.counters
     rows.append(("Faulted Mesa run verifies", "-", "true"))
     rows.append(("Fault events injected", "-", str(counters.faults_injected)))
     rows.append(("ECC single-bit corrections", "-", str(counters.ecc_corrected)))
@@ -606,8 +598,9 @@ def experiment_recovery() -> List[Row]:
         PRODUCTION, fault_injection=demo_fault_config()
     )
     unsupervised = mesa_loop_sum(200, config=faulted_config)
-    unsupervised.ctx.cpu.run(50_000)
-    unsupervised_ok = unsupervised.ctx.cpu.halted and unsupervised.verify()
+    machine = unsupervised.cpu
+    machine.run(50_000)
+    unsupervised_ok = machine.halted and unsupervised.verify(machine)
 
     # The supervised side is one convergence cell of the experiment
     # matrix: the same demo plan as a seeded ScenarioSpec, executed by
@@ -626,8 +619,8 @@ def experiment_recovery() -> List[Row]:
     ))
     identical = (
         supervised["recovered"]
-        and supervised["arch_hash"] == arch_hash(clean.ctx.cpu)
-        and supervised["cycles"] == clean.ctx.cpu.counters.cycles
+        and supervised["arch_hash"] == arch_hash(clean.cpu)
+        and supervised["cycles"] == clean.cpu.counters.cycles
     )
     recovery = supervised["recovery"]
     return [

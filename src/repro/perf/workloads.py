@@ -1,9 +1,10 @@
 """Workload generators: byte-code programs for the four emulators.
 
-Each builder returns a :class:`Workload` whose machine is loaded and
-initialized; ``run()`` executes to the HALT byte code and ``verify()``
-checks the architectural result, so benchmark numbers are only reported
-for runs that computed the right answer.
+Each builder returns a :class:`Workload`: the machine it booted, loaded
+and initialized, plus an oracle that checks the architectural result on
+whichever machine it is handed.  ``run()`` executes the builder's
+machine to the HALT byte code and verifies it, so benchmark numbers are
+only reported for runs that computed the right answer.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from ..asm.assembler import Assembler
 from ..config import MachineConfig, PRODUCTION
+from ..core.functions import FF
+from ..core.processor import Processor
 from ..emulators import bcpl, lisp, mesa, smalltalk
-from ..emulators.isa import BytecodeAssembler, EmulatorContext
+from ..emulators.isa import BytecodeAssembler
 from ..errors import EmulatorError
 
 
@@ -36,25 +40,31 @@ class SliceResult:
         return not self.halted
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workload:
-    """A runnable emulator scenario with a correctness oracle."""
+    """A booted emulator scenario with a correctness oracle.
+
+    ``cpu`` is the machine the builder booted.  The oracle ``verify``
+    reads its answer from the machine it is handed, so one workload
+    checks any machine forked from that boot: a session hands it the
+    machine the session owns (DESIGN.md 5.9).
+    """
 
     name: str
-    ctx: EmulatorContext
-    verify: Callable[[], bool]
+    cpu: Processor
+    verify: Callable[[Processor], bool]
     meta: Dict[str, int] = field(default_factory=dict)
 
     def run_slice(self, cycles: int) -> SliceResult:
         """Advance at most *cycles* simulated cycles; report the outcome."""
-        ran = self.ctx.run(cycles)
-        return SliceResult(cycles=ran, halted=self.ctx.halted)
+        ran = self.cpu.run(cycles)
+        return SliceResult(cycles=ran, halted=self.cpu.halted)
 
     def run(self, max_cycles: int = 5_000_000) -> int:
         result = self.run_slice(max_cycles)
         if not result.halted:
             raise EmulatorError(f"workload {self.name} did not halt")
-        if not self.verify():
+        if not self.verify(self.cpu):
             raise EmulatorError(f"workload {self.name} computed a wrong result")
         return result.cycles
 
@@ -103,8 +113,8 @@ def mesa_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     ctx.load_program(b.assemble())
     expected = n * (n + 1) // 2 & 0xFFFF
     return Workload(
-        "mesa_loop_sum", ctx,
-        lambda: ctx.memory_word(mesa.FRAMES_VA + 2) == expected,
+        "mesa_loop_sum", ctx.cpu,
+        lambda cpu: cpu.memory.debug_read(mesa.FRAMES_VA + 2) == expected,
         {"macros": 10 * n + 5},
     )
 
@@ -135,8 +145,8 @@ def mesa_fib(k: int = 12, config: MachineConfig = PRODUCTION) -> Workload:
 
     expected = fib(k) & 0xFFFF
     return Workload(
-        "mesa_fib", ctx,
-        lambda: ctx.memory_word(mesa.FRAMES_VA + 2) == expected,
+        "mesa_fib", ctx.cpu,
+        lambda cpu: cpu.memory.debug_read(mesa.FRAMES_VA + 2) == expected,
     )
 
 
@@ -180,10 +190,12 @@ def mesa_bubble_sort(
         ctx.set_memory_word(array_va + i, v)
     expected = sorted(values)
 
-    def check() -> bool:
-        return [ctx.memory_word(array_va + i) for i in range(n)] == expected
+    def check(cpu: Processor) -> bool:
+        return [
+            cpu.memory.debug_read(array_va + i) for i in range(n)
+        ] == expected
 
-    return Workload("mesa_bubble_sort", ctx, check)
+    return Workload("mesa_bubble_sort", ctx.cpu, check)
 
 
 @arg_ranges(iters=(1, WORD_MAX))
@@ -202,8 +214,8 @@ def mesa_mul_kernel(iters: int = 40, config: MachineConfig = PRODUCTION) -> Work
     ctx.load_program(b.assemble())
     expected = sum(i * i for i in range(1, iters + 1)) & 0xFFFF
     return Workload(
-        "mesa_mul_kernel", ctx,
-        lambda: ctx.memory_word(mesa.FRAMES_VA + 2) == expected,
+        "mesa_mul_kernel", ctx.cpu,
+        lambda cpu: cpu.memory.debug_read(mesa.FRAMES_VA + 2) == expected,
     )
 
 
@@ -229,13 +241,13 @@ def mesa_field_kernel(iters: int = 100, config: MachineConfig = PRODUCTION) -> W
     ctx.load_program(b.assemble())
     ctx.set_memory_word(record_va, 0x8003)  # field starts at 0
 
-    def check() -> bool:
-        value = ctx.memory_word(record_va)
+    def check(cpu: Processor) -> bool:
+        value = cpu.memory.debug_read(record_va)
         fld = (value >> 4) & 0x3F
         untouched = value & ~(0x3F << 4) & 0xFFFF
         return fld == (iters & 0x3F) and untouched == 0x8003
 
-    return Workload("mesa_field_kernel", ctx, check)
+    return Workload("mesa_field_kernel", ctx.cpu, check)
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +273,8 @@ def lisp_list_sum(n: int = 50, config: MachineConfig = PRODUCTION) -> Workload:
     lisp.set_symbol_value(ctx, 0, lisp.TAG_PAIR, head)
     expected = (lisp.TAG_INT, n * (n + 1) // 2 & 0xFFFF)
     return Workload(
-        "lisp_list_sum", ctx, lambda: lisp.symbol_value(ctx, 1) == expected
+        "lisp_list_sum", ctx.cpu,
+        lambda cpu: lisp.symbol_value(cpu, 1) == expected,
     )
 
 
@@ -296,7 +309,8 @@ def lisp_call_kernel(
     lisp.set_symbol_value(ctx, 3, lisp.TAG_INT, 0)
     expected = (lisp.TAG_INT, (3 * iters) & 0xFFFF)
     return Workload(
-        "lisp_call_kernel", ctx, lambda: lisp.symbol_value(ctx, 0) == expected
+        "lisp_call_kernel", ctx.cpu,
+        lambda cpu: lisp.symbol_value(cpu, 0) == expected,
     )
 
 
@@ -325,7 +339,8 @@ def lisp_cons_kernel(n: int = 30, config: MachineConfig = PRODUCTION) -> Workloa
     ctx.load_program(b.assemble())
     expected = (lisp.TAG_INT, n * (n + 1) // 2 & 0xFFFF)
     return Workload(
-        "lisp_cons_kernel", ctx, lambda: lisp.symbol_value(ctx, 2) == expected
+        "lisp_cons_kernel", ctx.cpu,
+        lambda cpu: lisp.symbol_value(cpu, 2) == expected,
     )
 
 
@@ -347,7 +362,8 @@ def bcpl_loop_sum(n: int = 200, config: MachineConfig = PRODUCTION) -> Workload:
     ctx.load_program(b.assemble())
     expected = n * (n + 1) // 2 & 0xFFFF
     return Workload(
-        "bcpl_loop_sum", ctx, lambda: bcpl.static_value(ctx, 0) == expected
+        "bcpl_loop_sum", ctx.cpu,
+        lambda cpu: bcpl.static_value(cpu, 0) == expected,
     )
 
 
@@ -384,7 +400,8 @@ def smalltalk_counter(sends: int = 50, config: MachineConfig = PRODUCTION) -> Wo
     om.set_method(cls, sel_add, b.address_of("madd"))
     expected = (5 * sends) & 0xFFFF
     return Workload(
-        "smalltalk_counter", ctx, lambda: om.ivar(counter, 0) == expected
+        "smalltalk_counter", ctx.cpu,
+        lambda cpu: smalltalk.ObjectMemory.ivar(cpu, counter, 0) == expected,
     )
 
 
@@ -400,3 +417,89 @@ ALL_WORKLOADS = {
     "bcpl_loop_sum": bcpl_loop_sum,
     "smalltalk_counter": smalltalk_counter,
 }
+
+
+# --------------------------------------------------------------------------
+# Raw microcode kernels for the bypass ablation
+# --------------------------------------------------------------------------
+#
+# The byte-code emulator workloads assume the Model 1's bypass paths:
+# their microcode reads registers written by the immediately preceding
+# instruction, which on the Model 0 silently delivers stale values
+# (section 5.6).  The bypass ablation therefore needs its own workloads,
+# written the way Model 0 microcoders had to write: the *padded* kernel
+# inserts an independent instruction after every dependent write and
+# runs correctly on both machines, while the *unpadded* kernel is the
+# Model 1 idiom the experiment matrix only pairs with bypass-enabled
+# variants.  Both compute the dependent-accumulate chain
+# ``acc = 2*acc + 1`` and trace the result, so a stale read anywhere in
+# the chain changes the traced value and fails verification.
+
+def _build_bypass_kernel(
+    iters: int, padded: bool, config: MachineConfig, name: str
+) -> Workload:
+    asm = Assembler(config)
+    asm.register("acc", 1)
+    asm.emit(r="acc", b=0, alu="B", load="RM")
+    asm.emit(count=iters - 1)
+    asm.label("loop")
+    if padded:
+        # The loop-top spacer: the branch target must not read the RM
+        # value the loop-closing INC just wrote.
+        asm.emit()
+    asm.emit(r="acc", a="RM", b="RM", alu="ADD", load="RM")  # acc += acc
+    if padded:
+        asm.emit()  # the spacer Model 0 microcoders had to insert
+    asm.emit(r="acc", a="RM", alu="INC", load="RM",
+             branch=("COUNT", "loop", "done"))
+    asm.label("done")
+    if padded:
+        asm.emit()  # TRACE reads the INC's result one instruction later
+    asm.emit(r="acc", b="RM", ff=FF.TRACE)
+    asm.halt()
+    cpu = Processor(config)
+    cpu.load_image(asm.assemble())
+
+    acc = 0
+    for _ in range(iters):
+        acc = (2 * acc + 1) & 0xFFFF
+    expected = acc
+    return Workload(name, cpu, lambda cpu: cpu.console.trace == [expected])
+
+
+def bypass_kernel(
+    iters: int = 12, config: MachineConfig = PRODUCTION
+) -> Workload:
+    """The Model 1 idiom: back-to-back dependent writes, no padding.
+
+    Only correct on bypass-enabled configs; the matrix must not pair it
+    with the Model 0.
+    """
+    return _build_bypass_kernel(iters, padded=False, config=config,
+                                name="bypass_kernel")
+
+
+def bypass_kernel_padded(
+    iters: int = 12, config: MachineConfig = PRODUCTION
+) -> Workload:
+    """The Model 0 idiom: every dependent use-after-write is padded.
+
+    Correct on both machines; paired with ``bypass_kernel`` on the
+    production variant it reproduces the paper's E8 ablation from
+    matrix cells.
+    """
+    return _build_bypass_kernel(iters, padded=True, config=config,
+                                name="bypass_kernel_padded")
+
+
+#: Every builder a session (and so an experiment-matrix cell) can open:
+#: the emulator workloads plus the bypass kernels.
+SESSION_WORKLOADS = {
+    **ALL_WORKLOADS,
+    "bypass_kernel": bypass_kernel,
+    "bypass_kernel_padded": bypass_kernel_padded,
+}
+
+#: The builders whose microcode pads every dependent use-after-write,
+#: so they run correctly without bypass paths (on the Model 0).
+MODEL0_SAFE = frozenset({"bypass_kernel_padded"})

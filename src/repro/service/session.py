@@ -11,9 +11,9 @@ envelope -- the eviction/migration currency of the fleet
 
 The module also owns the process-local *boot cache* (moved here from
 ``repro.exp.matrix``): the first session needing a (workload, args,
-config) machine builds and boots it once, and every later session starts
-from a :meth:`~repro.core.processor.Processor.fork` of the pristine
-boot, so microcode assembly is paid once per process.  Only fault-free
+config) machine builds and boots it once, and every session starts from
+a :meth:`~repro.core.processor.Processor.fork` of that pristine
+template, so microcode assembly is paid once per process.  Only fault-free
 configs are cached -- a seeded fault plan is single-use and would only
 pin memory -- which also keeps faulted machines bit-identical to direct
 construction, the basis of the existing golden pins.
@@ -29,7 +29,6 @@ equal to serial ones.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import re
@@ -39,7 +38,7 @@ from ..config import PRODUCTION, MachineConfig
 from ..core.counters import Counters
 from ..errors import DoradoError, EmulatorError, ServiceError
 from ..fault.plan import FaultConfig
-from ..perf.workloads import SliceResult, Workload
+from ..perf.workloads import SESSION_WORKLOADS, SliceResult, Workload
 from ..state import MachineState, canonical_json, parse_canonical_json
 
 #: Version tag of the suspend envelope; bumped when its layout changes.
@@ -90,28 +89,13 @@ def check_open_request(workload: Any, args: Any, fault: Any) -> None:
 
 
 def _resolve_builder(name: Any):
-    """Workload factory for *name*, resolved lazily to dodge import cycles.
-
-    ``repro.exp`` imports this module (the boot cache lives here), so the
-    bypass kernels it contributes are looked up at call time, not import
-    time.
-    """
-    from ..perf.workloads import ALL_WORKLOADS
-
+    """The workload factory a session opens for *name*."""
     if not isinstance(name, str):
         raise ServiceError(f"workload must be a name, got {name!r}")
-    if name in ALL_WORKLOADS:
-        return ALL_WORKLOADS[name]
-    from ..exp.kernels import bypass_kernel, bypass_kernel_padded
-
-    extras = {
-        "bypass_kernel": bypass_kernel,
-        "bypass_kernel_padded": bypass_kernel_padded,
-    }
-    if name in extras:
-        return extras[name]
-    known = ", ".join(sorted(ALL_WORKLOADS) + sorted(extras))
-    raise ServiceError(f"unknown workload {name!r} (known: {known})")
+    if name not in SESSION_WORKLOADS:
+        known = ", ".join(sorted(SESSION_WORKLOADS))
+        raise ServiceError(f"unknown workload {name!r} (known: {known})")
+    return SESSION_WORKLOADS[name]
 
 
 def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
@@ -136,26 +120,28 @@ def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
 # per-process boot cache: build once, fork per session
 # --------------------------------------------------------------------------
 
-#: (workload, args, config) -> (Workload, pristine booted Processor).
+#: (workload, args, config) -> the pristine booted template Workload.
 #: Process-local; fleet workers each grow their own on demand (or inherit
 #: a prewarmed parent cache across ``fork``).  Only fault-free configs
-#: are cached: seeded faulted configs are single-use.
-_BOOT_CACHE: Dict[Tuple[str, Tuple, MachineConfig], Tuple[Workload, Any]] = {}
+#: are cached: seeded faulted configs are single-use.  A template is
+#: only ever forked, never run or handed out.
+_BOOT_CACHE: Dict[Tuple[str, Tuple, MachineConfig], Workload] = {}
 
 
-def prewarm_boot_cache(
-    name: str, args: Tuple, config: MachineConfig
-) -> Tuple[Workload, Any]:
-    """The cached (workload, pristine machine) for a fault-free *config*,
-    built on a miss.  Forks nothing and leaves the context unbound, so
-    a fleet's workers inherit no machine that nobody runs."""
+def _template(name: str, args: Tuple, config: MachineConfig) -> Workload:
     key = (name, args, config)
-    cached = _BOOT_CACHE.get(key)
-    if cached is None:
-        workload = _resolve_builder(name)(config=config, **dict(args))
-        cached = _BOOT_CACHE[key] = (workload, workload.ctx.cpu)
-        workload.ctx.cpu = None
-    return cached
+    template = _BOOT_CACHE.get(key)
+    if template is None:
+        template = _BOOT_CACHE[key] = _resolve_builder(name)(
+            config=config, **dict(args)
+        )
+    return template
+
+
+def prewarm_boot_cache(name: str, args: Tuple, config: MachineConfig) -> None:
+    """Boot the template for a fault-free *config* on a miss.  Forks
+    nothing, so a fleet's workers inherit no machine that nobody runs."""
+    _template(name, args, config)
 
 
 def booted_workload(
@@ -164,26 +150,24 @@ def booted_workload(
     config: MachineConfig = PRODUCTION,
     state: Optional[MachineState] = None,
 ) -> Workload:
-    """A runnable workload on a fresh machine for *config*.
+    """The workload on a machine of its own, booted for *config*.
 
-    A fault-free config's cached pristine processor is forked and
-    swapped into the workload's context (every accessor and verify
-    closure reads ``ctx.cpu`` late, so the fork is the machine that
-    runs).  A faulted config is built directly and never cached.
+    A fault-free config forks the cached template's machine; the
+    returned workload shares the template's oracle and owns the fork.
+    A faulted config is built directly and never cached.
 
-    With *state*, the machine is restored to that snapshot: a cached
-    boot is forked straight into it, without snapshotting the boot
-    first; a directly built machine restores it in place.
+    With *state*, the machine is restored to that snapshot: the template
+    is forked straight into it, without snapshotting the boot first; a
+    directly built machine restores it in place.
     """
     args = tuple(args)
     if config.fault_injection is not None:
         workload = _resolve_builder(name)(config=config, **dict(args))
         if state is not None:
-            workload.ctx.cpu.restore(state)
+            workload.cpu.restore(state)
         return workload
-    workload, pristine = prewarm_boot_cache(name, args, config)
-    workload.ctx.cpu = pristine.fork(state)
-    return workload
+    template = _template(name, args, config)
+    return dataclasses.replace(template, cpu=template.cpu.fork(state))
 
 
 def clear_boot_cache() -> None:
@@ -206,14 +190,11 @@ def arch_hash(cpu) -> str:
 class Session:
     """One named workload run: build/restore, slice, suspend, meter.
 
-    Because booted workloads are shared through the boot cache (their
-    ``ctx.cpu`` is swapped per fork), a session pins its own machine in
-    ``self.cpu`` and binds the context to it for the length of each
-    operation that reads it; hosts are single-threaded per process, so
-    many live sessions of the same workload coexist safely in one
-    process.  Between operations the shared context is unbound: left
-    pointing at this machine, it would keep the machine alive after the
-    session was suspended, closed or dropped.
+    The session owns its machine, ``self.cpu`` (the ``cpu`` of the
+    workload copy ``booted_workload`` made for it): it runs that machine
+    and hands it to the workload's oracle.  Nothing shared -- the boot
+    cache's templates above all -- points at it, so a suspended, closed
+    or dropped session's machine is freed at once.
     """
 
     def __init__(
@@ -224,23 +205,20 @@ class Session:
         supervise: bool = False,
         checkpoint_interval: int = 2000,
         max_retries: int = 3,
-        spec: Optional[Dict[str, Any]] = None,
+        spec: Dict[str, Any],
     ) -> None:
         if not valid_session_name(name):
             raise ServiceError(f"invalid session name {name!r}")
         self.name = name
         self.workload = workload
-        self.cpu = workload.ctx.cpu
+        self.cpu = workload.cpu
         self.supervise = bool(supervise)
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
         self.failure: Optional[str] = None
         self._supervisor = None
-        self._spec = dict(spec) if spec else {
-            "workload": workload.name, "args": {},
-        }
+        self._spec = dict(spec)
         self._meter_base = self.cpu.counters.state_dict()
-        workload.ctx.cpu = None  # booted_workload bound it; see _bound()
 
     # ------------------------------------------------------------------
     # construction
@@ -292,28 +270,8 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # binding
+    # status
     # ------------------------------------------------------------------
-
-    @property
-    def ctx(self):
-        """The workload's context, bound to THIS session's machine.
-
-        The binding stays until the next operation of any session of
-        this workload: the caller holds the context.
-        """
-        self.workload.ctx.cpu = self.cpu
-        return self.workload.ctx
-
-    @contextlib.contextmanager
-    def _bound(self):
-        """Bind the workload's context to this machine for one operation."""
-        ctx = self.workload.ctx
-        ctx.cpu = self.cpu
-        try:
-            yield
-        finally:
-            ctx.cpu = None
 
     @property
     def halted(self) -> bool:
@@ -365,12 +323,12 @@ class Session:
         try:
             if self.supervise:
                 ran = self._ensure_supervisor().run(max_cycles=cycles)
-                return SliceResult(cycles=ran, halted=self.cpu.halted)
-            with self._bound():
-                return self.workload.run_slice(cycles)
+            else:
+                ran = self.cpu.run(cycles)
         except DoradoError as exc:
             self.failure = f"{type(exc).__name__}: {exc}"
             raise
+        return SliceResult(cycles=ran, halted=self.cpu.halted)
 
     def run(
         self, max_cycles: int = 5_000_000, slice_cycles: Optional[int] = None
@@ -415,8 +373,7 @@ class Session:
 
     def verify(self) -> bool:
         """The workload's correctness oracle against this session's machine."""
-        with self._bound():
-            return bool(self.workload.verify())
+        return bool(self.workload.verify(self.cpu))
 
     # ------------------------------------------------------------------
     # state: load, suspend, resume
@@ -446,8 +403,8 @@ class Session:
         data = {
             "service_version": SERVICE_FORMAT_VERSION,
             "name": self.name,
-            "workload": self._spec.get("workload", self.workload.name),
-            "args": dict(self._spec.get("args", {})),
+            "workload": self._spec["workload"],
+            "args": dict(self._spec["args"]),
             "supervise": self.supervise,
             "checkpoint_interval": self.checkpoint_interval,
             "max_retries": self.max_retries,
@@ -528,8 +485,8 @@ class Session:
         )
         faulted = self.faulted
         return {
-            "workload": self._spec.get("workload", self.workload.name),
-            "args": dict(self._spec.get("args", {})),
+            "workload": self._spec["workload"],
+            "args": dict(self._spec["args"]),
             "faulted": faulted,
             "supervised": self.supervise,
             "status": self.status,

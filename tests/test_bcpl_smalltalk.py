@@ -33,8 +33,8 @@ def test_bcpl_load_store():
         b.op("HALTA")
 
     ctx = run_bcpl(build)
-    assert static_value(ctx, 0) == 0x1234
-    assert static_value(ctx, 1) == 0x1234
+    assert static_value(ctx.cpu, 0) == 0x1234
+    assert static_value(ctx.cpu, 1) == 0x1234
 
 
 def test_bcpl_arithmetic():
@@ -49,9 +49,9 @@ def test_bcpl_arithmetic():
         set_static(ctx, 6, 2)
 
     ctx = run_bcpl(build, setup=setup)
-    assert static_value(ctx, 0) == 42
-    assert static_value(ctx, 1) == 40
-    assert static_value(ctx, 2) == 39
+    assert static_value(ctx.cpu, 0) == 42
+    assert static_value(ctx.cpu, 1) == 40
+    assert static_value(ctx.cpu, 2) == 39
 
 
 def test_bcpl_conditional_jumps():
@@ -63,7 +63,7 @@ def test_bcpl_conditional_jumps():
         b.op("LDI", 0xAA); b.op("STA", 1)
         b.op("HALTA")
 
-    assert static_value(run_bcpl(build), 1) == 0xAA
+    assert static_value(run_bcpl(build).cpu, 1) == 0xAA
 
 
 def test_bcpl_call_return():
@@ -76,7 +76,7 @@ def test_bcpl_call_return():
         b.op("INCA")
         b.op("RETA")
 
-    assert static_value(run_bcpl(build), 0) == 6
+    assert static_value(run_bcpl(build).cpu, 0) == 6
 
 
 def test_bcpl_nested_calls():
@@ -93,7 +93,7 @@ def test_bcpl_nested_calls():
         b.op("INCA")
         b.op("RETA")
 
-    assert static_value(run_bcpl(build), 0) == 3
+    assert static_value(run_bcpl(build).cpu, 0) == 3
 
 
 # --- Smalltalk -----------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_send_dispatches_through_dictionary():
     ctx, om, counter = smalltalk_counter_machine(sends=4)
     ctx.run(100_000)
     assert ctx.halted
-    assert om.ivar(counter, 0) == 100 + 4 * 3
+    assert om.ivar(ctx.cpu, counter, 0) == 100 + 4 * 3
 
 
 def test_send_returns_receiver():
@@ -182,7 +182,7 @@ def test_send_cost_scales_with_probe_depth():
         b.op("PUSHR"); b.op("RETS")
         ctx.load_program(b.assemble())
         om.set_method(cls, SEL_ADD, b.address_of("m"))
-        prof = OpcodeProfiler(ctx)
+        prof = OpcodeProfiler(ctx.cpu)
         ctx.run(100_000)
         costs[position] = prof.mean("SEND1").mean_microinstructions
     assert costs[3] > costs[0]
@@ -206,7 +206,7 @@ def test_inherited_method_found_in_superclass():
     om.set_method(parent, SEL_ADD, b.address_of("madd"))
     ctx.run(100_000)
     assert ctx.halted
-    assert om.ivar(obj, 0) == 12  # the inherited method ran on the child
+    assert om.ivar(ctx.cpu, obj, 0) == 12  # the inherited method ran on the child
 
 
 def test_override_shadows_superclass():
@@ -230,7 +230,7 @@ def test_override_shadows_superclass():
     om.set_method(child, SEL_ADD, b.address_of("child_m"))
     ctx.run(100_000)
     assert ctx.halted
-    assert om.ivar(obj, 0) == 1   # the override ran, not the parent
+    assert om.ivar(ctx.cpu, obj, 0) == 1   # the override ran, not the parent
 
 
 def test_dnu_walks_whole_chain_before_trapping():
@@ -267,7 +267,7 @@ def test_send_cost_scales_with_hierarchy_depth():
         b.op("PUSHR"); b.op("RETS")
         ctx.load_program(b.assemble())
         om.set_method(root, SEL_ADD, b.address_of("m"))
-        prof = OpcodeProfiler(ctx)
+        prof = OpcodeProfiler(ctx.cpu)
         ctx.run(100_000)
         costs[depth] = prof.mean("SEND1").mean_microinstructions
     assert costs[3] > costs[0] + 10  # each hop costs real microinstructions
@@ -289,7 +289,7 @@ def test_bcpl_vector_indexing():
             ctx.set_memory_word(0x2000 + i, 0x900 + i)
 
     ctx = run_bcpl(build, setup=setup)
-    assert static_value(ctx, 0) == 0x903
+    assert static_value(ctx.cpu, 0) == 0x903
 
 
 def test_bcpl_vector_sum_loop():
@@ -310,4 +310,4 @@ def test_bcpl_vector_sum_loop():
             ctx.set_memory_word(0x2100 + i, 10 + i)
 
     ctx = run_bcpl(build, setup=setup)
-    assert static_value(ctx, 0) == sum(10 + i for i in range(5))
+    assert static_value(ctx.cpu, 0) == sum(10 + i for i in range(5))

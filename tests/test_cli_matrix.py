@@ -100,10 +100,10 @@ def test_load_state_then_supervise_finishes_midrun_checkpoint(
     from repro.perf.workloads import mesa_loop_sum
 
     donor = mesa_loop_sum()
-    donor.ctx.run(3000)
-    assert not donor.ctx.halted  # genuinely mid-run
+    donor.cpu.run(3000)
+    assert not donor.cpu.halted  # genuinely mid-run
     checkpoint = tmp_path / "mid.json"
-    donor.ctx.cpu.snapshot().save(checkpoint)
+    donor.cpu.snapshot().save(checkpoint)
 
     metrics = tmp_path / "metrics.json"
     assert repro_main([
@@ -139,11 +139,11 @@ def test_load_state_supervise_resumes_faulted_recovery(
     )
     donor = mesa_loop_sum(config=config)
     Supervisor(
-        donor.ctx.cpu, checkpoint_interval=600, max_retries=3
+        donor.cpu, checkpoint_interval=600, max_retries=3
     ).run(max_cycles=1500)
-    assert not donor.ctx.cpu.halted
+    assert not donor.cpu.halted
     checkpoint = tmp_path / "mid-faulted.json"
-    donor.ctx.cpu.snapshot().save(checkpoint)
+    donor.cpu.snapshot().save(checkpoint)
 
     metrics = tmp_path / "metrics.json"
     assert repro_main([

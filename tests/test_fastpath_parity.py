@@ -37,10 +37,9 @@ from repro.fault.plan import FaultConfig
 from repro.graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
 from repro.graphics.bitmap import Bitmap
 from repro.io.disk import DiskController, DiskGeometry, disk_microcode
-from repro.io.display import DisplayController, display_fast_microcode
+from repro.perf.corebench import display_band
 from repro.perf.workloads import ALL_WORKLOADS
 from repro.supervise import architectural_json
-from repro.types import MUNCH_WORDS
 
 CONFIGS = (
     ("interp", INTERPRETED),
@@ -97,7 +96,7 @@ def test_workload_parity(name):
     for label, config in CONFIGS:
         workload = ALL_WORKLOADS[name](config=config)
         cycles = workload.run()
-        runs[label] = (cycles, workload.ctx.cpu)
+        runs[label] = (cycles, workload.cpu)
     assert_clean_traces(runs["traced"][1])
     for label in ("plan", "traced"):
         assert runs[label][0] == runs["interp"][0], (
@@ -136,7 +135,7 @@ def test_fault_plan_parity_verified():
         faulted = dataclasses.replace(config, fault_injection=_CORRECTABLE)
         workload = ALL_WORKLOADS["lisp_cons_kernel"](config=faulted)
         cycles = workload.run()
-        runs[label] = (cycles, workload.ctx.cpu)
+        runs[label] = (cycles, workload.cpu)
     assert runs["interp"][1].counters.faults_injected > 0
     assert_clean_traces(runs["traced"][1])
     for label in ("plan", "traced"):
@@ -150,8 +149,8 @@ def test_fault_plan_parity_latched():
         faulted = dataclasses.replace(config, fault_injection=_FAULTING)
         workload = ALL_WORKLOADS["mesa_loop_sum"](config=faulted)
         # Run the machine directly: verification would (rightly) fail.
-        cycles = workload.ctx.run(max_cycles=200_000)
-        runs[label] = (cycles, workload.ctx.cpu)
+        cycles = workload.cpu.run(max_cycles=200_000)
+        runs[label] = (cycles, workload.cpu)
     assert runs["interp"][1].memory.fault_flags, "fault never latched"
     assert_clean_traces(runs["traced"][1])
     for label in ("plan", "traced"):
@@ -214,20 +213,7 @@ def test_disk_parity():
 
 
 def _display_run(config: MachineConfig, explicit_notify: bool):
-    asm = Assembler(config)
-    asm.emit(idle=True)
-    display_fast_microcode(asm)
-    cpu = Processor(config)
-    cpu.load_image(asm.assemble())
-    cpu.memory.identity_map()
-    display = DisplayController(
-        munch_interval_cycles=8, explicit_notify=explicit_notify
-    )
-    cpu.attach_device(display)
-    munches = 32
-    for i in range(munches * MUNCH_WORDS):
-        cpu.memory.debug_write(0x4000 + i, i & 0xFFFF)
-    display.begin_band(cpu, 0x4000, munches)
+    cpu, display = display_band(config, explicit_notify, munches=32)
     cpu.run_until(lambda m: display.done, max_cycles=200_000)
     assert display.underruns == 0
     return cpu

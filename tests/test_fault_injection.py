@@ -101,8 +101,8 @@ def test_empty_plan_is_byte_identical_to_no_injection(name):
     )
     armed = ALL_WORKLOADS[name](config=armed_config)
     assert baseline.run() == armed.run()
-    assert_same_machine(baseline.ctx.cpu, armed.ctx.cpu)
-    assert armed.ctx.cpu.counters.faults_injected == 0
+    assert_same_machine(baseline.cpu, armed.cpu)
+    assert armed.cpu.counters.faults_injected == 0
 
 
 # --------------------------------------------------------------------------
@@ -119,11 +119,11 @@ def test_one_correctable_fault_every_workload_still_verifies(name):
     )
     workload = ALL_WORKLOADS[name](config=config)
     workload.run()  # raises unless verify() holds
-    counters = workload.ctx.cpu.counters
+    counters = workload.cpu.counters
     assert counters.ecc_corrected == 1
     assert counters.faults_injected == 1
     assert counters.ecc_uncorrected == 0
-    trace = workload.ctx.cpu.fault_injector.trace
+    trace = workload.cpu.fault_injector.trace
     assert len(trace) == 1 and trace[0].kind == "ecc_correctable"
 
 
@@ -139,10 +139,10 @@ def _faulted_run(config: MachineConfig, fault: FaultConfig):
     )
     outcome = "halted"
     try:
-        workload.ctx.run(2_000_000)
+        workload.cpu.run(2_000_000)
     except Exception as error:  # both cores must fail identically too
         outcome = repr(error)
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     return machine_state(cpu), list(cpu.fault_injector.trace), outcome
 
 

@@ -79,11 +79,11 @@ def test_names_report_installation_order():
 
 def test_idle_bus_leaves_hooks_none():
     w = mesa_loop_sum(20)
-    cpu = w.ctx.cpu
+    cpu = w.cpu
     assert cpu.trace_hook is None and cpu.ifu.dispatch_hook is None
 
     tracer = PipelineTracer(cpu).install()
-    profiler = OpcodeProfiler(w.ctx)
+    profiler = OpcodeProfiler(w.cpu)
     assert cpu.trace_hook is not None and cpu.ifu.dispatch_hook is not None
 
     profiler.uninstall()
@@ -95,14 +95,14 @@ def test_idle_bus_leaves_hooks_none():
 
 def test_profiler_does_not_monkey_patch_take_dispatch():
     w = mesa_loop_sum(20)
-    profiler = OpcodeProfiler(w.ctx)
+    profiler = OpcodeProfiler(w.cpu)
     # The dispatch feed is the IFU's first-class hook, never a wrapper
     # shadowing the bound method.
-    assert "take_dispatch" not in w.ctx.cpu.ifu.__dict__
-    assert type(w.ctx.cpu.ifu).take_dispatch is Ifu.take_dispatch
+    assert "take_dispatch" not in w.cpu.ifu.__dict__
+    assert type(w.cpu.ifu).take_dispatch is Ifu.take_dispatch
     w.run()
     profiler.uninstall()
-    assert "take_dispatch" not in w.ctx.cpu.ifu.__dict__
+    assert "take_dispatch" not in w.cpu.ifu.__dict__
 
 
 def test_uninstall_is_idempotent_and_reinstallable():
@@ -124,13 +124,13 @@ def test_uninstall_is_idempotent_and_reinstallable():
 def _profiled_run(attach):
     """Run mesa_loop_sum(50) with observers attached per *attach*."""
     w = mesa_loop_sum(50)
-    cpu = w.ctx.cpu
+    cpu = w.cpu
     tracer = profiler = None
     for kind in attach:
         if kind == "tracer":
             tracer = PipelineTracer(cpu).install()
         else:
-            profiler = OpcodeProfiler(w.ctx)
+            profiler = OpcodeProfiler(w.cpu)
     cycles = w.run()
     return cycles, tracer, profiler
 
@@ -155,15 +155,15 @@ def test_observers_do_not_perturb_the_machine():
     bare_cycles = bare.run()
 
     observed = mesa_loop_sum(50)
-    tracer = PipelineTracer(observed.ctx.cpu).install()
-    profiler = OpcodeProfiler(observed.ctx)
+    tracer = PipelineTracer(observed.cpu).install()
+    profiler = OpcodeProfiler(observed.cpu)
     observed_cycles = observed.run()
     tracer.uninstall()
     profiler.uninstall()
 
     assert observed_cycles == bare_cycles
-    assert dataclasses.asdict(observed.ctx.cpu.counters) == dataclasses.asdict(
-        bare.ctx.cpu.counters
+    assert dataclasses.asdict(observed.cpu.counters) == dataclasses.asdict(
+        bare.cpu.counters
     )
 
 
@@ -176,7 +176,7 @@ def test_hold_causes_sum_and_parity():
     for label, config in [("interp", INTERPRETED), ("plan", PRODUCTION)]:
         w = mesa_loop_sum(60, config=config)
         w.run()
-        runs[label] = w.ctx.cpu.counters
+        runs[label] = w.cpu.counters
     for counters in runs.values():
         assert sum(counters.hold_causes) == counters.held_cycles
         assert counters.held_cycles > 0
@@ -202,17 +202,17 @@ def test_cold_miss_attributed_to_md_wait():
 def test_metrics_snapshot_round_trips_as_json():
     w = mesa_loop_sum(50)
     w.run()
-    snapshot = metrics_snapshot(w.ctx.cpu)
+    snapshot = metrics_snapshot(w.cpu)
     decoded = json.loads(json.dumps(snapshot))
     assert decoded["schema"] == "repro.metrics/1"
-    counters = w.ctx.cpu.counters
+    counters = w.cpu.counters
     assert decoded["counters"]["cycles"] == counters.cycles
     assert decoded["holds"]["total"] == counters.held_cycles
     assert decoded["tasks"]["0"]["utilization"] == 1.0
-    assert decoded["ifu"]["dispatches"] == w.ctx.cpu.ifu.dispatches
+    assert decoded["ifu"]["dispatches"] == w.cpu.ifu.dispatches
     assert "tier" not in decoded["machine"]
     tiers = decoded["tiers"]
-    assert tiers == w.ctx.cpu._traces.stats() | {"tier": "traced"}
+    assert tiers == w.cpu._traces.stats() | {"tier": "traced"}
     assert 0 < tiers["traced_cycles"] <= counters.cycles
     assert tiers["stalls"] <= tiers["entries"]
     assert "faults" not in decoded  # no injector on a clean machine
@@ -224,7 +224,7 @@ def test_metrics_snapshot_includes_fault_section():
     )
     w = mesa_loop_sum(100, config=config)
     w.run()
-    snapshot = json.loads(json.dumps(metrics_snapshot(w.ctx.cpu)))
+    snapshot = json.loads(json.dumps(metrics_snapshot(w.cpu)))
     assert snapshot["faults"]["pending"] == 0
     assert snapshot["faults"]["trace"], "the injected fault must be in the trace"
 
@@ -320,7 +320,7 @@ def test_cli_diagnoses_an_unloadable_state(tmp_path, capsys, problem):
     if problem == "malformed":
         state.write_text('{"version": 2')
     elif problem == "config":
-        snap = mesa_loop_sum(10).ctx.cpu.snapshot()
+        snap = mesa_loop_sum(10).cpu.snapshot()
         snap.data["config"] = dict(snap.data["config"], cycle_ns=50.0)
         snap.save(state)
     rc = main(["--workload", "mesa_loop_sum", "--load-state", str(state)])

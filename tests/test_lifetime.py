@@ -1,11 +1,12 @@
 """Object lifetime: a dropped machine is freed by reference counting.
 
 Nothing a :class:`~repro.core.processor.Processor` owns refers back to
-it strongly (DESIGN.md 5.12), and the boot cache's shared workload
-context does not pin a session's machine between operations.  So a
-machine dies the moment its last owner lets go, with no help from the
-cyclic garbage collector -- which every test here switches off -- and
-forked workers keep what they inherit out of the collector's way.
+it strongly (DESIGN.md 5.12), and a session owns the only reference to
+its machine: the boot cache keeps pristine templates and nothing that
+points at a session's machine.  So a machine dies the moment its last
+owner lets go, with no help from the cyclic garbage collector -- which
+every test here switches off -- and forked workers keep what they
+inherit out of the collector's way.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 
 from repro.config import PRODUCTION
 from repro.core.processor import Processor
+from repro.perf.measure import OpcodeProfiler
 from repro.perf.tracing import PipelineTracer
 from repro.perf.workloads import mesa_loop_sum
 from repro.service import Session
@@ -109,7 +111,7 @@ def test_machine_with_a_fault_task_is_freed():
 def test_instrumented_machine_is_freed():
     """The bus does not refer back to the machine strongly, and a
     detached tracer leaves no edge behind."""
-    machine = mesa_loop_sum(20).ctx.cpu
+    machine = mesa_loop_sum(20).cpu
     tracer = PipelineTracer(machine).install()
     machine.run(200)
     assert tracer.records
@@ -119,10 +121,24 @@ def test_instrumented_machine_is_freed():
     assert ref() is None, "the machine's observers kept it alive"
 
 
+def test_uninstalled_profiler_frees_the_session_machine():
+    """The ``--profile`` path: a profiler takes the session's machine,
+    and once it is uninstalled nothing keeps that machine alive after
+    the session and the profiler are dropped."""
+    session = _build("mesa_loop_sum", faulted=False)
+    profiler = OpcodeProfiler(session.cpu)
+    session.run_slice(SLICE)
+    profiler.uninstall()
+    assert profiler.table()
+    machine = weakref.ref(session.cpu)
+    del session, profiler
+    assert machine() is None, "the profiled session's machine is pinned"
+
+
 def test_fleet_prewarm_forks_no_machine_and_pins_none(monkeypatch):
     """Prewarming fills the boot cache with pristine templates only: no
-    template is forked, and no cached context holds a machine that the
-    fleet's workers would inherit."""
+    template is forked, and sessions of every cached key fork their
+    machines without ever running a template."""
     forks = 0
     fork = Processor.fork
 
@@ -137,7 +153,15 @@ def test_fleet_prewarm_forks_no_machine_and_pins_none(monkeypatch):
     try:
         assert forks == 0
         assert len(_BOOT_CACHE) == len(ROTATION)
-        assert all(w.ctx.cpu is None for w, _ in _BOOT_CACHE.values())
+        templates = list(_BOOT_CACHE.values())
+        for workload in ROTATION:
+            session = _build(workload, faulted=False)
+            session.run()
+            assert all(session.cpu is not t.cpu for t in templates)
+        assert len(_BOOT_CACHE) == len(ROTATION)
+        assert all(t.cpu.counters.cycles == 0 for t in templates), (
+            "a cached template ran"
+        )
     finally:
         fleet.close()
         clear_boot_cache()

@@ -47,8 +47,8 @@ def test_symbol_load_store():
         b.op("HALTL")
 
     ctx = run_program(build)
-    assert symbol_value(ctx, 2) == (TAG_INT, 7)
-    assert symbol_value(ctx, 3) == (TAG_INT, 7)
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 7)
+    assert symbol_value(ctx.cpu, 3) == (TAG_INT, 7)
 
 
 def test_addition_with_checks():
@@ -56,7 +56,7 @@ def test_addition_with_checks():
         b.op("LIN", 30); b.op("LIN", 12); b.op("ADDL"); b.op("SLV", 0)
         b.op("HALTL")
 
-    assert symbol_value(run_program(build), 0) == (TAG_INT, 42)
+    assert symbol_value(run_program(build).cpu, 0) == (TAG_INT, 42)
 
 
 def test_subtraction_order():
@@ -64,7 +64,7 @@ def test_subtraction_order():
         b.op("LIN", 50); b.op("LIN", 8); b.op("SUBL"); b.op("SLV", 0)
         b.op("HALTL")
 
-    assert symbol_value(run_program(build), 0) == (TAG_INT, 42)
+    assert symbol_value(run_program(build).cpu, 0) == (TAG_INT, 42)
 
 
 def test_add_traps_on_non_integer():
@@ -91,8 +91,8 @@ def test_car_cdr_walk():
         set_symbol_value(ctx, 0, TAG_PAIR, head)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 1) == (TAG_INT, 10)
-    assert symbol_value(ctx, 2) == (TAG_INT, 20)
+    assert symbol_value(ctx.cpu, 1) == (TAG_INT, 10)
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 20)
 
 
 def test_car_of_int_traps():
@@ -113,10 +113,10 @@ def test_cons_builds_cells():
         b.op("HALTL")
 
     ctx = run_program(build)
-    tag, _ = symbol_value(ctx, 0)
+    tag, _ = symbol_value(ctx.cpu, 0)
     assert tag == TAG_PAIR
-    assert symbol_value(ctx, 1) == (TAG_INT, 1)
-    assert symbol_value(ctx, 2) == (TAG_NIL, 0)
+    assert symbol_value(ctx.cpu, 1) == (TAG_INT, 1)
+    assert symbol_value(ctx.cpu, 2) == (TAG_NIL, 0)
 
 
 def test_jnil_taken_and_not():
@@ -129,7 +129,7 @@ def test_jnil_taken_and_not():
         b.label("bad")
         b.op("LIN", 9); b.op("SLV", 0); b.op("HALTL")
 
-    assert symbol_value(run_program(build), 0) == (TAG_INT, 1)
+    assert symbol_value(run_program(build).cpu, 0) == (TAG_INT, 1)
 
 
 def test_call_binds_and_restores():
@@ -154,9 +154,9 @@ def test_call_binds_and_restores():
         set_symbol_value(ctx, 3, TAG_INT, 2222)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 0) == (TAG_INT, 17)
-    assert symbol_value(ctx, 2) == (TAG_INT, 1111)  # deep-bound values restored
-    assert symbol_value(ctx, 3) == (TAG_INT, 2222)
+    assert symbol_value(ctx.cpu, 0) == (TAG_INT, 17)
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 1111)  # deep-bound values restored
+    assert symbol_value(ctx.cpu, 3) == (TAG_INT, 2222)
 
 
 def test_nested_calls_rebind():
@@ -186,8 +186,8 @@ def test_nested_calls_rebind():
         set_symbol_value(ctx, 2, TAG_INT, 0xDEAD)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 0) == (TAG_INT, 6)       # 3+2+1
-    assert symbol_value(ctx, 2) == (TAG_INT, 0xDEAD)  # fully unwound
+    assert symbol_value(ctx.cpu, 0) == (TAG_INT, 6)       # 3+2+1
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 0xDEAD)  # fully unwound
 
 
 def test_call_of_non_function_traps():
@@ -213,7 +213,7 @@ def test_lisp_costs_dwarf_mesa():
     b.op("HALTL")
     ctx.load_program(b.assemble())
     set_symbol_value(ctx, 1, TAG_INT, 5)
-    prof = OpcodeProfiler(ctx)
+    prof = OpcodeProfiler(ctx.cpu)
     ctx.run(100_000)
     assert prof.mean("LLV").mean_microinstructions >= 5
     assert prof.mean("SLV").mean_microinstructions >= 5
@@ -235,8 +235,8 @@ def test_rplaca_mutates_cell():
         set_symbol_value(ctx, 0, TAG_PAIR, head)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 2) == (TAG_INT, 99)
-    tag, _ = symbol_value(ctx, 1)
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 99)
+    tag, _ = symbol_value(ctx.cpu, 1)
     assert tag == TAG_PAIR
 
 
@@ -254,7 +254,7 @@ def test_rplacd_relinks_list():
         set_symbol_value(ctx, 0, TAG_PAIR, head)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 2) == (TAG_NIL, 0)
+    assert symbol_value(ctx.cpu, 2) == (TAG_NIL, 0)
 
 
 def test_rplaca_on_non_pair_traps():
@@ -278,6 +278,6 @@ def test_atom_predicate():
         set_symbol_value(ctx, 0, TAG_PAIR, head)
 
     ctx = run_program(build, setup=setup)
-    assert symbol_value(ctx, 1) == (TAG_INT, 1)   # integers are atoms
-    assert symbol_value(ctx, 2) == (TAG_INT, 0)   # pairs are not
-    assert symbol_value(ctx, 3) == (TAG_INT, 1)   # NIL is an atom
+    assert symbol_value(ctx.cpu, 1) == (TAG_INT, 1)   # integers are atoms
+    assert symbol_value(ctx.cpu, 2) == (TAG_INT, 0)   # pairs are not
+    assert symbol_value(ctx.cpu, 3) == (TAG_INT, 1)   # NIL is an atom

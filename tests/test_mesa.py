@@ -265,7 +265,7 @@ def test_microinstruction_budget_for_loads():
         b.op("SL", 1)
     b.op("HALT")
     ctx.load_program(b.assemble())
-    prof = OpcodeProfiler(ctx)
+    prof = OpcodeProfiler(ctx.cpu)
     ctx.run(100_000)
     assert prof.mean("LL").mean_microinstructions == pytest.approx(2.0)
     assert prof.mean("SL").mean_microinstructions == pytest.approx(1.0)

@@ -73,7 +73,7 @@ def test_workload_run_slice_reports_budget_exhaustion():
     rest = workload.run_slice(5_000_000)
     assert rest.halted and not rest.exhausted
     assert 500 + rest.cycles == MESA_CYCLES
-    assert workload.verify()
+    assert workload.verify(workload.cpu)
 
 
 def test_workload_run_still_allornothing():

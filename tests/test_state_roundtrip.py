@@ -56,7 +56,7 @@ _MACHINES = {}
 
 def _machine(variant):
     if variant not in _MACHINES:
-        cpu = mesa_loop_sum(60, config=CONFIGS[variant]).ctx.cpu
+        cpu = mesa_loop_sum(60, config=CONFIGS[variant]).cpu
         _MACHINES[variant] = (cpu, cpu.snapshot())
     cpu, pristine = _MACHINES[variant]
     cpu.restore(pristine)
@@ -122,7 +122,7 @@ def test_snapshot_leaves_a_cached_code_munch_untouched():
     a code-byte read would bump the cache clock and the line's LRU, so
     a checkpointed machine would drift from one that is not.
     """
-    cpu = Session.build("mesa_loop_sum", args={"n": 200}).ctx.cpu
+    cpu = Session.build("mesa_loop_sum", args={"n": 200}).cpu
     cpu.run(500)
     while cpu.ifu._head is None:
         cpu.run(1)
@@ -147,19 +147,19 @@ def test_snapshot_leaves_a_cached_code_munch_untouched():
 def test_workload_roundtrip(name, path):
     """Snapshot/restore is byte-identical for every perf workload."""
     workload = ALL_WORKLOADS[name](config=CONFIGS[path])
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     cpu.run(2000)
     mid = cpu.snapshot()
     first_cycles = cpu.run(100_000)
     assert cpu.halted
     end_json = cpu.snapshot().to_json()
-    assert workload.verify()
+    assert workload.verify(cpu)
 
     cpu.restore(mid)
     replay_cycles = cpu.run(100_000)
     assert replay_cycles == first_cycles
     assert cpu.snapshot().to_json() == end_json
-    assert workload.verify()
+    assert workload.verify(cpu)
 
 
 @pytest.mark.parametrize("source, target", [
@@ -173,18 +173,18 @@ def test_snapshot_restores_at_another_tier(source, target):
 
     reference = mesa_loop_sum(60)
     reference_cycles = reference.run()
-    reference_json = architectural_json(reference.ctx.cpu.snapshot())
+    reference_json = architectural_json(reference.cpu.snapshot())
 
-    before = mesa_loop_sum(60, config=MachineConfig(tier=source)).ctx.cpu
+    before = mesa_loop_sum(60, config=MachineConfig(tier=source)).cpu
     ran = before.run(700)
     saved = before.snapshot().to_json()
 
     workload = mesa_loop_sum(60, config=MachineConfig(tier=target))
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     cpu.restore(MachineState.from_json(saved))
     assert cpu.tier == target
     ran += cpu.run(100_000)
-    assert cpu.halted and workload.verify()
+    assert cpu.halted and workload.verify(cpu)
     assert ran == reference_cycles
     assert architectural_json(cpu.snapshot()) == reference_json
 
@@ -250,7 +250,7 @@ def _warm_traced_machine():
     """A PRODUCTION machine run long enough to be executing traces."""
     from repro.core.tracecache import TraceCache
 
-    cpu = mesa_loop_sum(60, config=PRODUCTION).ctx.cpu
+    cpu = mesa_loop_sum(60, config=PRODUCTION).cpu
     cpu._traces = TraceCache(hot_threshold=2)
     cpu.run(1200)
     assert cpu._traces.traces, "machine never got hot"

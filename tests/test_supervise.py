@@ -95,10 +95,10 @@ def _clean_clean_line(cpu):
 
 def test_demo_fault_plan_breaks_the_unsupervised_run():
     workload = mesa_loop_sum(200, config=_demo_config())
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     cpu.run(50_000)
     assert cpu.halted, "the faults corrupt data, they do not wedge the machine"
-    assert not workload.verify()
+    assert not workload.verify(cpu)
     assert cpu.fault_injector.trace, "the plan must actually have fired"
 
 
@@ -107,20 +107,20 @@ def test_supervised_run_recovers_and_matches_the_clean_run():
     clean_cycles = clean.run()
 
     workload = mesa_loop_sum(200, config=_demo_config())
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     supervisor = Supervisor(
         cpu, checkpoint_interval=DEMO_CHECKPOINT_INTERVAL, max_retries=3
     )
     cycles = supervisor.run(max_cycles=50_000)
 
-    assert cpu.halted and workload.verify()
+    assert cpu.halted and workload.verify(cpu)
     assert cycles == clean_cycles, "replayed cycles must not inflate the clock"
     assert cpu.counters.rollbacks >= 1
     assert cpu.counters.replays >= 1
     assert any(e["event"] == "rollback" for e in supervisor.log)
     assert any(e["event"] == "replay" for e in supervisor.log)
     assert architectural_json(cpu.snapshot()) == architectural_json(
-        clean.ctx.cpu.snapshot()
+        clean.cpu.snapshot()
     )
 
 
@@ -137,11 +137,11 @@ def test_recovery_is_deterministic_across_repeats(interval):
     for _ in range(2):
         workload = mesa_loop_sum(200, config=_demo_config())
         supervisor = Supervisor(
-            workload.ctx.cpu, checkpoint_interval=interval, max_retries=4
+            workload.cpu, checkpoint_interval=interval, max_retries=4
         )
         supervisor.run(max_cycles=50_000)
-        assert workload.ctx.cpu.halted and workload.verify()
-        finals.append(workload.ctx.cpu.snapshot().to_json())
+        assert workload.cpu.halted and workload.verify(workload.cpu)
+        finals.append(workload.cpu.snapshot().to_json())
     assert finals[0] == finals[1]
 
 
@@ -150,13 +150,13 @@ def test_recovery_converges_identically_on_both_cycle_paths():
     for tier in ("traced", "interp"):
         workload = mesa_loop_sum(200, config=_demo_config(tier=tier))
         supervisor = Supervisor(
-            workload.ctx.cpu,
+            workload.cpu,
             checkpoint_interval=DEMO_CHECKPOINT_INTERVAL,
             max_retries=3,
         )
         supervisor.run(max_cycles=50_000)
-        assert workload.ctx.cpu.halted and workload.verify()
-        finals.append(architectural_json(workload.ctx.cpu.snapshot()))
+        assert workload.cpu.halted and workload.verify(workload.cpu)
+        finals.append(architectural_json(workload.cpu.snapshot()))
     assert finals[0] == finals[1]
 
 
@@ -193,17 +193,17 @@ def test_supervision_is_invisible_on_a_clean_run(name):
 
     supervised = ALL_WORKLOADS[name](config=empty)
     supervisor = Supervisor(
-        supervised.ctx.cpu, checkpoint_interval=1900, check_interval=256
+        supervised.cpu, checkpoint_interval=1900, check_interval=256
     )
     cycles = supervisor.run(max_cycles=5_000_000)
 
     assert cycles == bare_cycles
-    assert supervised.verify()
+    assert supervised.verify(supervised.cpu)
     assert supervisor.log == []
-    assert supervised.ctx.cpu.counters.rollbacks == 0
+    assert supervised.cpu.counters.rollbacks == 0
     assert supervisor.sanitizer.sweeps == CLEAN_SWEEPS[name]
-    assert architectural_json(supervised.ctx.cpu.snapshot()) == (
-        architectural_json(bare.ctx.cpu.snapshot())
+    assert architectural_json(supervised.cpu.snapshot()) == (
+        architectural_json(bare.cpu.snapshot())
     )
 
 
@@ -216,11 +216,11 @@ def test_sweep_cadence_counts_replayed_cycles(interval, sweeps, rollbacks):
     cycles included: 4807 forward cycles plus each replayed slice."""
     workload = mesa_loop_sum(200, config=_demo_config())
     supervisor = Supervisor(
-        workload.ctx.cpu, checkpoint_interval=interval, max_retries=3
+        workload.cpu, checkpoint_interval=interval, max_retries=3
     )
     supervisor.run(max_cycles=50_000)
-    assert workload.verify()
-    assert workload.ctx.cpu.counters.rollbacks == rollbacks
+    assert workload.verify(workload.cpu)
+    assert workload.cpu.counters.rollbacks == rollbacks
     assert supervisor.sanitizer.sweeps == sweeps
 
 
@@ -327,7 +327,7 @@ def test_supervised_session_runs_traced_and_matches_clean_interp(
 @pytest.fixture
 def ran_machine():
     workload = mesa_loop_sum(60)
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     cpu.run(1200)
     return cpu
 
@@ -423,12 +423,12 @@ def _assert_fresh_machines_match_interp(n):
     was not poisoned by the corrupted table."""
     reference = mesa_loop_sum(n, config=INTERPRETED)
     reference.run()
-    expected = architectural_json(reference.ctx.cpu.snapshot())
+    expected = architectural_json(reference.cpu.snapshot())
     for config in (PLAN_ONLY, PRODUCTION):
         fresh = mesa_loop_sum(n, config=config)
         fresh.run()  # verifies the result
-        assert fresh.ctx.cpu.counters == reference.ctx.cpu.counters
-        assert architectural_json(fresh.ctx.cpu.snapshot()) == expected
+        assert fresh.cpu.counters == reference.cpu.counters
+        assert architectural_json(fresh.cpu.snapshot()) == expected
 
 
 def test_sanitizer_catches_plan_im_disagreement(ran_machine):
@@ -479,7 +479,7 @@ def test_check_interval_must_be_positive(ran_machine):
 def test_retry_exhaustion_raises_unrecoverable_with_backoff():
     """Corruption captured *inside* the checkpoint can never replay
     clean; the budget must exhaust."""
-    cpu = mesa_loop_sum(60).ctx.cpu
+    cpu = mesa_loop_sum(60).cpu
     cpu.run(600)
     line = _clean_clean_line(cpu)
     line.words[0] ^= 0x0004  # poisoned before the first checkpoint
@@ -501,7 +501,7 @@ def test_retry_exhaustion_raises_unrecoverable_with_backoff():
 def test_structural_errors_are_not_retried():
     from repro.errors import StateError
 
-    cpu = mesa_loop_sum(60).ctx.cpu
+    cpu = mesa_loop_sum(60).cpu
     supervisor = Supervisor(cpu, checkpoint_interval=200)
 
     class Boom(StateError):
@@ -517,7 +517,7 @@ def test_structural_errors_are_not_retried():
 
 
 def test_supervisor_parameter_validation():
-    cpu = mesa_loop_sum(60).ctx.cpu
+    cpu = mesa_loop_sum(60).cpu
     with pytest.raises(ValueError):
         Supervisor(cpu, checkpoint_interval=0)
     with pytest.raises(ValueError):
@@ -580,7 +580,7 @@ def test_find_divergence_convicts_a_corrupted_plan(ran_machine):
 
 def test_plan_implicating_corruption_degrades_to_interpreter():
     workload = mesa_loop_sum(200)
-    cpu = workload.ctx.cpu
+    cpu = workload.cpu
     cpu.run(600)
 
     # A corrupted table entry: wrong source microword (trips the
@@ -595,7 +595,7 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     )
     supervisor.run(max_cycles=50_000)
 
-    assert cpu.halted and workload.verify()
+    assert cpu.halted and workload.verify(cpu)
     assert cpu.tier == "interp"
     assert cpu.counters.degrades >= 1
     degrade = next(e for e in supervisor.log if e["event"] == "degrade")

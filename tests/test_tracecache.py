@@ -287,7 +287,7 @@ def test_side_exit_landing_becomes_a_trace_head():
     """Macro handlers are entered by IFU dispatch, never by a back edge;
     the pc a trace exits to is counted as a region head instead."""
     w = smalltalk_counter(sends=600)
-    cache = w.ctx.cpu._traces
+    cache = w.cpu._traces
     w.run_slice(20_000)
     seen = []
     _watch_traces(cache, seen)
@@ -305,7 +305,7 @@ def test_ifu_free_trace_ticks_a_running_ifu():
     interpreter."""
     traced = smalltalk_counter(sends=600)
     interp = smalltalk_counter(sends=600, config=INTERPRETED)
-    cache = traced.ctx.cpu._traces
+    cache = traced.cpu._traces
     traced.run_slice(20_000)
     interp.run_slice(20_000)
     ifu_free = {key for key, src in cache.sources.items() if "ifon = ifu.running" in src}
@@ -318,7 +318,7 @@ def test_ifu_free_trace_ticks_a_running_ifu():
     assert any(ifon and key in ifu_free for ifon, key, _ in seen)
     traced.run()  # to HALT, verifying the result
     interp.run()
-    a, b = traced.ctx.cpu, interp.ctx.cpu
+    a, b = traced.cpu, interp.cpu
     assert a.counters == b.counters
     assert architectural_json(a.snapshot()) == architectural_json(b.snapshot())
 
@@ -329,7 +329,7 @@ def test_traces_cover_the_warm_slice(name):
     warm, almost every cycle runs inside a trace, and almost no entry
     returns without progress."""
     w = ALL_WORKLOADS[name](**ROTATION_SIZES[name])
-    cache = w.ctx.cpu._traces
+    cache = w.cpu._traces
     w.run_slice(20_000)
     before = cache.stats()
     ran = w.run_slice(20_000).cycles
@@ -538,7 +538,7 @@ def _composition_machines():
     def mesa(**overrides):
         workload = mesa_loop_sum(60, config=dataclasses.replace(PLAN_ONLY, **overrides))
         workload.run()
-        return workload.ctx.cpu
+        return workload.cpu
 
     def loop(**overrides):
         return _loop_machine(dataclasses.replace(PLAN_ONLY, **overrides), _count_small_body)
@@ -658,7 +658,7 @@ def _plan_tier_machines():
     for name in sorted(ROTATION_SIZES):
         workload = ALL_WORKLOADS[name](config=PLAN_ONLY)
         workload.run()
-        yield name, workload.ctx.cpu
+        yield name, workload.cpu
     cpu = build_bitblt_machine(PLAN_ONLY)
     Bitmap(cpu.memory, 0x2000, 17, 16).load_pattern()
     run_bitblt(
