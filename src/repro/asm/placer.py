@@ -94,10 +94,6 @@ class _Cluster:
     def words(self) -> int:
         return len(self.members)
 
-    @property
-    def low_pairs(self) -> int:
-        return sum(1 for _, _, low in self.pairs if low)
-
 
 class _Page:
     """One page's occupancy during layout."""

@@ -71,8 +71,8 @@ def arm_fault_plan(cpu, fault_config: FaultConfig) -> None:
     )
     memory.injector = injector
     memory.storage.ecc = injector.ecc
-    # Traces compiled before arming would bypass the new ECC filter.
-    cpu._traces.invalidate_all()
+    # Compiled code folds in whether an injector exists.
+    cpu._recompose()
 
 
 def step_node(

@@ -31,8 +31,8 @@ MAX_IM_WORDS = 4096
 MAX_CACHE_LINES = 1024
 
 #: The simulator's cycle implementations, slowest first: the
-#: interpretive reference, decoded execution plans, and compiled traces
-#: on top of plans.
+#: interpretive reference, a compiled one-cycle step per IM slot, and
+#: compiled hot regions on top of the steps.
 TIERS = ("interp", "plan", "traced")
 
 
@@ -74,7 +74,7 @@ class MachineConfig:
             "simpler design" rejected in section 6.2.1.
         tier: The simulator's cycle implementation, one of
             :data:`TIERS`; the default, ``"traced"``, runs compiled
-            traces of hot plan runs (:mod:`repro.core.tracecache`).
+            regions of hot code (:mod:`repro.core.tracecache`).
             Not part of the modelled machine: all three tiers are
             bit-identical (``tests/test_fastpath_parity.py``), so a
             snapshot restores at any tier.  Only the starting value of
@@ -190,8 +190,8 @@ MODEL0 = MachineConfig(bypass_enabled=False)
 #: differential tests and benchmarks.
 INTERPRETED = MachineConfig(tier="interp")
 
-#: The production machine running on decoded execution plans but with
-#: the compiled-trace tier off: the middle rung of the three-way
+#: The production machine running each IM slot's compiled one-cycle
+#: step, with compiled regions off: the middle rung of the three-way
 #: differential ladder (interp / plan / traced) and the baseline the
 #: traced tier's speedup is measured against.
 PLAN_ONLY = MachineConfig(tier="plan")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 from ..errors import EncodingError
 from ..types import WORD_MASK, bit, word
@@ -210,6 +210,9 @@ class Alu:
 
     def __init__(self) -> None:
         self._alufm: List[AluControl] = list(STANDARD_ALUFM)
+        #: Called after every ALUFM write and load: compiled code
+        #: inlines the ALUFM (``Processor._recompose``).
+        self.on_write: Optional[Callable[[], None]] = None
 
     def control(self, aluop: int) -> AluControl:
         """The ALUFM entry selected by a 4-bit ALUOp field."""
@@ -218,9 +221,8 @@ class Alu:
     def write_alufm(self, aluop: int, bits: int) -> None:
         """FF ``ALUFM_WRITE``: replace an ALUFM word (low 6 bits of B)."""
         self._alufm[aluop & 0xF] = AluControl.decode(bits & 0x3F)
-
-    def read_alufm(self, aluop: int) -> int:
-        return self._alufm[aluop & 0xF].encode()
+        if self.on_write is not None:
+            self.on_write()
 
     def run(self, aluop: int, a: int, b: int, saved_carry: bool) -> AluResult:
         """Execute the operation named by ALUOp on operands A and B."""
@@ -234,3 +236,5 @@ class Alu:
 
     def load_state(self, state: dict) -> None:
         self._alufm = [AluControl.decode(bits) for bits in state["alufm"]]
+        if self.on_write is not None:
+            self.on_write()

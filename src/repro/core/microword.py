@@ -28,7 +28,7 @@ even/odd branch pairs, one FF operation per instruction, ...).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import EncodingError
 from ..types import BYTE_MASK
@@ -286,14 +286,6 @@ class MicroInstruction:
             ff=(bits >> _FF_SHIFT) & 0xFF,
             nc=(bits >> _NC_SHIFT) & 0xFF,
         )
-
-    def with_nc(self, nc: int) -> "MicroInstruction":
-        """A copy with a different NextControl (used by the placer)."""
-        return replace(self, nc=nc)
-
-    def with_ff(self, ff: int) -> "MicroInstruction":
-        """A copy with a different FF byte (used by the placer)."""
-        return replace(self, ff=ff)
 
     @property
     def next_type(self) -> NextType:

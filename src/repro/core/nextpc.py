@@ -55,9 +55,6 @@ class ControlSection:
     def page_base(self, pc: int) -> int:
         return pc & ~(self.page_size - 1)
 
-    def page_number(self, pc: int) -> int:
-        return pc // self.page_size
-
     def _local(self, pc: int, offset: int) -> int:
         return self.page_base(pc) | (offset & (self.page_size - 1))
 

@@ -207,8 +207,8 @@ class ExecutionPlan:
 def compile_plan(inst: MicroInstruction, pc: int, control) -> ExecutionPlan:
     """Flatten *inst* (living at IM address *pc*) into an ExecutionPlan.
 
-    *control* is the machine's :class:`~repro.core.nextpc.ControlSection`;
-    only its static page geometry is read here.
+    Only *control*'s page geometry (``page_size``, ``im_mask``) is
+    read: a ``ControlSection``, or the ``Composition`` code is made for.
     """
     plan = ExecutionPlan()
     plan.inst = inst

@@ -77,7 +77,7 @@ from .microword import (
 from .nextpc import ControlSection, NextOutcome
 from .plancache import MicrostoreImage
 from .registers import RegisterFile
-from .tracecache import TraceCache
+from .tracecache import Composition, TraceCache
 from .shifter import ShiftControl, shift, shift_masked
 from .stack import StackUnit
 from .taskpipe import TaskPipeline
@@ -124,12 +124,16 @@ class Processor:
         # What the plan and traced tiers run (DESIGN.md sections 5.1 and
         # 5.6): the table of compiled steps, filled per (task, pc) on
         # first fetch, and the compiled regions.  Mechanism: never
-        # snapshotted, and fork() starts an empty one.  The
-        # MicrostoreImage funnels every IM write path (console,
-        # bootstrap loader, load_image, direct pokes) into _invalidate_im.
+        # snapshotted.  The MicrostoreImage funnels every IM write path
+        # (console, bootstrap loader, load_image, direct pokes) into
+        # _invalidate_im; every other fact the code depends on is in
+        # the composition (_recompose).
         self._traces = TraceCache()
+        self._composition: Optional[Composition] = None
         # Nothing the machine owns refers back to it strongly (DESIGN.md
-        # 5.12), so the IM-write hook reaches it through a weak reference.
+        # 5.12), so the IM- and ALUFM-write hooks reach it through a
+        # weak reference.
+        self.alu.on_write = _weak_hook(self, Processor._recompose)
         on_im_write = _weak_hook(self, Processor._invalidate_im)
         self.im: MicrostoreImage = MicrostoreImage(config.im_size, on_im_write)
         self.console.on_im_write = on_im_write
@@ -159,6 +163,7 @@ class Processor:
         self._fault_task = config.fault_task
         if config.fault_task is not None:
             self.memory.on_fault = _weak_hook(self, Processor._on_memory_fault)
+        self._recompose()
 
     # ------------------------------------------------------------------
     # setup
@@ -204,10 +209,7 @@ class Processor:
             self._device_by_task[device.task] = device
         self._devices.append(device)
         device.attach(self)
-        # Compiled steps and regions unroll the device roster's ticks:
-        # a roster change invalidates them.
-        self._traces.steps.clear()
-        self._traces.invalidate_all()
+        self._recompose()
 
     def boot(self, pc: int = 0, task: int = EMULATOR_TASK) -> None:
         """Point a task at *pc* and make it the running task.
@@ -348,8 +350,9 @@ class Processor:
         Raises :class:`~repro.errors.StateError` when the snapshot's
         version, config signature, device roster, or fault plan does not
         match this machine.  IM slots whose stored encoding equals the
-        current word are left untouched, so a warm restore keeps their
-        compiled steps unless the ALUFM changed.
+        current word are left untouched, so a restore keeps the compiled
+        steps of those slots, and the regions when no slot changed,
+        unless the ALUFM changed.
         """
         from ..errors import StateError
         from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
@@ -390,22 +393,15 @@ class Processor:
                     MicroInstruction.decode(stored) if stored is not None else None
                 )
 
-        alufm = self.alu._alufm
         self.load_state(data["core"])
-        if self.alu._alufm != alufm:
-            self._traces.steps.clear()  # steps inline their ALUFM entry
         self.memory.load_state(data["mem"], port_of=lambda i: self._devices[i])
         self.ifu.load_state(data["ifu"])
         for device, device_state in zip(self._devices, data["io"]):
             device.load_state(device_state)
         if injector is not None:
             injector.load_state(data["fault"])
-        # Compiled regions are dropped on every restore (even a warm one
-        # that kept its steps): they bind register/ref objects that
-        # load_state may have replaced, and the protocol's byte-identity
-        # guarantee is simplest to audit when a restored machine always
-        # re-warms from its steps.
-        self._traces.invalidate_all()
+        # A recording in flight describes the trajectory just replaced.
+        self._traces.abort_recording()
 
     def fork(self, state=None) -> "Processor":
         """A fully independent copy of this machine, mid-run.
@@ -413,7 +409,9 @@ class Processor:
         The clone shares nothing mutable with the original: it gets its
         own registers, memory, devices, and fault cursors, built from a
         :meth:`snapshot` and deep copies of the device models.  Stepping
-        either machine cannot perturb the other.
+        either machine cannot perturb the other.  It starts with this
+        machine's step and region tables: compiled code takes the
+        machine it runs as an argument.
 
         Given *state* (a snapshot of this machine or an identical twin),
         the clone is restored from it instead of from this machine's own
@@ -432,6 +430,11 @@ class Processor:
             clone.ifu.load_table(self.ifu.table, self.ifu._dispatch_addresses)
         for device in self._devices:
             clone.attach_device(self._clone_device(device))
+        # With this ALUFM the clone has this machine's composition; the
+        # restore drops what the snapshot's IM or ALUFM does not share.
+        clone.alu.load_state(self.alu.state_dict())
+        clone._traces.steps.update(self._traces.steps)
+        clone._traces.traces.update(self._traces.traces)
         clone.restore(snap)
         return clone
 
@@ -622,6 +625,27 @@ class Processor:
         while not predicate(self) and counters.cycles < limit:
             step()
         return counters.cycles - start
+
+    def _recompose(self) -> None:
+        """Recompute the :class:`Composition` compiled code is keyed on
+        (DESIGN.md section 5.1); when it changed, drop the old code."""
+        config = self.config
+        composition = Composition(
+            bypass=config.bypass_enabled,
+            hold_limit=self._hold_limit or HOLD_LIMIT,
+            im_mask=self.control.im_mask,
+            page_size=self.control.page_size,
+            hit_cycles=config.cache_hit_cycles,
+            nbases=config.num_base_registers,
+            alufm=tuple(control.encode() for control in self.alu._alufm),
+            device_tasks=tuple(device.task for device in self._devices),
+            fault_task=self._fault_task is not None,
+            injector=self.memory.injector is not None,
+        )
+        if composition != self._composition:
+            self._composition = composition
+            self._traces.steps.clear()
+            self._traces.invalidate_all()
 
     def _invalidate_im(self, index) -> None:
         """Drop what was compiled from a rewritten IM slot (or slice)."""
@@ -1022,10 +1046,6 @@ class Processor:
             regs.write_membase(task, b)
         elif ff == FF.ALUFM_WRITE:
             self.alu.write_alufm(inst.aluop, b)
-            # Compiled steps and regions inline ALUFM semantics into
-            # generated code; rewriting an ALU operation drops them all.
-            self._traces.steps.clear()
-            self._traces.invalidate_all()
         elif ff == FF.BASE_LO_B:
             self.memory.translator.write_base_low(regs.read_membase(task), b)
         elif ff == FF.BASE_HI_B:

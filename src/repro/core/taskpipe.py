@@ -53,9 +53,6 @@ class TaskPipeline:
         if task != EMULATOR_TASK:
             self.lines &= ~(1 << (task & 0xF))
 
-    def wakeup_pending(self, task: int) -> bool:
-        return bool(self.lines & (1 << task))
-
     def set_wakeup_mask(self, mask: int) -> None:
         """FF ``WAKEUP_B``: microcode-raised wakeups (test/notify aid)."""
         self.lines |= mask & 0xFFFF

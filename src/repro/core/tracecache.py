@@ -36,11 +36,12 @@ Correctness contract (DESIGN.md section 5.6):
   so even a mid-cycle exception (HoldTimeout, an injected
   TransientFault, a DeviceError) leaves the machine byte-identical to
   the interpreter's.
-* Steps compile in general mode and have no entry guard: a call with
-  budget 1 runs exactly one cycle.  They bind nothing machine-specific
-  (devices are read from ``cpu._devices``), so steps are shared by
-  every machine of one composition through a process-wide memo keyed
-  on every fact the emitter folds in.  Regions stay per machine.
+* Compiled code is a pure function of its key (:func:`code_key`): the
+  machine's :class:`Composition`, the task, the loop flag and the
+  recorded ``(pc, word)`` path.  It takes ``cpu`` as its argument and
+  binds nothing else, so steps and regions are memoized process-wide
+  on the key and shared by every machine of one composition.  Steps
+  compile in general mode with no entry guard: budget 1 runs one cycle.
 * The *single-task fast tail* (regions only).  When the region belongs
   to the emulator task and compile-time state proves no other task can
   become runnable (no devices attached, no fault task, no fault
@@ -68,12 +69,13 @@ Correctness contract (DESIGN.md section 5.6):
   :meth:`TraceCache.invalidate_all`: regions, hot counts, the blacklist
   and any in-flight recording are all dropped.  The only *in-run* IM
   write path (FF ``IM_WRITE_HI``) never compiles, so generated code can
-  never run stale.  Because generated code inlines ALUFM semantics, FF
-  ``ALUFM_WRITE`` never compiles either, and ``Processor._apply_ff``
-  drops steps and regions when it rewrites an ALU operation.
-  ``attach_device()`` drops both, ``restore()`` drops the regions (and
-  the steps when the ALUFM differs), and ``fork()`` builds a machine
-  with an empty table and no regions.
+  never run stale.  Every other fact generated code depends on is in
+  the composition, which ``Processor._recompose`` recomputes when one
+  may have changed (``attach_device``, every ALUFM write or load
+  through the ALU's write hook, the cluster arming an injector); a
+  changed composition drops the machine's steps and regions.  So
+  ``restore()`` keeps both (it aborts an in-flight recording) and
+  ``fork()`` carries its parent's.
 * Untraceable plans.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
   ``HALT`` (generated code does not re-check ``halted`` per cycle), FF
   ``BREAKPOINT`` (its message reads ``this_pc``, which is batched) and
@@ -83,17 +85,13 @@ Correctness contract (DESIGN.md section 5.6):
   recording that reaches a pc it has already recorded (an inner loop)
   is cut short too, so inner loops compile as compact loop regions
   instead of being unrolled into the enclosing region.
-* Compilation is memoized process-wide on the generated source text:
-  two machines that get identical microcode hot in the same places
-  share code objects (each region is still ``exec``\\ d into its own
-  namespace).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .alu import AluFunc, CarryIn
+from .alu import AluControl, AluFunc, CarryIn
 from .functions import FF, bank_argument, is_membase_small
 from .plancache import (
     A_IFU,
@@ -133,6 +131,7 @@ from .plancache import (
     ExecutionPlan,
     compile_plan,
 )
+from .microword import MicroInstruction
 from .shifter import ShiftControl
 from ..errors import MicrocodeCrash
 from ..types import EMULATOR_TASK
@@ -184,18 +183,40 @@ _LOGICAL_ALU = {
     AluFunc.ZERO: "0",
 }
 
-#: Process-wide ``compile()`` memo keyed by (filename, source): fresh
-#: machines that heat up the same microcode skip recompilation (the
-#: dominant cold-start cost).  Closures are still per-machine.
-_COMPILE_MEMO: Dict[Tuple[str, str], object] = {}
-_COMPILE_MEMO_LIMIT = 512
-
-#: Process-wide memo of compiled steps, keyed on every fact the emitter
-#: folds into one (see :meth:`TraceCache.fill`).  A step binds nothing
-#: machine-specific, so every machine of one composition shares it: a
-#: fork or a resumed session fills its table without codegen.
+#: Process-wide memos of compiled steps and regions, keyed by
+#: :func:`code_key`.  Compiled code binds nothing machine-specific, so
+#: every machine of one composition shares it: a fork, a restored
+#: machine or a resumed session runs it without codegen.
 _STEP_MEMO: Dict[tuple, object] = {}
 _STEP_MEMO_LIMIT = 4096
+_REGION_MEMO: Dict[tuple, object] = {}
+_REGION_MEMO_LIMIT = 512
+
+
+class Composition(NamedTuple):
+    """Every fact of a machine that generated code folds in.
+
+    ``Processor._recompose`` builds it; the generator reads nothing
+    else of the machine, so code generated for one composition runs on
+    every machine of it.  ``alufm`` holds the 16 encoded ALUFM words.
+    """
+
+    bypass: bool
+    hold_limit: int
+    im_mask: int
+    page_size: int
+    hit_cycles: int
+    nbases: int
+    alufm: Tuple[int, ...]
+    device_tasks: Tuple[Optional[int], ...]
+    fault_task: bool
+    injector: bool
+
+
+def code_key(composition: Composition, task: int, loop: bool, path) -> tuple:
+    """Everything :func:`compile_trace` reads for the recorded *path*,
+    ``[(pc, MicroInstruction), ...]`` (the key holds the words encoded)."""
+    return composition, task, loop, tuple((pc, inst.encode()) for pc, inst in path)
 
 
 def _interp_step(cpu, budget: int) -> None:
@@ -236,25 +257,14 @@ class _Ctx:
     """Per-trace analysis shared by the step emitters."""
 
     def __init__(
-        self, cpu, task: int, entry: int, steps, loop: bool, step: bool
+        self, comp: Composition, task: int, steps, loop: bool, step: bool
     ) -> None:
         self.task = task
-        self.entry = entry
         self.loop = loop
         self.rbit = 1 << task
         self.tkey = 256 + task  # T_KEY_BASE + task
-        self.bypass = cpu.config.bypass_enabled
-        self.im_mask = cpu.control.im_mask
-        hold_limit = cpu._hold_limit
-        if hold_limit is None:
-            from .processor import HOLD_LIMIT
-
-            hold_limit = HOLD_LIMIT
-        self.hold_limit = hold_limit
-        self.devices = list(cpu._devices)
-        #: ALUFM snapshot; valid for the trace's lifetime because
-        #: ALUFM_WRITE is untraceable and invalidates the cache.
-        self.alufm = list(cpu.alu._alufm)
+        #: The machine facts to fold in (ALUFM_WRITE is untraceable).
+        self.comp = comp
         self.n_steps = len(steps)
         plans = [p for _, p in steps]
 
@@ -294,9 +304,9 @@ class _Ctx:
         self.fast = (
             not step
             and task == EMULATOR_TASK
-            and not self.devices
-            and cpu._fault_task is None
-            and cpu.memory.injector is None
+            and not comp.device_tasks
+            and not comp.fault_task
+            and not comp.injector
             and sched_safe
         )
         #: Fast mode inlines the translate-plus-cache-hit path of
@@ -306,8 +316,6 @@ class _Ctx:
         self.inline_refs = self.fast and any(
             p.ref_kind in (REF_FETCH, REF_STORE) for p in plans
         )
-        self.hit_cycles = cpu.config.cache_hit_cycles
-        self.nbases = cpu.config.num_base_registers
         #: Fast loop traces keep the bypass latch in locals and commit
         #: register writes directly between steps; the pending dict is
         #: materialized only at the back edge and at exits that land on
@@ -329,19 +337,25 @@ class _Ctx:
 
 
 def compile_trace(
-    cpu, task: int, entry: int, steps, loop: bool, step: bool = False
+    composition: Composition, task: int, loop: bool, path, step: bool = False
 ):
-    """Codegen one trace into ``(closure, source)``.
+    """Generate the code :func:`code_key` names: ``trace(cpu, budget)``,
+    with its source on the function's ``source``.
 
-    *steps* is the recorded ``[(pc, plan), ...]`` for one pass through
-    the region starting at *entry*; *loop* says the last step's
-    successor is *entry* again (the generated function then iterates in
+    *path* is the key's ``((pc, word), ...)``: one pass through the
+    region that starts at its first pc; *loop* says the last step's
+    successor is that pc again (the generated function then iterates in
     place instead of returning after one pass).  *step* compiles the
-    single ``(pc, plan)`` of a plan-tier table entry: general mode, so
-    a call with budget 1 runs exactly one cycle.
+    single slot of a plan-tier table entry: general mode, so a call
+    with budget 1 runs exactly one cycle.
     """
+    steps = [
+        (pc, compile_plan(MicroInstruction.decode(word), pc, composition))
+        for pc, word in path
+    ]
+    entry = path[0][0]
     w = _Writer()
-    ctx = _Ctx(cpu, task, entry, steps, loop, step)
+    ctx = _Ctx(composition, task, steps, loop, step)
     env: Dict[str, object] = {}
     if ctx.has_shift:
         env["SCdecode"] = ShiftControl.decode
@@ -386,7 +400,7 @@ def compile_trace(
     w.emit("stack = cpu.stack")
     w.emit("link = cpu.control.link")
     w.emit("console = cpu.console")
-    for j in range(len(ctx.devices)):
+    for j in range(len(ctx.comp.device_tasks)):
         w.emit(f"D{j} = cpu._devices[{j}]")
     if ctx.uses_ioatn:
         w.emit("devmap = cpu._device_by_address")
@@ -481,15 +495,10 @@ def compile_trace(
 
     source = w.render()
     filename = f"<{'step' if step else 'trace'} task{task} pc{entry:#o}>"
-    memo_key = (filename, source)
-    code = _COMPILE_MEMO.get(memo_key)
-    if code is None:
-        if len(_COMPILE_MEMO) >= _COMPILE_MEMO_LIMIT:
-            _COMPILE_MEMO.clear()
-        code = _COMPILE_MEMO[memo_key] = compile(source, filename, "exec")
-    namespace = dict(env)
-    exec(code, namespace)
-    return namespace["trace"], source
+    exec(compile(source, filename, "exec"), env)
+    fn = env["trace"]
+    fn.source = source  # for tests and debugging
+    return fn
 
 
 def _emit_commit(w: _Writer, ctx: _Ctx) -> None:
@@ -546,7 +555,7 @@ def _emit_pending_fixup(w: _Writer, ctx: _Ctx, plan: ExecutionPlan) -> None:
 def _emit_alu(w: _Writer, ctx: _Ctx, plan: ExecutionPlan) -> dict:
     """Inline one ALUFM operation; leaves ``r`` (and ``x`` when the
     adder ran) bound.  Returns what the condition emitter needs."""
-    ctl = ctx.alufm[plan.aluop]
+    ctl = AluControl.decode(ctx.comp.alufm[plan.aluop])
     func = ctl.func
     task = ctx.task
     expr = _LOGICAL_ALU.get(func)
@@ -679,16 +688,16 @@ def _emit_tail_general(
     w.emit("pipe.ready &= ~(1 << nxt)")
     w.emit("pipe.this_task = nxt")
     w.emit("tp = tpc[nxt]")
-    if ctx.devices:
+    if ctx.comp.device_tasks:
         # Devices read machine.now (pre-increment, as in the interpreter).
         w.emit("cpu.now = now_")
         w.emit("g = pub")
         w.emit("pub = nxt")
-        for j, device in enumerate(ctx.devices):
-            if device.task is None:
+        for j, device_task in enumerate(ctx.comp.device_tasks):
+            if device_task is None:
                 w.emit(f"D{j}.tick(cpu, granted=False)")
             else:
-                w.emit(f"D{j}.tick(cpu, granted=(g == {device.task}))")
+                w.emit(f"D{j}.tick(cpu, granted=(g == {device_task}))")
     else:
         w.emit("pub = nxt")
     w.emit("if memory._fast_in_flight:")
@@ -766,7 +775,7 @@ def _emit_step(
         # the top of every attempt, so a timeout raise must observe the
         # predecessor's write already landed.
         _emit_commit(w, ctx)
-        w.emit(f"if ch > {ctx.hold_limit}:")
+        w.emit(f"if ch > {ctx.comp.hold_limit}:")
         w.indent()
         w.emit("cpu.now = now_")
         w.emit("cpu._consecutive_holds = ch")
@@ -836,7 +845,7 @@ def _emit_step(
     if need_rm:
         if stack_op:
             w.emit("rm = stack.read_top()")
-        elif not ctx.bypass:
+        elif not ctx.comp.bypass:
             w.emit(f"rm = rml[{ctx.rkey(plan.rsel)}]")
         elif prev is not None and not prev["rm"]:
             # The predecessor wrote no RM entry: read the RAM directly.
@@ -855,7 +864,7 @@ def _emit_step(
             w.emit("rm = rml[ra]")
             w.dedent()
     if need_t:
-        if not ctx.bypass:
+        if not ctx.comp.bypass:
             w.emit(f"t = tl[{task}]")
         elif prev is not None:
             if prev["t"]:
@@ -951,8 +960,8 @@ def _emit_step(
     # start_store's); every other case takes the full call.
     ref_kind = plan.ref_kind
     if ref_kind == REF_FETCH and ctx.inline_refs:
-        hitc = ctx.hit_cycles
-        w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.nbases}] + (a & 65535)) & _bmask")
+        hitc = ctx.comp.hit_cycles
+        w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.comp.nbases}] + (a & 65535)) & _bmask")
         w.emit("pe = _pmap.get(va >> 8)")
         w.emit("line_ = None")
         w.emit("if pe is not None and pe.valid:")
@@ -998,7 +1007,7 @@ def _emit_step(
             w.emit("memory.now = mnow")
         w.emit(f"memory.start_fetch({task}, {ctx.mbase()}, a)")
     elif ref_kind == REF_STORE and ctx.inline_refs:
-        w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.nbases}] + (a & 65535)) & _bmask")
+        w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.comp.nbases}] + (a & 65535)) & _bmask")
         w.emit("pe = _pmap.get(va >> 8)")
         w.emit("line_ = None")
         w.emit("if pe is not None and pe.valid and not pe.write_protected:")
@@ -1118,10 +1127,10 @@ def _emit_step(
         w.emit(f"link[{task}] = {plan.link_value}")
         next_expr = "np"
     elif next_kind == NEXT_DISPATCH8:
-        w.emit(f"np = ({plan.next_target} + (b & 0x7)) & {ctx.im_mask}")
+        w.emit(f"np = ({plan.next_target} + (b & 0x7)) & {ctx.comp.im_mask}")
         next_expr = "np"
     elif next_kind == NEXT_DISPATCH256:
-        w.emit(f"np = ({plan.next_target} + (b & 0xFF)) & {ctx.im_mask}")
+        w.emit(f"np = ({plan.next_target} + (b & 0xFF)) & {ctx.comp.im_mask}")
         next_expr = "np"
     elif next_kind == NEXT_NOTIFY:
         w.emit(f"console.record_notify({pc})")
@@ -1181,7 +1190,6 @@ def _emit_step(
                 f"static successor {plan.next_target:#o} != recorded "
                 f"{expected:#o} at pc {pc:#o}"
             )
-    last = i + 1 == ctx.n_steps
     if fast and ctx.loop:
         pass  # the loop-top check reserved this iteration's cycles
     elif not (last and not ctx.loop):
@@ -1204,18 +1212,19 @@ def _emit_step(
 
 
 class TraceCache:
-    """A machine's compiled code: the step table, and hot-region
-    detection, recording, codegen and the region cache.
+    """A machine's compiled code: the step table, the region table,
+    and hot-region detection and recording.
 
     Pure mechanism: nothing here appears in snapshots, and
     :meth:`invalidate_all` must leave the machine architecturally
-    untouched.  The cache is created per :class:`Processor` and never
-    shared (``fork()`` builds a new machine, hence a new empty cache);
-    only the step functions in its table are shared, through the
-    process-wide step memo.  It holds no reference to its processor:
-    the run loop passes the machine to :meth:`fill` and
-    :meth:`record_step`, the only methods that read it, so a machine
-    stays acyclic and is freed as soon as its owner drops it.
+    untouched.  Each :class:`Processor` has its own cache; the steps
+    and regions in its tables come from the process-wide memos, so
+    they are shared with every machine of the same composition, and
+    ``fork()`` copies both tables into the clone's cache.  It holds no
+    reference to its processor: the run loop passes the machine to
+    :meth:`fill` and :meth:`record_step`, the only methods that read
+    it, so a machine stays acyclic and is freed as soon as its owner
+    drops it.
     """
 
     def __init__(self, hot_threshold: int = HOT_THRESHOLD) -> None:
@@ -1223,10 +1232,8 @@ class TraceCache:
         #: slot's shared compiled step (``step(cpu, 1)`` runs one cycle)
         #: and the :class:`ExecutionPlan` it was generated from.
         self.steps: Dict[Tuple[int, int], Tuple[object, ExecutionPlan]] = {}
-        #: (task, entry_pc) -> compiled closure ``trace(cpu, budget)``.
+        #: (task, entry_pc) -> the region's shared ``trace(cpu, budget)``.
         self.traces: Dict[Tuple[int, int], object] = {}
-        #: (task, entry_pc) -> generated source, for tests and debugging.
-        self.sources: Dict[Tuple[int, int], str] = {}
         #: (task, pc) -> arrivals at a candidate region head.
         self.counts: Dict[Tuple[int, int], int] = {}
         #: Keys that recorded too short or failed codegen: never retried
@@ -1248,8 +1255,23 @@ class TraceCache:
         #: this stays empty on the gold workloads.
         self.failures: List[Tuple[Tuple[int, int], str]] = []
         self._rec_key: Optional[Tuple[int, int]] = None
-        self._rec_steps: Optional[List[Tuple[int, ExecutionPlan]]] = None
+        self._rec_steps: Optional[List[Tuple[int, MicroInstruction]]] = None
         self._rec_pcs: Set[int] = set()
+
+    def _shared(self, memo: dict, limit: int, key: tuple, step: bool):
+        """The code *key* names, from *memo* or generated into it; None
+        (the failure recorded) when codegen raises."""
+        fn = memo.get(key)
+        if fn is None:
+            try:
+                fn = compile_trace(*key, step=step)
+            except Exception as exc:  # codegen must never take the machine down
+                self.failures.append(((key[1], key[3][0][0]), repr(exc)))
+                return None
+            if len(memo) >= limit:
+                memo.clear()
+            memo[key] = fn
+        return fn
 
     # ------------------------------------------------------------------
     # the step table
@@ -1258,9 +1280,9 @@ class TraceCache:
     def fill(self, cpu, task: int, pc: int) -> Tuple[object, ExecutionPlan]:
         """Build the table entry for *(task, pc)* on this first fetch.
 
-        The plan is compiled afresh from the IM word, never taken from
-        another machine, and the step comes from the process-wide memo
-        whenever a machine of the same composition generated it before.
+        The plan is compiled afresh from the IM word, and the step comes
+        from the process-wide memo whenever a machine of the same
+        composition generated it before.
         """
         inst = cpu.im[pc]
         if inst is None:
@@ -1268,35 +1290,11 @@ class TraceCache:
                 f"task {task} fetched uninitialized microstore at {pc:#o}"
             )
         plan = compile_plan(inst, pc, cpu.control)
-        step = _interp_step
+        step = None
         if plan_traceable(plan):
-            control = cpu.control
-            key = (
-                task,
-                pc,
-                inst.encode(),
-                cpu.alu.control(plan.aluop),
-                cpu.config.bypass_enabled,
-                cpu._hold_limit,
-                control.im_mask,
-                control.page_size,
-                tuple(device.task for device in cpu._devices),
-            )
-            step = _STEP_MEMO.get(key)
-            if step is None:
-                try:
-                    step, source = compile_trace(
-                        cpu, task, pc, [(pc, plan)], False, step=True
-                    )
-                except Exception as exc:  # codegen must never take the machine down
-                    self.failures.append(((task, pc), repr(exc)))
-                    step = _interp_step
-                else:
-                    step.source = source  # for tests and debugging
-                    if len(_STEP_MEMO) >= _STEP_MEMO_LIMIT:
-                        _STEP_MEMO.clear()
-                    _STEP_MEMO[key] = step
-        entry = self.steps[(task, pc)] = (step, plan)
+            key = code_key(cpu._composition, task, False, [(pc, inst)])
+            step = self._shared(_STEP_MEMO, _STEP_MEMO_LIMIT, key, step=True)
+        entry = self.steps[(task, pc)] = (step or _interp_step, plan)
         return entry
 
     def invalidate_slots(self, pcs) -> None:
@@ -1316,14 +1314,13 @@ class TraceCache:
         """Drop every trace, count, blacklist entry and recording.
 
         Called from the ``MicrostoreImage`` write choke point (so every
-        IM write path invalidates), from ``restore()``, from
-        ``attach_device()`` and from FF ``ALUFM_WRITE``.  Clears in
-        place: the run loop holds references to these containers.
+        IM write path invalidates) and when the machine's composition
+        changes.  Clears in place: the run loop holds references to
+        these containers.
         """
         if self.traces or self.counts or self.blacklist or self._rec_key:
             self.invalidations += 1
         self.traces.clear()
-        self.sources.clear()
         self.counts.clear()
         self.blacklist.clear()
         self._rec_key = None
@@ -1380,8 +1377,7 @@ class TraceCache:
         if entry is None or not plan_traceable(entry[1]):
             self._finish(cpu, loop=False)
             return
-        plan = entry[1]
-        steps.append((pc, plan))
+        steps.append((pc, entry[1].inst))
         self._rec_pcs.add(pc)
         if new_task != task or len(steps) >= MAX_TRACE_STEPS:
             self._finish(cpu, loop=False)
@@ -1404,14 +1400,12 @@ class TraceCache:
         if steps[0][0] != key[1]:  # pragma: no cover - recorder invariant
             self.blacklist.add(key)
             return
-        try:
-            fn, source = compile_trace(cpu, key[0], key[1], steps, loop)
-        except Exception as exc:  # codegen must never take the machine down
-            self.failures.append((key, repr(exc)))
+        code = code_key(cpu._composition, key[0], loop, steps)
+        fn = self._shared(_REGION_MEMO, _REGION_MEMO_LIMIT, code, step=False)
+        if fn is None:
             self.blacklist.add(key)
             return
         self.traces[key] = fn
-        self.sources[key] = source
         self.compiled += 1
 
     # ------------------------------------------------------------------

@@ -122,11 +122,6 @@ class ScenarioSpec:
         kind = "clean" if self.fault is None else f"fault-{self.seed}"
         return f"{self.pin_key}#{kind}#{self.hash[:8]}"
 
-    @property
-    def counterpart_key(self) -> str:
-        """What a faulted cell's clean counterpart shares: the pin key."""
-        return self.pin_key
-
     def fault_config(self) -> Optional[FaultConfig]:
         """Realize the seeded fault plan (None on clean cells)."""
         if self.fault is None:

@@ -101,18 +101,6 @@ class Device:
         """Units requested and not yet retired."""
         return len(self._pending_raises)
 
-    def withdraw_requests(self) -> None:
-        """Drop all outstanding requests (level-semantics wakeups).
-
-        Controllers whose wakeup means "N units are ready right now"
-        must drop the line when that stops being true -- e.g. when a
-        preempted service burst resumes and consumes the units a fresh
-        request was counting on.
-        """
-        self._pending_raises.clear()
-        if self.task is not None and self.machine is not None:
-            self.machine.pipe.clear_wakeup(self.task)
-
     def notify(self) -> None:
         """Explicit notification from microcode (the grain-3 protocol)."""
         if self._pending_raises:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import re
+from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..config import PRODUCTION, MachineConfig
@@ -120,12 +121,18 @@ def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
 # per-process boot cache: build once, fork per session
 # --------------------------------------------------------------------------
 
-#: (workload, args, config) -> the pristine booted template Workload.
-#: Process-local; fleet workers each grow their own on demand (or inherit
-#: a prewarmed parent cache across ``fork``).  Only fault-free configs
-#: are cached: seeded faulted configs are single-use.  A template is
-#: only ever forked, never run or handed out.
-_BOOT_CACHE: Dict[Tuple[str, Tuple, MachineConfig], Workload] = {}
+#: (workload, args, config) -> the pristine booted template Workload,
+#: least recently used first.  Process-local; fleet workers each grow
+#: their own on demand (or inherit a prewarmed parent cache across
+#: ``fork``).  Only fault-free configs are cached: seeded faulted
+#: configs are single-use.  A template is only ever forked, never run
+#: or handed out.
+_BOOT_CACHE: "OrderedDict[Tuple[str, Tuple, MachineConfig], Workload]" = OrderedDict()
+
+#: Templates the boot cache keeps (~2.5 MiB each): a process's memory
+#: must not grow with the keys clients ask for.  The ablation matrix,
+#: the largest key set in use, has 23.
+_BOOT_CACHE_LIMIT = 32
 
 
 def _template(name: str, args: Tuple, config: MachineConfig) -> Workload:
@@ -135,6 +142,10 @@ def _template(name: str, args: Tuple, config: MachineConfig) -> Workload:
         template = _BOOT_CACHE[key] = _resolve_builder(name)(
             config=config, **dict(args)
         )
+        if len(_BOOT_CACHE) > _BOOT_CACHE_LIMIT:
+            _BOOT_CACHE.popitem(last=False)
+    else:
+        _BOOT_CACHE.move_to_end(key)
     return template
 
 

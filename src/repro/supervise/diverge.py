@@ -6,10 +6,9 @@ observationally identical; when the recovery supervisor suspects the
 step table (a tripped ``plans`` machine check, or repeated replay
 failures), :func:`find_divergence` settles the question
 experimentally.  It forks the machine twice -- shared-nothing clones
-via the PR 4 snapshot protocol -- pins one fork to each tier, grafts
-the *live* step table onto the plan-side fork (``fork()`` starts
-clones with an empty table, so the suspect entries must be carried
-over explicitly), and steps both in lockstep.  Each cycle a cheap probe tuple is compared; on the first
+via the snapshot protocol, which start with the machine's *live* step
+table, suspect entries included -- pins one fork to each tier, and
+steps both in lockstep.  Each cycle a cheap probe tuple is compared; on the first
 mismatch, or at the window's end, a full snapshot comparison through
 :func:`~repro.state.diff_states` names the exact divergent
 architectural paths.
@@ -71,11 +70,6 @@ def find_divergence(machine, window: int = 2000) -> Optional[DivergenceReport]:
     """
     plan_fork = machine.fork()
     interp_fork = machine.fork()
-    # fork() starts an empty step table; the whole point is to test the
-    # machine's *current* steps, so graft its table onto the plan-side
-    # fork.  A step takes the machine it runs as an argument and a plan
-    # is flat pure data -- sharing the entries cannot couple the forks.
-    plan_fork._traces.steps.update(machine._traces.steps)
     plan_fork.tier = "plan"
     interp_fork.tier = "interp"
 

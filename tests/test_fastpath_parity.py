@@ -248,7 +248,7 @@ def test_cluster_ring_parity():
             )
     for node in ring.nodes:  # the last ring ran PRODUCTION
         assert_clean_traces(node.cpu)
-        assert any("D0.tick(" in src for src in node.cpu._traces.sources.values())
+        assert any("D0.tick(" in src for src in (fn.source for fn in node.cpu._traces.traces.values()))
         assert node.cpu._traces.stats()["traced_cycles"] > node.cpu.counters.cycles // 2
 
 
@@ -539,9 +539,9 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
     instruction; both it and the generated steps share a single decode,
     which this test pins by counting calls through the interpreter's
     and the trace compiler's module-level ``ShiftControl`` references.
-    The step memo is swapped for an empty one, so every step is
-    generated here, bound to the counting decode, whatever earlier
-    tests left in the process-wide memo.
+    The step and region memos are swapped for empty ones, so all code
+    is generated here, bound to the counting decode, whatever earlier
+    tests left in the process-wide memos.
     """
     import repro.core.processor as processor_mod
     import repro.core.tracecache as tracecache_mod
@@ -559,6 +559,7 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
     monkeypatch.setattr(processor_mod, "ShiftControl", CountingShiftControl)
     monkeypatch.setattr(tracecache_mod, "ShiftControl", CountingShiftControl)
     monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
+    monkeypatch.setattr(tracecache_mod, "_REGION_MEMO", {})
 
     control = field_control(4, 6)
     word, fill = 0x0A50, 0x9C01

@@ -33,6 +33,7 @@ from repro.service import (
     run_loadtest,
 )
 from repro.service.loadtest import ROTATION, build_script
+from repro.service.session import _BOOT_CACHE, _BOOT_CACHE_LIMIT, clear_boot_cache
 from repro.state import canonical_json, config_signature, parse_canonical_json
 
 MESA_CYCLES = json.loads(
@@ -364,6 +365,30 @@ def test_many_live_sessions_share_one_boot_template():
     run_to_halt(b)
     assert a.verify() and b.verify()
     assert a.arch_hash() == b.arch_hash()
+
+
+def test_boot_cache_keeps_its_bound_by_recency():
+    """Opening more distinct keys than the boot cache's bound keeps the
+    bound, evicting the least recently used template, and a session of
+    an evicted key rebuilds to the same result."""
+    key = lambda n: ("mesa_loop_sum", (("n", n),), PRODUCTION)  # noqa: E731
+    clear_boot_cache()
+    try:
+        first = Session.build("mesa_loop_sum", args={"n": 1})
+        run_to_halt(first)
+        expected = first.result()
+        for n in range(2, _BOOT_CACHE_LIMIT + 3):
+            Session.build("mesa_loop_sum", args={"n": n})
+            Session.build("mesa_loop_sum", args={"n": 2})  # keep n=2 recent
+        assert len(_BOOT_CACHE) == _BOOT_CACHE_LIMIT
+        assert key(1) not in _BOOT_CACHE and key(3) not in _BOOT_CACHE
+        assert key(2) in _BOOT_CACHE
+        again = Session.build("mesa_loop_sum", args={"n": 1})
+        run_to_halt(again)
+        assert again.result() == expected
+        assert len(_BOOT_CACHE) == _BOOT_CACHE_LIMIT
+    finally:
+        clear_boot_cache()
 
 
 def test_session_meter_is_a_delta_not_a_total(tmp_path):

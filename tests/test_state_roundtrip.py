@@ -28,6 +28,7 @@ from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
 from repro.mem.storage import Storage
 from repro.service import Session
+from repro.supervise import architectural_json
 from repro.state import (
     RLE_MIN,
     STATE_FORMAT_VERSION,
@@ -169,7 +170,6 @@ def test_snapshot_restores_at_another_tier(source, target):
     """The tier is not part of the machine: a snapshot taken mid-run on
     one tier, saved and loaded onto a machine at another, finishes as
     the uninterrupted traced run does."""
-    from repro.supervise import architectural_json
 
     reference = mesa_loop_sum(60)
     reference_cycles = reference.run()
@@ -262,9 +262,9 @@ def test_restore_with_warm_trace_cache_replays_byte_identically():
     """Snapshot and restore around a hot trace cache stay bit-exact.
 
     Compiled traces are derived state: the snapshot must not carry
-    them, restore must drop them, and the replay -- which re-detects
-    and re-compiles the same hot regions -- must land on the identical
-    architectural state and counters.
+    them, and the replay -- which runs the regions the machine compiled
+    before the restore -- must land on the identical architectural
+    state and counters.
     """
     cpu = _warm_traced_machine()
     mid = cpu.snapshot()
@@ -274,42 +274,89 @@ def test_restore_with_warm_trace_cache_replays_byte_identically():
     end_counters = cpu.counters.state_dict()
 
     cpu.restore(mid)
-    assert not cpu._traces.traces, "restore left compiled traces behind"
     assert cpu.snapshot().to_json() == mid_json
+    entries = cpu._traces.entries
     cpu.run(800)
     assert cpu.snapshot().to_json() == end_json
     assert cpu.counters.state_dict() == end_counters
-    assert cpu._traces.traces, "replay never re-warmed"
+    assert cpu._traces.entries > entries, "the replay entered no region"
     assert cpu._traces.failures == []
 
 
-def test_fork_shares_no_trace_closures():
-    """A clone never inherits the parent's compiled closures.
+def _first_head_arrival(machine, heads, budget: int) -> int:
+    """The cycle at which a plan-tier fork of *machine*, stepped cycle
+    by cycle (``step()`` enters no region), first stands on one of
+    *heads*."""
+    probe = machine.fork()
+    probe.tier = "plan"
+    for _ in range(budget):
+        if (probe.pipe.this_task, probe.this_pc) in heads:
+            return probe.counters.cycles
+        probe.step()
+    raise AssertionError("no region head reached")
 
-    Generated trace code captures the *parent's* register files and
-    memory pipeline in its closure; executing it on the clone would
-    silently mutate the parent.  fork() must hand the clone an empty,
-    private cache.
-    """
-    cpu = _warm_traced_machine()
+
+def _log_region_calls(machine, calls) -> None:
+    """Wrap every region in *machine*'s table to log the cycle of each
+    call."""
+
+    def logged(fn):
+        def region(cpu, budget):
+            calls.append(cpu.counters.cycles)
+            fn(cpu, budget)
+        return region
+
+    table = machine._traces.traces
+    for key, fn in list(table.items()):
+        table[key] = logged(fn)
+
+
+@pytest.mark.parametrize("name", ["mesa_loop_sum", "smalltalk_counter"])
+def test_forked_and_restored_machines_enter_regions_without_codegen(name, monkeypatch):
+    """Compiled code depends only on its key, so a fork and a machine
+    restored in place run the regions their machine compiled: each
+    enters a region the first time it reaches a region head, generates
+    no code at all, and ends byte-identical to the interpreter.  The
+    fork is independent of its parent all the same: the parent running
+    to HALT through the shared regions leaves the fork unmoved."""
+    import repro.core.tracecache as tracecache_mod
+
+    interp = ALL_WORKLOADS[name](config=dataclasses.replace(PRODUCTION, tier="interp"))
+    interp.run()
+    workload = ALL_WORKLOADS[name]()
+    cpu = workload.cpu
+    cpu.run(3000)
+    assert cpu._traces.traces, "machine never got hot"
+    mid = cpu.snapshot()
     clone = cpu.fork()
-    assert clone._traces is not cpu._traces
-    assert clone._traces.traces == {}
-    assert clone._traces.counts == {}
-    assert clone._traces._rec_key is None
-    # The parent's cache also resets: its recorded hot counts would be
-    # stale relative to the snapshot point anyway.
     at_fork = clone.snapshot().to_json()
-    first = cpu.run(100_000)
+    cpu.run(5_000_000)
     assert cpu.halted
-    # The parent ran traces to completion; the clone must not have moved.
     assert clone.snapshot().to_json() == at_fork
-    second = clone.run(100_000)
-    assert (first, cpu.halted) == (second, clone.halted)
-    assert cpu.snapshot().to_json() == clone.snapshot().to_json()
-    assert clone._traces.traces, "clone never re-warmed on its own"
-    assert clone._traces.traces is not cpu._traces.traces
-    assert clone._traces.failures == []
+    cpu.restore(mid)
+    generated = []
+    compile_real = tracecache_mod.compile_trace
+
+    def counting(*args, **kwargs):
+        generated.append(args[1:3])
+        return compile_real(*args, **kwargs)
+
+    monkeypatch.setattr(tracecache_mod, "compile_trace", counting)
+
+    for machine in (clone, cpu):
+        heads = set(machine._traces.traces)
+        arrival = _first_head_arrival(machine, heads, 2000)
+        calls = []
+        _log_region_calls(machine, calls)
+        machine.run(5_000_000)
+        assert calls and calls[0] == arrival
+        assert workload.verify(machine)
+        assert machine.counters == interp.cpu.counters
+        assert architectural_json(machine.snapshot()) == architectural_json(
+            interp.cpu.snapshot()
+        )
+        assert machine._traces.failures == []
+    assert generated == []
 
 
 # --- network controller mid-transfer, all three tiers -------------------------

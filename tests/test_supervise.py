@@ -37,7 +37,8 @@ from repro import (
 )
 from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION
 from repro.core.counters import RECOVERY_FIELDS
-from repro.core.tracecache import _interp_step, compile_trace
+from repro.core.microword import LoadControl
+from repro.core.tracecache import _interp_step, code_key, compile_trace
 from repro.errors import (
     CorruptionDetected,
     TransientFault,
@@ -406,14 +407,16 @@ def _donor_word(cpu, pc):
 def _corrupt_entry(cpu, key, inst=None):
     """Corrupt *cpu*'s own table entry at *key* in place: flip its plan's
     load bits (and give it source word *inst*), then swap in a step
-    generated from the corrupted plan, bypassing the shared step memo."""
+    generated from a word with those load bits, bypassing the shared
+    step memo."""
     _, plan = cpu._traces.steps[key]
     if inst is not None:
         plan.inst = inst
     plan.loads_t = not plan.loads_t
     plan.loads_rm = not plan.loads_rm
     task, pc = key
-    bad, _ = compile_trace(cpu, task, pc, [(pc, plan)], False, step=True)
+    flipped = dataclasses.replace(cpu.im[pc], lc=LoadControl(int(cpu.im[pc].lc) ^ 3))
+    bad = compile_trace(*code_key(cpu._composition, task, False, [(pc, flipped)]), step=True)
     cpu._traces.steps[key] = (bad, plan)
 
 

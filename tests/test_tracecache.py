@@ -3,15 +3,16 @@
 ``tests/test_fastpath_parity.py`` proves the traced tier bit-identical
 to the other two cycle implementations; this file pins the *mechanism*
 around the generated code -- hot-region detection, recording cut-offs,
-blacklisting, the process-wide compile memo, invalidation hooks, and
+blacklisting, the process-wide step and region memos, invalidation, and
 the stats surface -- on small hand-built machines where each edge is
 easy to reach deliberately, and the coverage the tier reaches on the
 rotation workloads (side exits as region heads, IFU-free traces under a
 running IFU).  Codegen the rotation workloads never reach is checked
 against the interpreter on hand-built ``run()`` loops.  The plan tier's
 table of shared one-step traces is pinned here too: what the shared
-step memo must key on, ALUFM rewrites, and forks and resumed sessions
-that fill their tables without generating any source.
+memos must key on, ALUFM rewrites, restores that bring back other
+words or ALU operations, and forks and resumed sessions that fill
+their tables without generating any source.
 """
 
 import dataclasses
@@ -40,6 +41,7 @@ from repro.core.tracecache import (
     MIN_STRAIGHT_STEPS,
     TraceCache,
     _interp_step,
+    code_key,
     compile_trace,
     plan_traceable,
 )
@@ -116,19 +118,7 @@ def test_overlong_recording_compiles_straight_prefix(monkeypatch):
     assert (0, 0) in cache.traces
     assert cache.failures == []
     # The generated source covers exactly the capped prefix.
-    assert cache.sources[(0, 0)].count("# -- step") == 12
-
-
-def test_compile_memo_shares_code_not_closures():
-    """Twin machines share compiled code objects, never closures."""
-    a = _ring_machine(8)
-    b = _ring_machine(8)
-    a.run(max_cycles=200)
-    b.run(max_cycles=200)
-    fn_a = a._traces.traces[(0, 0)]
-    fn_b = b._traces.traces[(0, 0)]
-    assert fn_a is not fn_b
-    assert fn_a.__code__ is fn_b.__code__
+    assert cache.traces[(0, 0)].source.count("# -- step") == 12
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +192,7 @@ def test_invalidate_all_clears_in_place_and_counts():
     before = cache.invalidations
     cache.invalidate_all()
     assert cache.traces is traces_dict and not traces_dict
-    assert not cache.counts and not cache.blacklist and not cache.sources
+    assert not cache.counts and not cache.blacklist
     assert cache.invalidations == before + 1
     # A second sweep over an already-empty cache is not an invalidation.
     cache.invalidate_all()
@@ -217,13 +207,53 @@ def test_attach_device_drops_traces():
     assert not cpu._traces.traces
 
 
-def test_restore_drops_traces():
+def _ring_run_with_rewrite(config, rewrite: bool) -> Processor:
+    """The 8-slot ring run hot from a start snapshot, its slot 3 then
+    rewritten (and, with *rewrite*, run hot again under the new word),
+    and the start snapshot restored: the restored machine runs on."""
     cpu = _ring_machine(8)
-    snap = cpu.snapshot()
+    cpu.tier = config.tier
+    start = cpu.snapshot()
     cpu.run(max_cycles=200)
-    assert cpu._traces.traces
-    cpu.restore(snap)
-    assert not cpu._traces.traces
+    cpu.im[3] = _goto(4, load=int(LoadControl.T), ff=0o77)
+    if rewrite:
+        cpu.run(max_cycles=200)
+    cpu.restore(start)
+    cpu.run(max_cycles=200)
+    return cpu
+
+
+@pytest.mark.parametrize("what", ["im", "alufm"])
+def test_restore_drops_code_the_snapshot_invalidates(what):
+    """A snapshot whose IM or ALUFM differs from the live machine's
+    brings back words or ALU operations the live machine's steps and
+    regions were not generated from: the restored machine must run the
+    snapshot's, byte-identical to the interpreter.  (A restore that
+    changes neither keeps the code: see
+    ``test_forked_and_restored_machines_enter_regions_without_codegen``.)"""
+    if what == "im":
+        reference = _ring_run_with_rewrite(INTERPRETED, rewrite=True)
+        for config in (PLAN_ONLY, PRODUCTION):
+            ran = _ring_run_with_rewrite(config, rewrite=True)
+            assert ran.counters == reference.counters
+            assert architectural_json(ran.snapshot()) == architectural_json(reference.snapshot())
+            assert ran._traces.failures == []
+        assert ran._traces.traces  # the replay ran hot again
+        return
+    # ALUFM: a snapshot from the second pass (ALUOp 0 rewritten to XOR,
+    # its loop hot again) restored after a restart from the first.
+    reference = _alufm_rewrite_machine(INTERPRETED)
+    reference.run(max_cycles=5_000)
+    expected = architectural_json(reference.snapshot())
+    for config in (PLAN_ONLY, PRODUCTION):
+        cpu = _alufm_rewrite_machine(config)
+        start = cpu.snapshot()
+        cpu.run(max_cycles=5_000)  # to HALT: ALUOp 0 is XOR now
+        cpu.restore(start)  # ALUOp 0 is ADD again
+        cpu.run(max_cycles=5_000)
+        assert cpu.console.trace == reference.console.trace
+        assert cpu.counters == reference.counters
+        assert architectural_json(cpu.snapshot()) == expected
 
 
 @pytest.mark.parametrize("poke", ["direct", "slice"])
@@ -308,7 +338,7 @@ def test_ifu_free_trace_ticks_a_running_ifu():
     cache = traced.cpu._traces
     traced.run_slice(20_000)
     interp.run_slice(20_000)
-    ifu_free = {key for key, src in cache.sources.items() if "ifon = ifu.running" in src}
+    ifu_free = {key for key, fn in cache.traces.items() if "ifon = ifu.running" in fn.source}
     assert ifu_free, "smalltalk_counter compiles IFU-free fast traces"
     seen = []
     _watch_traces(cache, seen)
@@ -442,7 +472,7 @@ def test_unexercised_codegen_matches_the_plan_tier(name):
     interp = _loop_machine(INTERPRETED, body)
     cache = traced._traces
     assert cache.failures == []
-    assert any(line in src for src in cache.sources.values())
+    assert any(line in src for src in (fn.source for fn in cache.traces.values()))
     assert cache.stats()["traced_cycles"] > traced.counters.cycles // 2
     assert traced.counters == interp.counters
     assert architectural_json(traced.snapshot()) == architectural_json(interp.snapshot())
@@ -456,15 +486,15 @@ def test_keyboard_ioatn_spin_runs_traced():
     cpu.run(3000)
     cache = cpu._traces
     assert cache.failures == []
-    assert any("dev_ = devmap.get(" in src for src in cache.sources.values())
+    assert any("dev_ = devmap.get(" in src for src in (fn.source for fn in cache.traces.values()))
     assert cache.stats()["traced_cycles"] > 2500
 
 
 def _step_source(cpu, task, pc):
-    """A step for *(task, pc)* generated afresh on *cpu*, bypassing the
+    """A step for *(task, pc)* generated afresh for *cpu*, bypassing the
     process-wide memo: the source its table entry must hold."""
-    plan = compile_plan(cpu.im[pc], pc, cpu.control)
-    return compile_trace(cpu, task, pc, [(pc, plan)], False, step=True)[1]
+    key = code_key(cpu._composition, task, False, [(pc, cpu.im[pc])])
+    return compile_trace(*key, step=True).source
 
 
 def _compiled_entries(cpu):
@@ -525,23 +555,23 @@ def test_fast_io_and_notify_compile():
         assert machine_state(ran) == machine_state(reference)
         assert ran._traces.stats()["interp_cycles"] == 0
         assert "console.record_notify(3)" in ran._traces.steps[(0, 3)][0].source
-    assert any("console.record_notify(3)" in src for src in ran._traces.sources.values())
+    assert any("console.record_notify(3)" in src for src in (fn.source for fn in ran._traces.traces.values()))
 
 
-def _composition_machines():
-    """One plan-tier machine of every composition in the parity matrix,
-    run far enough to fill its step table."""
+def _composition_machines(base):
+    """One machine of every composition in the parity matrix on *base*'s
+    tier, run far enough to fill its step table."""
     from tests.test_fastpath_parity import (
         _CORRECTABLE, _disk_run, _display_run, _ring_run,
     )
 
     def mesa(**overrides):
-        workload = mesa_loop_sum(60, config=dataclasses.replace(PLAN_ONLY, **overrides))
+        workload = mesa_loop_sum(60, config=dataclasses.replace(base, **overrides))
         workload.run()
         return workload.cpu
 
     def loop(**overrides):
-        return _loop_machine(dataclasses.replace(PLAN_ONLY, **overrides), _count_small_body)
+        return _loop_machine(dataclasses.replace(base, **overrides), _count_small_body)
 
     machines = {
         "device-free": mesa(),
@@ -550,29 +580,62 @@ def _composition_machines():
         "hold limit": mesa(hold_limit=5000),
         "bypass": loop(),
         "no bypass": loop(bypass_enabled=False),
-        "display": _display_run(PLAN_ONLY, explicit_notify=True),
-        "disk": _disk_run(PLAN_ONLY),
+        "display": _display_run(base, explicit_notify=True),
+        "disk": _disk_run(base),
     }
-    for node in _ring_run(PLAN_ONLY).nodes:
+    for node in _ring_run(base).nodes:
         machines[f"ring node {node.index}"] = node.cpu
     return machines
 
 
+def _assert_composition_current(name, cpu):
+    """The machine's composition is what its facts are now: recomputing
+    it changes nothing (and so drops nothing)."""
+    composition = cpu._composition
+    steps = dict(cpu._traces.steps)
+    cpu._recompose()
+    assert cpu._composition is composition, name
+    assert cpu._traces.steps == steps, name
+
+
 def test_shared_steps_key_on_every_composition_fact(monkeypatch):
-    """Machines of every composition share one step memo; each table
-    entry must still hold exactly the step generated for its own
-    machine, so the memo key covers everything the emitter folds in."""
+    """Machines of every composition share one step memo and one region
+    memo; each table entry must still hold exactly the code generated
+    from its own machine's facts, so the key covers everything the
+    emitter folds in.  The plan-tier machines check steps, the traced
+    ones (with the memos emptied again) regions: every region a machine
+    runs sits in the memo under its machine's composition, task and
+    head, and its source is what that key generates."""
     monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
-    machines = _composition_machines()
+    machines = _composition_machines(PLAN_ONLY)
     for name, cpu in machines.items():
+        _assert_composition_current(name, cpu)
         compiled = _compiled_entries(cpu)
         assert compiled, name
         for (task, pc), step in compiled.items():
             assert step.source == _step_source(cpu, task, pc), (name, task, pc)
-    # The memo really was shared: the compositions that run the same
-    # program hit each other's steps wherever their facts agree.
-    shared = set(_compiled_entries(machines["device-free"]).values())
-    assert shared & set(_compiled_entries(machines["injector"]).values())
+    # The memo really was shared: the ring's nodes run one program on
+    # one composition and hit each other's steps.
+    node0 = _compiled_entries(machines["ring node 0"])
+    assert set(node0.values()) & set(_compiled_entries(machines["ring node 1"]).values())
+
+    monkeypatch.setattr(tracecache_mod, "_STEP_MEMO", {})
+    regions = {}
+    monkeypatch.setattr(tracecache_mod, "_REGION_MEMO", regions)
+    machines = _composition_machines(PRODUCTION)
+    keys = {id(fn): key for key, fn in regions.items()}
+    for name, cpu in machines.items():
+        _assert_composition_current(name, cpu)
+        assert cpu._traces.failures == [], name
+        if name in ("display", "disk"):
+            continue  # run_until enters no region
+        assert cpu._traces.traces, name
+        for (task, entry), fn in cpu._traces.traces.items():
+            composition, key_task, loop, path = keys[id(fn)]
+            assert (composition, key_task, path[0][0]) == (cpu._composition, task, entry)
+            assert fn.source == compile_trace(composition, task, loop, path).source
+    node0 = set(machines["ring node 0"]._traces.traces.values())
+    assert node0 & set(machines["ring node 1"]._traces.traces.values())
 
 
 def _alufm_rewrite_machine(config):
