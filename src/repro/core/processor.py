@@ -130,6 +130,9 @@ class Processor:
         # the composition (_recompose).
         self._traces = TraceCache()
         self._composition: Optional[Composition] = None
+        # The snapshot's IM section, kept until an IM write: mechanism,
+        # so a cached section has the same bytes as a fresh walk.
+        self._im_section: Optional[Dict[int, int]] = None
         # Nothing the machine owns refers back to it strongly (DESIGN.md
         # 5.12), so the IM- and ALUFM-write hooks reach it through a
         # weak reference.
@@ -327,11 +330,7 @@ class Processor:
         data = {
             "version": STATE_FORMAT_VERSION,
             "config": config_signature(self.config),
-            "im": {
-                address: inst.encode()
-                for address, inst in enumerate(self.im)
-                if inst is not None
-            },
+            "im": dict(self._encoded_im()),
             "core": self.state_dict(),
             "mem": self.memory.state_dict(port_index=self._port_index),
             "ifu": self.ifu.state_dict(),
@@ -343,6 +342,16 @@ class Processor:
             ),
         }
         return MachineState(data)
+
+    def _encoded_im(self) -> Dict[int, int]:
+        """The occupied IM slots' encodings, walked once per IM write."""
+        if self._im_section is None:
+            self._im_section = {
+                address: inst.encode()
+                for address, inst in enumerate(self.im)
+                if inst is not None
+            }
+        return self._im_section
 
     def restore(self, state) -> None:
         """Apply a snapshot taken on this machine or an identical twin.
@@ -383,12 +392,10 @@ class Processor:
         im = self.im
         if not all(type(a) is int and 0 <= a < len(im) for a in stored_im):
             raise StateError("snapshot IM has an address outside this machine's IM")
-        occupied = set(stored_im)
-        occupied.update(a for a, inst in enumerate(im) if inst is not None)
-        for address in occupied:
+        current = self._encoded_im()
+        for address in set(stored_im).union(current):
             stored = stored_im.get(address)
-            cur = im[address]
-            if stored != (cur.encode() if cur is not None else None):
+            if stored != current.get(address):
                 im[address] = (
                     MicroInstruction.decode(stored) if stored is not None else None
                 )
@@ -426,6 +433,9 @@ class Processor:
         for address, inst in enumerate(self.im):
             if inst is not None:
                 clone.im[address] = inst
+        # Same words, same encodings; IM writes replace the section
+        # rather than edit it, so the two machines may share it.
+        clone._im_section = self._encoded_im()
         if self.ifu.table is not None:
             clone.ifu.load_table(self.ifu.table, self.ifu._dispatch_addresses)
         for device in self._devices:
@@ -649,6 +659,7 @@ class Processor:
 
     def _invalidate_im(self, index) -> None:
         """Drop what was compiled from a rewritten IM slot (or slice)."""
+        self._im_section = None
         size = len(self.im)
         if isinstance(index, slice):
             pcs = range(*index.indices(size))

@@ -12,9 +12,11 @@ consistent when fast I/O touches a munch the cache holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StateError
+from ..state import int_array
 from ..types import MUNCH_WORDS, word
 
 
@@ -38,6 +40,8 @@ class Cache:
         self.sets: List[List[CacheLine]] = [
             [CacheLine() for _ in range(ways)] for _ in range(self.num_sets)
         ]
+        #: The same lines, set by set: the order of the state columns.
+        self._lines: List[CacheLine] = list(chain.from_iterable(self.sets))
         self._clock = 0
 
     def _locate(self, address: int) -> Tuple[int, int]:
@@ -130,42 +134,39 @@ class Cache:
     # --- snapshot protocol (DESIGN.md section 5.4) -------------------------
 
     def state_dict(self) -> dict:
-        """Every line (data, tags, flags) plus the LRU clock."""
+        """The LRU clock plus every line as flat int columns.
+
+        Lines run set by set, way by way: ``flags`` packs valid | dirty<<1,
+        and ``words`` holds each line's munch in turn.  A mostly idle
+        cache is a few runs per column in canonical JSON.
+        """
+        lines = self._lines
         return {
             "clock": self._clock,
-            "sets": [
-                [
-                    {
-                        "valid": line.valid,
-                        "dirty": line.dirty,
-                        "tag": line.tag,
-                        "words": list(line.words),
-                        "lru": line.lru,
-                    }
-                    for line in cache_set
-                ]
-                for cache_set in self.sets
-            ],
+            "tag": [line.tag for line in lines],
+            "flags": [line.valid | line.dirty << 1 for line in lines],
+            "lru": [line.lru for line in lines],
+            "words": list(chain.from_iterable(line.words for line in lines)),
         }
 
     def load_state(self, state: dict) -> None:
-        stored = state["sets"]
-        if len(stored) != self.num_sets or any(len(s) != self.ways for s in stored):
-            raise ConfigError(
-                f"cache snapshot geometry does not match "
-                f"{self.num_sets} sets x {self.ways} ways"
-            )
+        """Fill the existing lines from the columns.
+
+        Every column is checked against this cache's geometry (runs
+        before they expand) before any line changes.
+        """
+        count = len(self._lines)
+        tags = int_array(state["tag"], count)
+        flags = int_array(state["flags"], count)
+        lru = int_array(state["lru"], count)
+        words = int_array(state["words"], count * MUNCH_WORDS)
+        if not 0 <= min(flags) <= max(flags) <= 3:
+            raise StateError("cache line flags outside valid | dirty << 1")
         self._clock = state["clock"]
-        self.sets = [
-            [
-                CacheLine(
-                    valid=bool(d["valid"]),
-                    dirty=bool(d["dirty"]),
-                    tag=d["tag"],
-                    words=list(d["words"]),
-                    lru=d["lru"],
-                )
-                for d in cache_set
-            ]
-            for cache_set in stored
-        ]
+        for index, line in enumerate(self._lines):
+            line.valid = bool(flags[index] & 1)
+            line.dirty = bool(flags[index] & 2)
+            line.tag = tags[index]
+            line.lru = lru[index]
+            start = index * MUNCH_WORDS
+            line.words = words[start : start + MUNCH_WORDS]

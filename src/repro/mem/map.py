@@ -11,9 +11,11 @@ latches dirty/referenced bits the way the real map hardware did.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StateError
+from ..state import int_array
 from ..types import word
 
 #: Words per virtual/real page for map purposes.
@@ -62,6 +64,13 @@ class MapEntry:
             dirty=bool(value & FLAG_DIRTY),
             referenced=bool(value & FLAG_REFERENCED),
         )
+
+
+#: The state's packed map flags as (valid, write_protected, dirty,
+#: referenced), in MapEntry's field order.
+_UNPACKED_FLAGS = [
+    tuple(bool(packed >> bit & 1) for bit in range(4)) for packed in range(16)
+]
 
 
 class AddressTranslator:
@@ -138,34 +147,60 @@ class AddressTranslator:
     # --- snapshot protocol (DESIGN.md section 5.4) -------------------------
 
     def state_dict(self) -> dict:
-        """Base registers, the map, and the one-shot armed fault."""
+        """Base registers, the map as columns, and the one-shot armed fault.
+
+        The map's entries run in page order as three int columns: the
+        gap from the previous page (the first from page 0), ``real_page
+        - page``, and the packed flags (valid | write_protected<<1 |
+        dirty<<2 | referenced<<3).  An identity-mapped clean map is a
+        few runs per column in canonical JSON.
+        """
         inject = self.inject_next
+        entries = sorted(self.map.items())
+        pages = [page for page, _ in entries]
         return {
             "bases": list(self.bases),
-            "map": {
-                page: [
-                    entry.real_page,
-                    entry.valid,
-                    entry.write_protected,
-                    entry.dirty,
-                    entry.referenced,
-                ]
-                for page, entry in self.map.items()
-            },
+            "page_gap": [page - before for before, page in zip([0] + pages, pages)],
+            "real_offset": [entry.real_page - page for page, entry in entries],
+            "flags": [
+                entry.valid
+                | entry.write_protected << 1
+                | entry.dirty << 2
+                | entry.referenced << 3
+                for _, entry in entries
+            ],
             "inject_next": inject.value if inject is not None else None,
         }
 
+    @property
+    def virtual_pages(self) -> int:
+        """How many pages a virtual address can name."""
+        return (self._base_mask >> PAGE_SHIFT) + 1
+
     def load_state(self, state: dict) -> None:
+        """Rebuild the map from its columns, checked before it changes.
+
+        The map holds at most :attr:`virtual_pages` entries, at strictly
+        increasing pages below that count.
+        """
+        limit = self.virtual_pages
+        gaps = int_array(state["page_gap"], limit=limit)
+        offsets = int_array(state["real_offset"], len(gaps))
+        flags = int_array(state["flags"], len(gaps))
+        pages = list(accumulate(gaps))
+        if pages and (
+            gaps[0] < 0 or min(gaps[1:], default=1) < 1 or pages[-1] >= limit
+        ):
+            raise StateError(
+                f"map pages do not rise strictly from 0 below the {limit} "
+                f"virtual pages"
+            )
+        if flags and not 0 <= min(flags) <= max(flags) <= 15:
+            raise StateError("map entry flags outside their four bits")
         self.bases = list(state["bases"])
         self.map = {
-            page: MapEntry(
-                real_page=fields[0],
-                valid=bool(fields[1]),
-                write_protected=bool(fields[2]),
-                dirty=bool(fields[3]),
-                referenced=bool(fields[4]),
-            )
-            for page, fields in state["map"].items()
+            page: MapEntry(page + offset, *_UNPACKED_FLAGS[packed])
+            for page, offset, packed in zip(pages, offsets, flags)
         }
         inject = state["inject_next"]
         if inject is None:
@@ -175,8 +210,12 @@ class AddressTranslator:
             self.inject_next = FaultKind(inject)
 
     def identity_map(self, pages: int, write_protected_pages: int = 0) -> None:
-        """Map virtual pages 0..pages-1 straight through (setup helper)."""
-        for page in range(pages):
+        """Map virtual pages 0..pages-1 straight through (setup helper).
+
+        Pages no virtual address can name are left out: with narrow base
+        registers, storage can hold more pages than a VA reaches.
+        """
+        for page in range(min(pages, self.virtual_pages)):
             self.map[page] = MapEntry(
                 real_page=page,
                 valid=True,

@@ -126,19 +126,18 @@ class Storage:
 
     def _load_runs(self, runs) -> None:
         runs = checked_runs(runs, self.size)
-        image = _zeros(self.size)
-        touched: Set[int] = set()
+        for value, _ in runs:
+            if not 0 <= value <= 0xFFFF:
+                raise StateError(f"storage word {value!r} is not 16 bits")
+        self._clear()
+        image = self._data
         start = 0
         for value, count in runs:
             end = start + count
             if value:
-                if not 0 <= value <= 0xFFFF:
-                    raise StateError(f"storage word {value!r} is not 16 bits")
                 image[start:end] = array("H", [value]) * count
-                touched.update(_pages(start, end))
+                self._touched.update(_pages(start, end))
             start = end
-        self._data = image
-        self._touched = touched
 
     def _load_words(self, data) -> None:
         if len(data) != self.size:
@@ -146,8 +145,7 @@ class Storage:
                 f"storage image of {len(data)} words does not fit a "
                 f"{self.size}-word array"
             )
-        image = _zeros(self.size)
-        touched: Set[int] = set()
+        pages = []
         for start in range(0, self.size, PAGE_WORDS):
             page = data[start : start + PAGE_WORDS]
             if page.count(0) == len(page):
@@ -161,10 +159,20 @@ class Storage:
                     f"storage page at {start:#x} holds a word that is not "
                     f"a 16-bit int"
                 )
-            image[start : start + len(page)] = array("H", page)
-            touched.add(start >> PAGE_SHIFT)
-        self._data = image
-        self._touched = touched
+            pages.append((start, page))
+        self._clear()
+        for start, page in pages:
+            self._data[start : start + len(page)] = array("H", page)
+            self._touched.add(start >> PAGE_SHIFT)
+
+    def _clear(self) -> None:
+        """Zero the touched pages in place: a load reuses the image."""
+        zeros = _zeros(PAGE_WORDS)
+        for page in self._touched:
+            start = page << PAGE_SHIFT
+            end = min(start + PAGE_WORDS, self.size)
+            self._data[start:end] = zeros[: end - start]
+        self._touched = set()
 
 
 def _zeros(words: int) -> array:

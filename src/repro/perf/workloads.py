@@ -435,6 +435,10 @@ ALL_WORKLOADS = {
 # ``acc = 2*acc + 1`` and trace the result, so a stale read anywhere in
 # the chain changes the traced value and fails verification.
 
+#: The loop count is a COUNT small constant (``iters - 1``, 0..15).
+BYPASS_MAX_ITERS = 16
+
+
 def _build_bypass_kernel(
     iters: int, padded: bool, config: MachineConfig, name: str
 ) -> Workload:
@@ -467,6 +471,7 @@ def _build_bypass_kernel(
     return Workload(name, cpu, lambda cpu: cpu.console.trace == [expected])
 
 
+@arg_ranges(iters=(1, BYPASS_MAX_ITERS))
 def bypass_kernel(
     iters: int = 12, config: MachineConfig = PRODUCTION
 ) -> Workload:
@@ -479,6 +484,7 @@ def bypass_kernel(
                                 name="bypass_kernel")
 
 
+@arg_ranges(iters=(1, BYPASS_MAX_ITERS))
 def bypass_kernel_padded(
     iters: int = 12, config: MachineConfig = PRODUCTION
 ) -> Workload:

@@ -40,7 +40,7 @@ from .errors import StateError
 #: Version stamp written into every MachineState.  Bump whenever a
 #: subsystem's state_dict layout changes incompatibly; restore refuses
 #: snapshots from a different version rather than misinterpreting them.
-STATE_FORMAT_VERSION = 2
+STATE_FORMAT_VERSION = 3
 
 #: Marker key for run-length-encoded integer arrays in canonical JSON.
 #: ``{RLE_KEY: [[value, count], ...]}`` with maximal runs is also the
@@ -79,14 +79,17 @@ def _rle_encode(values: List[int]) -> List[List[int]]:
     return [[value, len(list(group))] for value, group in groupby(values)]
 
 
-def checked_runs(runs: Any, length: Optional[int] = None) -> List[List[int]]:
+def checked_runs(
+    runs: Any, length: Optional[int] = None, limit: int = MAX_STORAGE_WORDS
+) -> List[List[int]]:
     """*runs*, once every run and their total are checked.
 
     Runs arrive from outside the program (suspend envelopes, saved
     states).  Each must be ``[int value, positive int count]`` (``bool``
     is refused although it is an ``int`` subclass), and the counts must
-    total *length*.  Where nothing fixes the length (FIFOs, packets, the
-    console trace) they may total at most the largest real machine's
+    total *length*.  Where nothing fixes the length they may total at
+    most *limit*: the owner's bound (the map's virtual page count), or
+    for FIFOs, packets and the console trace the largest real machine's
     storage, :data:`~repro.config.MAX_STORAGE_WORDS`.  Nothing is
     allocated from a count before this check passes.
     """
@@ -103,10 +106,10 @@ def checked_runs(runs: Any, length: Optional[int] = None) -> List[List[int]]:
         ):
             raise StateError(f"malformed run {run!r} in a run-length-coded array")
         total += run[1]
-    if length is None and total > MAX_STORAGE_WORDS:
+    if length is None and total > limit:
         raise StateError(
             f"run-length-coded array of {total} values, more than the "
-            f"{MAX_STORAGE_WORDS} any array may hold"
+            f"{limit} it may hold"
         )
     if length is not None and total != length:
         raise StateError(
@@ -115,17 +118,20 @@ def checked_runs(runs: Any, length: Optional[int] = None) -> List[List[int]]:
     return runs
 
 
-def int_array(data: Any, length: Optional[int] = None) -> List[int]:
+def int_array(
+    data: Any, length: Optional[int] = None, limit: int = MAX_STORAGE_WORDS
+) -> List[int]:
     """A state array as a fresh list, given as a list or as runs.
 
     Live snapshots hold most arrays as lists; parsed ones hold every
     array of :data:`RLE_MIN` or more ints as ``{RLE_KEY: runs}``.  A
     ``load_state`` takes either form through here.  With *length*, the
-    array must hold exactly that many values; runs are checked by
-    :func:`checked_runs` before the list is allocated.
+    array must hold exactly that many values, without it at most
+    *limit*; runs are checked by :func:`checked_runs` before the list is
+    allocated.
     """
     if type(data) is dict and len(data) == 1 and RLE_KEY in data:
-        runs = checked_runs(data[RLE_KEY], length)
+        runs = checked_runs(data[RLE_KEY], length, limit)
         values = [0] * sum(count for _, count in runs)
         start = 0
         for value, count in runs:
@@ -137,6 +143,8 @@ def int_array(data: Any, length: Optional[int] = None) -> List[int]:
         raise StateError(f"state array {data!r:.40} is neither a list nor runs")
     if length is not None and len(data) != length:
         raise StateError(f"state array of {len(data)} values, expected {length}")
+    if length is None and len(data) > limit:
+        raise StateError(f"state array of {len(data)} values, more than {limit}")
     return list(data)
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import MachineConfig
+from repro.core.processor import Processor
 from repro.mem.map import AddressTranslator, MapEntry, PAGE_WORDS
 
 
@@ -81,3 +83,14 @@ def test_invalid_entry_faults():
     tr = make()
     tr.map_write(0, MapEntry(real_page=1, valid=False).encode())
     assert tr.translate(0, write=False) is None
+
+
+def test_identity_map_stops_at_the_virtual_pages():
+    """With 16-bit base registers a VA names 256 pages; storage's 4096
+    are not all mapped, and the machine snapshots and forks."""
+    cpu = Processor(MachineConfig(base_register_bits=16))
+    cpu.memory.identity_map()
+    translator = cpu.memory.translator
+    assert translator.virtual_pages == 256
+    assert sorted(translator.map) == list(range(256))
+    assert cpu.fork().snapshot() == cpu.snapshot()

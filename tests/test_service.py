@@ -153,6 +153,19 @@ def test_out_of_range_workload_args_are_refused(workload):
             Session.build(workload, args={key: value})
 
 
+@pytest.mark.parametrize("workload", ["bypass_kernel", "bypass_kernel_padded"])
+def test_bypass_kernel_iters_outside_the_count_constant_are_refused(workload):
+    """The loop count is a 4-bit COUNT constant: 0 and 17 are the
+    client's error, not an assembler failure; both edges verify."""
+    for iters in (0, 17, -1):
+        with pytest.raises(ServiceError, match="outside 1..16"):
+            Session.build(workload, args={"iters": iters})
+    for iters in (1, 16):
+        session = Session.build(workload, args={"iters": iters})
+        session.run(max_cycles=10_000)
+        assert session.verify()
+
+
 @pytest.mark.parametrize(
     "edge", ["low", pytest.param("high", marks=pytest.mark.slow)]
 )

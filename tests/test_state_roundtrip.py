@@ -26,6 +26,7 @@ from repro.config import PRODUCTION, TIERS, MachineConfig
 from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
+from repro.mem.map import MapEntry
 from repro.mem.storage import Storage
 from repro.service import Session
 from repro.supervise import architectural_json
@@ -96,6 +97,42 @@ def test_snapshot_does_not_alias_live_state():
     frozen = snap.to_json()
     cpu.run(500)
     assert snap.to_json() == frozen
+
+
+def test_im_writes_between_snapshots_show_in_the_next():
+    """The snapshot's IM section is kept between IM writes; every write
+    path -- a poke, a slice, the console, a restore -- shows up in the
+    next snapshot, and editing a snapshot does not reach the next."""
+    cpu = Processor()
+    asm = Assembler()
+    asm.emit(r=1, b=5, alu="B", load="RM")
+    asm.halt()
+    image = asm.assemble()
+    cpu.load_image(image)
+    first = cpu.snapshot()
+    assert first.data["im"] == {a: i.encode() for a, i in image.words.items()}
+    word, other = image.words.values()
+
+    cpu.im[4000] = word
+    second = cpu.snapshot()
+    assert second.data["im"][4000] == word.encode()
+    assert 4000 not in first.data["im"]
+
+    cpu.im[10:12] = [word, word]
+    assert {10, 11} <= set(cpu.snapshot().data["im"])
+
+    bits = other.encode()
+    cpu.console.latch_im_address(4001)
+    cpu.console.im_write_low(bits & 0xFFFF)
+    cpu.console.im_write_mid(bits >> 16 & 0xFFFF)
+    cpu.console.im_write_high(bits >> 32, cpu.im)
+    assert cpu.snapshot().data["im"][4001] == bits
+
+    second.data["im"][4002] = bits
+    assert 4002 not in cpu.snapshot().data["im"]
+
+    cpu.restore(first)
+    assert cpu.snapshot().data["im"] == first.data["im"]
 
 
 def test_same_snapshot_restores_twice():
@@ -671,6 +708,112 @@ def test_storage_image_matches_dense_encoding(case):
     clone.load_state(state)
     assert clone.dump(0, size) == model
     assert canonical_json(clone.state_dict()) == canonical_json(state)
+
+
+# --- the cache and map columns: live, parsed and dense forms -------------------
+
+
+def _dense_json(obj):
+    """*obj* as canonical JSON defines it, long int lists as dense runs."""
+    if isinstance(obj, dict):
+        return {str(k): _dense_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        if len(obj) >= 64 and all(type(v) is int for v in obj):
+            return {"__rle__": _dense_rle(obj)}
+        return [_dense_json(v) for v in obj]
+    return obj
+
+
+def _reference_columns(cpu):
+    """The cache and map sections of format v3, one value at a time."""
+    cache = cpu.memory.cache
+    lines = [line for cache_set in cache.sets for line in cache_set]
+    words = []
+    for line in lines:
+        words.extend(line.words)
+    translator = cpu.memory.translator
+    gaps, offsets, flags = [], [], []
+    previous = 0
+    for page in sorted(translator.map):
+        entry = translator.map[page]
+        gaps.append(page - previous)
+        previous = page
+        offsets.append(entry.real_page - page)
+        flags.append(
+            int(entry.valid) + 2 * entry.write_protected
+            + 4 * entry.dirty + 8 * entry.referenced
+        )
+    return {
+        "cache": {
+            "clock": cache._clock,
+            "tag": [line.tag for line in lines],
+            "flags": [int(line.valid) + 2 * line.dirty for line in lines],
+            "lru": [line.lru for line in lines],
+            "words": words,
+        },
+        "translator": {
+            "bases": list(translator.bases),
+            "page_gap": gaps,
+            "real_offset": offsets,
+            "flags": flags,
+            "inject_next": None,
+        },
+    }
+
+
+@st.composite
+def _lines_and_pages(draw):
+    """A cache geometry, some written lines, and a partly remapped map."""
+    lines, ways = draw(st.sampled_from([(512, 2), (8, 2), (128, 4)]))
+    line = st.tuples(
+        st.booleans(), st.booleans(),
+        st.integers(-1, 1 << 18), st.integers(0, 1 << 20),
+        st.lists(_WORD.map(lambda v: v & 0xFFFF), min_size=16, max_size=16),
+    )
+    entry = st.tuples(st.integers(0, 0xFFF), *[st.booleans()] * 4)
+    return (
+        dataclasses.replace(PRODUCTION, cache_lines=lines, cache_ways=ways),
+        draw(st.dictionaries(st.integers(0, lines - 1), line, max_size=12)),
+        draw(st.integers(0, 1 << 20)),
+        draw(st.integers(0, 300)),
+        draw(st.dictionaries(st.integers(0, (1 << 20) - 1), entry, max_size=12)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lines_and_pages())
+def test_cache_and_map_columns_match_dense_encoding(case):
+    """Random lines and map entries: the snapshot's columns are the
+    dense reference's runs, the v2 view is the v2 encoder's bytes, and
+    the live and the parsed forms load back to the same bytes."""
+    from tests.test_state_v2_view import v2_architectural_json
+
+    config, lines, clock, identity, pages = case
+    cpu = Processor(config)
+    cache = cpu.memory.cache
+    for index, (valid, dirty, tag, lru, words) in lines.items():
+        line = cache.sets[index // config.cache_ways][index % config.cache_ways]
+        line.valid, line.dirty, line.tag, line.lru = valid, dirty, tag, lru
+        line.words = list(words)
+    cache._clock = clock
+    translator = cpu.memory.translator
+    translator.identity_map(identity, write_protected_pages=identity // 3)
+    for page, (real_page, *flags) in pages.items():
+        translator.map[page] = MapEntry(real_page, *flags)
+
+    snap = cpu.snapshot()
+    text = snap.to_json()
+    mem = json.loads(text)["mem"]
+    reference = _reference_columns(cpu)
+    for section in ("cache", "translator"):
+        assert mem[section] == _dense_json(reference[section])
+    arch = v2_architectural_json(cpu)
+    assert architectural_json(snap) == arch
+    for form in (snap, MachineState.from_json(text)):
+        clone = Processor(config)
+        clone.restore(form)
+        assert clone.snapshot().to_json() == text
+        assert v2_architectural_json(clone) == arch
 
 
 @settings(max_examples=10, deadline=None)
