@@ -430,9 +430,8 @@ class Processor:
         clone.symbols = dict(self.symbols)
         # MicroInstruction objects are immutable; sharing the words is
         # safe, and restore() will not need to re-decode any of them.
-        for address, inst in enumerate(self.im):
-            if inst is not None:
-                clone.im[address] = inst
+        # One slice write: one notification, to still-empty tables.
+        clone.im[:] = self.im
         # Same words, same encodings; IM writes replace the section
         # rather than edit it, so the two machines may share it.
         clone._im_section = self._encoded_im()

@@ -134,6 +134,8 @@ from .plancache import (
 from .microword import MicroInstruction
 from .shifter import ShiftControl
 from ..errors import MicrocodeCrash
+from ..mem.cache import LINE_DIRTY, LINE_VALID
+from ..mem.map import ENTRY_DIRTY, ENTRY_REFERENCED, ENTRY_VALID, ENTRY_WRITE_PROTECTED
 from ..types import EMULATOR_TASK
 
 #: Back-edge executions of one ``(task, entry_pc)`` before recording.
@@ -384,8 +386,9 @@ def compile_trace(
         w.emit("_bases = trans.bases")
         w.emit("_bmask = trans._base_mask")
         w.emit("_cache = memory.cache")
-        w.emit("_sets = _cache.sets")
-        w.emit("_nsets = _cache.num_sets")
+        w.emit("_resident = _cache.resident")
+        w.emit("_lru = _cache.lru")
+        w.emit("_cwords = _cache.words")
         w.emit("_size = memory.storage.size")
     w.emit("tpc = pipe.tpc")
     w.emit("regs = cpu.regs")
@@ -955,99 +958,61 @@ def _emit_step(
         w.dedent()
 
     # --- memory reference start (address = A, store data = B).  Fast
-    # mode inlines the translate + cache-hit path (one clock tick per
-    # hit, referenced/dirty bits, MD timing -- exactly start_fetch /
-    # start_store's); every other case takes the full call.
+    # mode inlines the translate + cache-hit path (one map lookup and
+    # one munch probe; one clock tick per hit, referenced/dirty bits, MD
+    # timing -- exactly start_fetch / start_store's); every other case
+    # takes the full call.  A map entry is real_page << 4 | flags.
     ref_kind = plan.ref_kind
-    if ref_kind == REF_FETCH and ctx.inline_refs:
-        hitc = ctx.comp.hit_cycles
+    if ref_kind in (REF_FETCH, REF_STORE) and ctx.inline_refs:
+        store = ref_kind == REF_STORE
         w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.comp.nbases}] + (a & 65535)) & _bmask")
-        w.emit("pe = _pmap.get(va >> 8)")
+        w.emit("pg = va >> 8")
+        w.emit("pe = _pmap.get(pg, 0)")
         w.emit("line_ = None")
-        w.emit("if pe is not None and pe.valid:")
+        # A store also needs the page writable.
+        needed = ENTRY_VALID | (ENTRY_WRITE_PROTECTED if store else 0)
+        w.emit(f"if pe & {needed} == {ENTRY_VALID}:")
         w.indent()
-        w.emit("ra = (pe.real_page << 8) | (va & 255)")
+        w.emit("ra = (pe >> 4 << 8) | (va & 255)")
         w.emit("if ra < _size:")
         w.indent()
-        w.emit("mu = ra >> 4")
-        w.emit("tg = mu // _nsets")
-        w.emit("for line_ in _sets[mu % _nsets]:")
-        w.indent()
-        w.emit("if line_.valid and line_.tag == tg:")
-        w.indent()
-        w.emit("break")
-        w.dedent()
-        w.dedent()
-        w.emit("else:")
-        w.indent()
-        w.emit("line_ = None")
-        w.dedent()
+        w.emit("line_ = _resident.get(ra >> 4)")
         w.dedent()
         w.dedent()
         w.emit("if line_ is not None:")
         w.indent()
-        w.emit("pe.referenced = True")
-        w.emit("_ck = _cache._clock + 1")
-        w.emit("_cache._clock = _ck")
-        w.emit("line_.lru = _ck")
-        w.emit("mf += 1")
-        w.emit("chit += 1")
-        w.emit("ref.md_value = line_.words[ra & 15]")
-        w.emit(f"ref.md_ready_at = mnow + {hitc}")
-        w.emit("ref.md_valid = True")
-        w.emit(f"ref.busy_until = mnow + {hitc}")
+        marks = ENTRY_REFERENCED | (ENTRY_DIRTY if store else 0)
+        w.emit(f"_pmap[pg] = pe | {marks}")
+        w.emit("_ck = _cache.clock + 1")
+        w.emit("_cache.clock = _ck")
+        w.emit("_lru[line_] = _ck")
+        if store:
+            w.emit("ms += 1")
+            w.emit("chit += 1")
+            w.emit("_cwords[line_ << 4 | ra & 15] = b & 65535")
+            w.emit(f"_cache.flags[line_] = {LINE_VALID | LINE_DIRTY}")
+            w.emit("ref.busy_until = mnow + 1")
+        else:
+            hitc = ctx.comp.hit_cycles
+            w.emit("mf += 1")
+            w.emit("chit += 1")
+            w.emit("ref.md_value = _cwords[line_ << 4 | ra & 15]")
+            w.emit(f"ref.md_ready_at = mnow + {hitc}")
+            w.emit("ref.md_valid = True")
+            w.emit(f"ref.busy_until = mnow + {hitc}")
         w.dedent()
         w.emit("else:")
         w.indent()
         w.emit("memory.now = mnow")
-        w.emit(f"memory.start_fetch({task}, {ctx.mbase()}, a)")
+        if store:
+            w.emit(f"memory.start_store({task}, {ctx.mbase()}, a, b)")
+        else:
+            w.emit(f"memory.start_fetch({task}, {ctx.mbase()}, a)")
         w.dedent()
     elif ref_kind == REF_FETCH:
         if fast:
             w.emit("memory.now = mnow")
         w.emit(f"memory.start_fetch({task}, {ctx.mbase()}, a)")
-    elif ref_kind == REF_STORE and ctx.inline_refs:
-        w.emit(f"va = (_bases[{ctx.mbase()} % {ctx.comp.nbases}] + (a & 65535)) & _bmask")
-        w.emit("pe = _pmap.get(va >> 8)")
-        w.emit("line_ = None")
-        w.emit("if pe is not None and pe.valid and not pe.write_protected:")
-        w.indent()
-        w.emit("ra = (pe.real_page << 8) | (va & 255)")
-        w.emit("if ra < _size:")
-        w.indent()
-        w.emit("mu = ra >> 4")
-        w.emit("tg = mu // _nsets")
-        w.emit("for line_ in _sets[mu % _nsets]:")
-        w.indent()
-        w.emit("if line_.valid and line_.tag == tg:")
-        w.indent()
-        w.emit("break")
-        w.dedent()
-        w.dedent()
-        w.emit("else:")
-        w.indent()
-        w.emit("line_ = None")
-        w.dedent()
-        w.dedent()
-        w.dedent()
-        w.emit("if line_ is not None:")
-        w.indent()
-        w.emit("pe.referenced = True")
-        w.emit("pe.dirty = True")
-        w.emit("_ck = _cache._clock + 1")
-        w.emit("_cache._clock = _ck")
-        w.emit("line_.lru = _ck")
-        w.emit("ms += 1")
-        w.emit("chit += 1")
-        w.emit("line_.words[ra & 15] = b & 65535")
-        w.emit("line_.dirty = True")
-        w.emit("ref.busy_until = mnow + 1")
-        w.dedent()
-        w.emit("else:")
-        w.indent()
-        w.emit("memory.now = mnow")
-        w.emit(f"memory.start_store({task}, {ctx.mbase()}, a, b)")
-        w.dedent()
     elif ref_kind == REF_STORE:
         if fast:
             w.emit("memory.now = mnow")

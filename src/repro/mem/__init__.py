@@ -9,8 +9,8 @@ polluting the cache.  This subpackage implements all of it.
 """
 
 from .cache import Cache
-from .map import AddressTranslator, MapEntry
+from .map import AddressTranslator
 from .pipeline import MemorySystem
 from .storage import Storage
 
-__all__ = ["AddressTranslator", "Cache", "MapEntry", "MemorySystem", "Storage"]
+__all__ = ["AddressTranslator", "Cache", "MemorySystem", "Storage"]

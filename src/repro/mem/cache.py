@@ -7,26 +7,24 @@ allocate policy (dirty munches return to storage on eviction), matching
 the memory-system paper.  The fast I/O system deliberately bypasses this
 cache; :meth:`flush_munch` and :meth:`invalidate_munch` keep it
 consistent when fast I/O touches a munch the cache holds.
+
+Like the hardware's tag, flag and data arrays, the cache is flat
+columns, one entry per line, set by set and way by way: line ``i`` is
+way ``i % ways`` of set ``i // ways`` and holds ``words[16*i : 16*i+16]``.
+These columns are exactly what a snapshot stores (DESIGN.md section 5.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, StateError
 from ..state import int_array
 from ..types import MUNCH_WORDS, word
 
-
-@dataclass
-class CacheLine:
-    valid: bool = False
-    dirty: bool = False
-    tag: int = -1
-    words: List[int] = field(default_factory=lambda: [0] * MUNCH_WORDS)
-    lru: int = 0
+#: Bits of the ``flags`` column.
+LINE_VALID = 1
+LINE_DIRTY = 2
 
 
 class Cache:
@@ -37,45 +35,42 @@ class Cache:
             raise ConfigError(f"cannot build {lines} lines as {ways} ways")
         self.num_sets = lines // ways
         self.ways = ways
-        self.sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(ways)] for _ in range(self.num_sets)
-        ]
-        #: The same lines, set by set: the order of the state columns.
-        self._lines: List[CacheLine] = list(chain.from_iterable(self.sets))
-        self._clock = 0
+        self.clock = 0
+        self.tag = [-1] * lines
+        self.flags = [0] * lines
+        self.lru = [0] * lines
+        self.words = [0] * (lines * MUNCH_WORDS)
+        #: munch -> line, for every valid line: a probe is one lookup.
+        self.resident: Dict[int, int] = {}
 
     def _locate(self, address: int) -> Tuple[int, int]:
         """(set index, tag) for a real word address."""
         munch = address // MUNCH_WORDS
         return munch % self.num_sets, munch // self.num_sets
 
-    def lookup(self, address: int) -> Optional[CacheLine]:
+    def lookup(self, address: int) -> Optional[int]:
         """The line holding *address*, updating LRU, or None on miss."""
-        munch = address // MUNCH_WORDS
-        tag = munch // self.num_sets
-        for line in self.sets[munch % self.num_sets]:
-            if line.valid and line.tag == tag:
-                self._clock += 1
-                line.lru = self._clock
-                return line
-        return None
+        line = self.resident.get(address // MUNCH_WORDS)
+        if line is not None:
+            self.clock += 1
+            self.lru[line] = self.clock
+        return line
 
     def contains(self, address: int) -> bool:
-        index, tag = self._locate(address)
-        return any(line.valid and line.tag == tag for line in self.sets[index])
+        return address // MUNCH_WORDS in self.resident
 
     def read_word(self, address: int) -> int:
         """Word read on a known hit."""
         line = self.lookup(address)
         assert line is not None, "read_word requires a hit"
-        return line.words[address % MUNCH_WORDS]
+        return self.words[line * MUNCH_WORDS + address % MUNCH_WORDS]
 
     def write_word(self, address: int, value: int) -> None:
         """Word write on a known hit; marks the line dirty."""
         line = self.lookup(address)
         assert line is not None, "write_word requires a hit"
-        line.words[address % MUNCH_WORDS] = word(value)
-        line.dirty = True
+        self.words[line * MUNCH_WORDS + address % MUNCH_WORDS] = word(value)
+        self.flags[line] = LINE_VALID | LINE_DIRTY
 
     def fill(self, address: int, words: List[int]) -> Optional[Tuple[int, List[int]]]:
         """Install a munch, evicting the LRU way.
@@ -84,17 +79,24 @@ class Cache:
         munch must be written back to storage, else None.
         """
         index, tag = self._locate(address)
-        victim = min(self.sets[index], key=lambda line: line.lru)
+        first = index * self.ways
+        victim = min(range(first, first + self.ways), key=self.lru.__getitem__)
+        start = victim * MUNCH_WORDS
         writeback = None
-        if victim.valid and victim.dirty:
-            victim_munch = victim.tag * self.num_sets + index
-            writeback = (victim_munch * MUNCH_WORDS, list(victim.words))
-        victim.valid = True
-        victim.dirty = False
-        victim.tag = tag
-        victim.words = [word(w) for w in words]
-        self._clock += 1
-        victim.lru = self._clock
+        if self.flags[victim] & LINE_VALID:
+            victim_munch = self.tag[victim] * self.num_sets + index
+            del self.resident[victim_munch]
+            if self.flags[victim] & LINE_DIRTY:
+                writeback = (
+                    victim_munch * MUNCH_WORDS,
+                    self.words[start : start + MUNCH_WORDS],
+                )
+        self.flags[victim] = LINE_VALID
+        self.tag[victim] = tag
+        self.words[start : start + MUNCH_WORDS] = [word(w) for w in words]
+        self.clock += 1
+        self.lru[victim] = self.clock
+        self.resident[address // MUNCH_WORDS] = victim
         return writeback
 
     def flush_munch(self, address: int) -> Optional[List[int]]:
@@ -104,69 +106,65 @@ class Cache:
         the device sees current data.
         """
         line = self.lookup(address)
-        if line is None or not line.dirty:
+        if line is None or not self.flags[line] & LINE_DIRTY:
             return None
-        line.dirty = False
-        return list(line.words)
+        self.flags[line] = LINE_VALID
+        start = line * MUNCH_WORDS
+        return self.words[start : start + MUNCH_WORDS]
 
     def invalidate_munch(self, address: int) -> bool:
         """Drop the line holding *address* (after a fast-I/O write)."""
-        index, tag = self._locate(address)
-        for line in self.sets[index]:
-            if line.valid and line.tag == tag:
-                line.valid = False
-                line.dirty = False
-                return True
-        return False
+        line = self.resident.pop(address // MUNCH_WORDS, None)
+        if line is None:
+            return False
+        self.flags[line] = 0
+        return True
 
     def invalidate_all(self) -> None:
-        for cache_set in self.sets:
-            for line in cache_set:
-                line.valid = False
-                line.dirty = False
+        self.flags[:] = [0] * len(self.flags)
+        self.resident.clear()
 
     def stats(self) -> Tuple[int, int]:
         """(valid lines, dirty lines) -- for tests."""
-        valid = sum(line.valid for s in self.sets for line in s)
-        dirty = sum(line.dirty for s in self.sets for line in s)
+        valid = sum(flags & LINE_VALID for flags in self.flags)
+        dirty = sum(flags >> 1 for flags in self.flags)
         return valid, dirty
 
     # --- snapshot protocol (DESIGN.md section 5.4) -------------------------
 
     def state_dict(self) -> dict:
-        """The LRU clock plus every line as flat int columns.
+        """The LRU clock plus copies of the columns.
 
-        Lines run set by set, way by way: ``flags`` packs valid | dirty<<1,
-        and ``words`` holds each line's munch in turn.  A mostly idle
-        cache is a few runs per column in canonical JSON.
+        ``flags`` packs valid | dirty<<1.  A mostly idle cache is a few
+        runs per column in canonical JSON.
         """
-        lines = self._lines
         return {
-            "clock": self._clock,
-            "tag": [line.tag for line in lines],
-            "flags": [line.valid | line.dirty << 1 for line in lines],
-            "lru": [line.lru for line in lines],
-            "words": list(chain.from_iterable(line.words for line in lines)),
+            "clock": self.clock,
+            "tag": list(self.tag),
+            "flags": list(self.flags),
+            "lru": list(self.lru),
+            "words": list(self.words),
         }
 
     def load_state(self, state: dict) -> None:
-        """Fill the existing lines from the columns.
+        """Check the columns against this cache's geometry, then take them.
 
-        Every column is checked against this cache's geometry (runs
-        before they expand) before any line changes.
+        Runs are checked before they expand, and a set holding two valid
+        lines with one tag is refused (a probe could find either), all
+        before anything changes.
         """
-        count = len(self._lines)
+        count = len(self.tag)
         tags = int_array(state["tag"], count)
         flags = int_array(state["flags"], count)
         lru = int_array(state["lru"], count)
         words = int_array(state["words"], count * MUNCH_WORDS)
-        if not 0 <= min(flags) <= max(flags) <= 3:
+        if not 0 <= min(flags) <= max(flags) <= LINE_VALID | LINE_DIRTY:
             raise StateError("cache line flags outside valid | dirty << 1")
-        self._clock = state["clock"]
-        for index, line in enumerate(self._lines):
-            line.valid = bool(flags[index] & 1)
-            line.dirty = bool(flags[index] & 2)
-            line.tag = tags[index]
-            line.lru = lru[index]
-            start = index * MUNCH_WORDS
-            line.words = words[start : start + MUNCH_WORDS]
+        ways, num_sets = self.ways, self.num_sets
+        valid = [line for line in range(count) if flags[line] & LINE_VALID]
+        resident = {tags[line] * num_sets + line // ways: line for line in valid}
+        if len(resident) != len(valid):
+            raise StateError("a cache set holds two valid lines with one tag")
+        self.clock = state["clock"]
+        self.tag, self.flags, self.lru, self.words = tags, flags, lru, words
+        self.resident = resident

@@ -6,11 +6,15 @@ address."  MEMBASE (5 bits) selects one of 32 base registers.  The
 virtual address is then translated by a page map to a real storage
 address; the map holds per-page write-protect and valid bits, and
 latches dirty/referenced bits the way the real map hardware did.
+
+Each entry is one int, ``real_page << 4 | flags``, with the flag bits
+of the snapshot's map column (DESIGN.md section 5.4): valid |
+write_protected<<1 | dirty<<2 | referenced<<3.  The real page is kept
+as written, unmasked, so the sanitizer can see a corrupted one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Optional
 
@@ -30,47 +34,17 @@ FLAG_DIRTY = 0x2000
 FLAG_REFERENCED = 0x1000
 REAL_PAGE_MASK = 0x0FFF
 
+#: Bits of a live map entry's low nibble.
+ENTRY_VALID = 1
+ENTRY_WRITE_PROTECTED = 2
+ENTRY_DIRTY = 4
+ENTRY_REFERENCED = 8
 
-@dataclass
-class MapEntry:
-    """One page-map entry."""
-
-    real_page: int = 0
-    valid: bool = False
-    write_protected: bool = False
-    dirty: bool = False
-    referenced: bool = False
-
-    def encode(self) -> int:
-        """Pack into the 16-bit representation used on the B bus."""
-        value = self.real_page & REAL_PAGE_MASK
-        if self.valid:
-            value |= FLAG_VALID
-        if self.write_protected:
-            value |= FLAG_WRITE_PROTECT
-        if self.dirty:
-            value |= FLAG_DIRTY
-        if self.referenced:
-            value |= FLAG_REFERENCED
-        return value
-
-    @staticmethod
-    def decode(value: int) -> "MapEntry":
-        value = word(value)
-        return MapEntry(
-            real_page=value & REAL_PAGE_MASK,
-            valid=bool(value & FLAG_VALID),
-            write_protected=bool(value & FLAG_WRITE_PROTECT),
-            dirty=bool(value & FLAG_DIRTY),
-            referenced=bool(value & FLAG_REFERENCED),
-        )
-
-
-#: The state's packed map flags as (valid, write_protected, dirty,
-#: referenced), in MapEntry's field order.
-_UNPACKED_FLAGS = [
-    tuple(bool(packed >> bit & 1) for bit in range(4)) for packed in range(16)
-]
+#: The map word's flag nibble (valid, write-protect, dirty, referenced
+#: from bit 15 down) read backwards is the entry's flag nibble (valid,
+#: write_protected, dirty, referenced from bit 0 up); reversing four
+#: bits is its own inverse, so one table converts both ways.
+_REVERSED = [int(f"{nibble:04b}"[::-1], 2) for nibble in range(16)]
 
 
 class AddressTranslator:
@@ -81,7 +55,8 @@ class AddressTranslator:
             raise ConfigError("need at least one base register")
         self._base_mask = (1 << base_register_bits) - 1
         self.bases = [0] * num_base_registers
-        self.map: Dict[int, MapEntry] = {}
+        #: virtual page -> ``real_page << 4 | flags``.
+        self.map: Dict[int, int] = {}
         #: One-shot injected fault, armed by the memory pipeline right
         #: before a timed reference translates (fault injection,
         #: DESIGN.md section 5.2).  A spurious map or write-protect
@@ -114,16 +89,16 @@ class AddressTranslator:
     # --- the page map --------------------------------------------------------
 
     def map_write(self, virtual_page: int, encoded: int) -> None:
-        """FF ``MAP_WRITE``: install a map entry."""
-        self.map[virtual_page] = MapEntry.decode(encoded)
+        """FF ``MAP_WRITE``: install a map entry from its 16-bit word."""
+        value = word(encoded)
+        self.map[virtual_page] = (value & REAL_PAGE_MASK) << 4 | _REVERSED[value >> 12]
 
     def map_read(self, virtual_page: int) -> int:
-        """FF ``READ_MAP``: the encoded entry (zero when absent/invalid)."""
+        """FF ``READ_MAP``: the entry's 16-bit word (zero when absent)."""
         entry = self.map.get(virtual_page)
-        return entry.encode() if entry else 0
-
-    def entry_for(self, va: int) -> Optional[MapEntry]:
-        return self.map.get(va >> PAGE_SHIFT)
+        if entry is None:
+            return 0
+        return _REVERSED[entry & 15] << 12 | (entry >> 4) & REAL_PAGE_MASK
 
     def translate(self, va: int, write: bool) -> Optional[int]:
         """VA to real address, or None on a map/write-protect fault.
@@ -134,15 +109,17 @@ class AddressTranslator:
         if self.inject_next is not None:
             self.inject_next = None
             return None
-        entry = self.map.get(va >> PAGE_SHIFT)
-        if entry is None or not entry.valid:
+        page = va >> PAGE_SHIFT
+        entry = self.map.get(page)
+        if entry is None or not entry & ENTRY_VALID:
             return None
-        if write and entry.write_protected:
-            return None
-        entry.referenced = True
         if write:
-            entry.dirty = True
-        return (entry.real_page << PAGE_SHIFT) | (va & (PAGE_WORDS - 1))
+            if entry & ENTRY_WRITE_PROTECTED:
+                return None
+            self.map[page] = entry | ENTRY_DIRTY | ENTRY_REFERENCED
+        else:
+            self.map[page] = entry | ENTRY_REFERENCED
+        return (entry >> 4 << PAGE_SHIFT) | (va & (PAGE_WORDS - 1))
 
     # --- snapshot protocol (DESIGN.md section 5.4) -------------------------
 
@@ -151,24 +128,22 @@ class AddressTranslator:
 
         The map's entries run in page order as three int columns: the
         gap from the previous page (the first from page 0), ``real_page
-        - page``, and the packed flags (valid | write_protected<<1 |
-        dirty<<2 | referenced<<3).  An identity-mapped clean map is a
-        few runs per column in canonical JSON.
+        - page``, and the entry's flag nibble.  An identity-mapped clean
+        map is a few runs per column in canonical JSON.
         """
         inject = self.inject_next
-        entries = sorted(self.map.items())
-        pages = [page for page, _ in entries]
+        gaps, offsets, flags = [], [], []
+        previous = 0
+        for page, entry in sorted(self.map.items()):
+            gaps.append(page - previous)
+            offsets.append((entry >> 4) - page)
+            flags.append(entry & 15)
+            previous = page
         return {
             "bases": list(self.bases),
-            "page_gap": [page - before for before, page in zip([0] + pages, pages)],
-            "real_offset": [entry.real_page - page for page, entry in entries],
-            "flags": [
-                entry.valid
-                | entry.write_protected << 1
-                | entry.dirty << 2
-                | entry.referenced << 3
-                for _, entry in entries
-            ],
+            "page_gap": gaps,
+            "real_offset": offsets,
+            "flags": flags,
             "inject_next": inject.value if inject is not None else None,
         }
 
@@ -199,7 +174,7 @@ class AddressTranslator:
             raise StateError("map entry flags outside their four bits")
         self.bases = list(state["bases"])
         self.map = {
-            page: MapEntry(page + offset, *_UNPACKED_FLAGS[packed])
+            page: (page + offset) << 4 | packed
             for page, offset, packed in zip(pages, offsets, flags)
         }
         inject = state["inject_next"]
@@ -216,8 +191,6 @@ class AddressTranslator:
         registers, storage can hold more pages than a VA reaches.
         """
         for page in range(min(pages, self.virtual_pages)):
-            self.map[page] = MapEntry(
-                real_page=page,
-                valid=True,
-                write_protected=page < write_protected_pages,
+            self.map[page] = page << 4 | ENTRY_VALID | (
+                ENTRY_WRITE_PROTECTED if page < write_protected_pages else 0
             )

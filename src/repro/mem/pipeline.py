@@ -31,9 +31,9 @@ from ..fault.injector import FaultInjector
 from ..fault.plan import FaultKind, InjectionPlan
 from ..types import MUNCH_WORDS, NUM_TASKS, word
 from ..core.counters import Counters
-from .cache import Cache
+from .cache import LINE_DIRTY, LINE_VALID, Cache
 from .fastio import FastPort, FastTransfer
-from .map import PAGE_SHIFT, AddressTranslator
+from .map import ENTRY_VALID, PAGE_SHIFT, AddressTranslator
 from .storage import Storage
 
 # Fault-latch bits (FF READ_FAULTS / EXTB_FAULTS).  The stack-error
@@ -179,15 +179,16 @@ class MemorySystem:
             self._fault(FAULT_BOUNDS)
             self._complete_fault(ref)
             return True
-        line = self.cache.lookup(ra)
+        cache = self.cache
+        line = cache.lookup(ra)
         if line is not None:
             self.counters.cache_hits += 1
-            value = line.words[ra % MUNCH_WORDS]
+            value = cache.words[line * MUNCH_WORDS + ra % MUNCH_WORDS]
             ready = self.now + self.config.cache_hit_cycles
         else:
             self.counters.cache_misses += 1
             start = self._fill_line(ra)
-            value = self.cache.read_word(ra)
+            value = cache.read_word(ra)
             ready = start + self.config.miss_penalty
         ref.md_value = value
         ref.md_ready_at = ready
@@ -217,8 +218,8 @@ class MemorySystem:
             elif injected is FaultKind.WRITE_PROTECT:
                 bits = FAULT_WRITE_PROTECT
             else:
-                entry = self.translator.entry_for(va)
-                bits = FAULT_WRITE_PROTECT if entry and entry.valid else FAULT_MAP
+                entry = self.translator.map.get(va >> PAGE_SHIFT, 0)
+                bits = FAULT_WRITE_PROTECT if entry & ENTRY_VALID else FAULT_MAP
             self._fault(bits)
             self._complete_fault(ref)
             return True
@@ -226,16 +227,17 @@ class MemorySystem:
             self._fault(FAULT_BOUNDS)
             self._complete_fault(ref)
             return True
-        line = self.cache.lookup(ra)
+        cache = self.cache
+        line = cache.lookup(ra)
         if line is not None:
             self.counters.cache_hits += 1
-            line.words[ra % MUNCH_WORDS] = word(data)
-            line.dirty = True
+            cache.words[line * MUNCH_WORDS + ra % MUNCH_WORDS] = word(data)
+            cache.flags[line] = LINE_VALID | LINE_DIRTY
             ref.busy_until = self.now + 1
         else:
             self.counters.cache_misses += 1
             start = self._fill_line(ra)
-            self.cache.write_word(ra, data)
+            cache.write_word(ra, data)
             ref.busy_until = start + self.config.miss_penalty
         return True
 
@@ -410,7 +412,7 @@ class MemorySystem:
         # One probe: a hit bumps the line's LRU, a miss touches nothing.
         line = self.cache.lookup(ra)
         if line is not None:
-            return line.words[ra % MUNCH_WORDS]
+            return self.cache.words[line * MUNCH_WORDS + ra % MUNCH_WORDS]
         return self.storage.read_word(ra)
 
     def debug_write(self, va: int, value: int) -> None:

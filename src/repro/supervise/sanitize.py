@@ -7,7 +7,7 @@ memory, ECC on storage, a dedicated high-priority fault task (sections
 cycles by the recovery supervisor between ``run()`` chunks, so a
 supervised machine runs the same execution path as any other.  Nothing
 here may perturb the machine: every check reads internal structures
-directly (``cache.sets``, ``storage.dump``) instead of going through
+directly (the cache's columns, ``storage.dump``) instead of going through
 accessors that update LRU clocks or consume scheduled fault events, so
 a sanitized run is cycle-for-cycle and byte-for-byte identical to an
 unsanitized one.
@@ -15,16 +15,17 @@ unsanitized one.
 The invariant catalogue (DESIGN.md section 5.5):
 
 ``cache``
-    Structural well-formedness of every line (tag, LRU stamp, word
-    count and width) plus the write-back coherence rule: a *valid,
-    clean* line's words equal the storage munch it caches.  An
+    Structural well-formedness of the columns (word count and width,
+    tags) and of the munch index (it names exactly the valid lines,
+    and no set holds two valid lines with one tag), plus the write-back
+    coherence rule: a *valid, clean* line's words equal the storage
+    munch it caches.  An
     uncorrectable ECC event violates exactly this -- the corrupted
     munch is installed clean in the cache while storage still holds the
     true bits -- so this check is the sanitizer's storage-corruption
     detector.
 ``map``
-    Every :class:`~repro.mem.map.MapEntry` is well-formed: real page
-    within ``REAL_PAGE_MASK``, boolean flags.
+    Every map entry's real page is within ``REAL_PAGE_MASK``.
 ``registers``
     RM, T, Q, COUNT and the stack words are 16 bits; RBASE is 4; the
     stack pointer is 8.
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..errors import CorruptionDetected
+from ..mem.cache import LINE_DIRTY, LINE_VALID
 from ..mem.map import REAL_PAGE_MASK
 from ..types import MUNCH_WORDS
 
@@ -119,43 +121,54 @@ class MachineCheckSanitizer:
         memory = self.machine.memory
         cache = memory.cache
         storage = memory.storage  # dump, not read_munch: that consumes ECC events
-        num_sets = cache.num_sets
-        for index, cache_set in enumerate(cache.sets):
-            for way, line in enumerate(cache_set):
-                if not line.valid:
-                    continue
-                where = f"set {index} way {way}"
-                if line.tag < 0:
-                    failures.append(CheckFailure("cache", f"{where}: negative tag"))
-                    continue
-                if len(line.words) != MUNCH_WORDS:
-                    failures.append(CheckFailure(
-                        "cache", f"{where}: {len(line.words)} words in a munch"))
-                    continue
-                if any(not 0 <= w <= 0xFFFF for w in line.words):
-                    failures.append(CheckFailure(
-                        "cache", f"{where}: word out of 16-bit range"))
-                    continue
-                if line.dirty:
-                    continue
-                base = (line.tag * num_sets + index) * MUNCH_WORDS
-                if base + MUNCH_WORDS > storage.size:
-                    failures.append(CheckFailure(
-                        "cache", f"{where}: tag addresses past end of storage"))
-                    continue
-                if line.words != storage.dump(base, MUNCH_WORDS):
-                    failures.append(CheckFailure(
-                        "cache",
-                        f"{where}: clean line disagrees with storage "
-                        f"munch at {base:#x}",
-                    ))
+        num_sets, ways, words = cache.num_sets, cache.ways, cache.words
+        if len(words) != len(cache.tag) * MUNCH_WORDS:
+            failures.append(CheckFailure(
+                "cache", f"{len(words)} words for {len(cache.tag)} lines"))
+            return
+        resident = {}
+        for line, flags in enumerate(cache.flags):
+            if not flags & LINE_VALID:
+                continue
+            index, tag = line // ways, cache.tag[line]
+            where = f"set {index} way {line % ways}"
+            munch = tag * num_sets + index
+            if munch in resident:
+                failures.append(CheckFailure(
+                    "cache", f"{where}: tag {tag:#x} is valid in two ways"))
+            resident[munch] = line
+            if tag < 0:
+                failures.append(CheckFailure("cache", f"{where}: negative tag"))
+                continue
+            start = line * MUNCH_WORDS
+            munch_words = words[start : start + MUNCH_WORDS]
+            if any(not 0 <= w <= 0xFFFF for w in munch_words):
+                failures.append(CheckFailure(
+                    "cache", f"{where}: word out of 16-bit range"))
+                continue
+            if flags & LINE_DIRTY:
+                continue
+            base = munch * MUNCH_WORDS
+            if base + MUNCH_WORDS > storage.size:
+                failures.append(CheckFailure(
+                    "cache", f"{where}: tag addresses past end of storage"))
+                continue
+            if munch_words != storage.dump(base, MUNCH_WORDS):
+                failures.append(CheckFailure(
+                    "cache",
+                    f"{where}: clean line disagrees with storage "
+                    f"munch at {base:#x}",
+                ))
+        if resident != cache.resident:
+            failures.append(CheckFailure(
+                "cache", "the munch index disagrees with the valid lines"))
 
     def _check_map(self, failures: List[CheckFailure]) -> None:
         for va_page, entry in self.machine.memory.translator.map.items():
-            if not 0 <= entry.real_page <= REAL_PAGE_MASK:
+            if not 0 <= entry >> 4 <= REAL_PAGE_MASK:
                 failures.append(CheckFailure(
                     "map",
-                    f"VA page {va_page:#x}: real page {entry.real_page:#x} "
+                    f"VA page {va_page:#x}: real page {entry >> 4:#x} "
                     f"exceeds {REAL_PAGE_MASK:#x}",
                 ))
 

@@ -7,7 +7,9 @@ and compared against a flat reference model where every write is
 immediately and permanently visible.  LRU, write-back, write-allocate,
 ``flush_munch`` and ``invalidate_munch`` all have to cooperate for the
 coherent view (cache copy if present, else storage) to match the model
-after every step.
+after every step.  The mix also reloads the cache from its own state,
+live and parsed, and after every step the munch index a probe reads
+must be the one the columns imply.
 """
 
 import copy
@@ -19,6 +21,7 @@ from repro import PRODUCTION
 from repro.mem.cache import Cache
 from repro.mem.pipeline import MemorySystem
 from repro.mem.storage import Storage
+from repro.state import canonical_json, parse_canonical_json
 from repro.types import MUNCH_WORDS
 
 LINES = 4
@@ -39,6 +42,15 @@ def ensure_filled(cache, storage, address):
             storage.write_munch(victim_address, victim_words)
 
 
+def rebuilt_index(cache):
+    """The munch -> line index the columns imply: every valid line."""
+    return {
+        cache.tag[line] * cache.num_sets + line // cache.ways: line
+        for line, flags in enumerate(cache.flags)
+        if flags & 1
+    }
+
+
 def coherent_read(cache, storage, address):
     """What the machine would observe: cache copy first, else storage."""
     if cache.contains(address):
@@ -55,6 +67,8 @@ operations = st.one_of(
     st.tuples(st.just("flush"), addresses, st.just(0)),
     st.tuples(st.just("fastio_store"), addresses, values),
     st.tuples(st.just("invalidate"), addresses, st.just(0)),
+    st.tuples(st.just("reload"), addresses, st.just(0)),
+    st.tuples(st.just("reload_parsed"), addresses, st.just(0)),
 )
 
 
@@ -86,10 +100,15 @@ def test_cache_matches_flat_model(ops):
             cache.invalidate_munch(address)
             base = Storage.munch_base(address)
             model[base : base + MUNCH_WORDS] = words
-        else:  # invalidate a *clean* line (dropping dirty data diverges)
+        elif op == "invalidate":  # a *clean* line (dropping dirty data diverges)
             line = cache.lookup(address)
-            if line is not None and not line.dirty:
+            if line is not None and not cache.flags[line] & 2:
                 cache.invalidate_munch(address)
+        elif op == "reload":
+            cache.load_state(cache.state_dict())
+        else:  # reload_parsed
+            cache.load_state(parse_canonical_json(canonical_json(cache.state_dict())))
+        assert cache.resident == rebuilt_index(cache)
         # The machine-visible view always matches the flat model.
         assert coherent_read(cache, storage, address) == model[address]
 
@@ -138,7 +157,7 @@ def test_writeback_preserves_dirty_data_across_eviction(address, value, other):
 
 
 def lru_state(cache):
-    return cache._clock, [[line.lru for line in ways] for ways in cache.sets]
+    return cache.clock, list(cache.lru)
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,6 +29,7 @@ from repro import Assembler, FF, HoldTimeout, Processor
 from repro.config import INTERPRETED, PRODUCTION, MachineConfig
 from repro.fault import FaultConfig, FaultKind, InjectionPlan
 from repro.io.disk import DiskController, DiskGeometry, disk_microcode
+from repro.mem.map import FLAG_VALID, PAGE_SHIFT
 from repro.mem.pipeline import (
     FAULT_BOUNDS,
     FAULT_MAP,
@@ -189,7 +190,7 @@ def test_spurious_map_fault_is_transient():
     assert mem.read_md(0) == 0
     assert mem.read_faults(clear=True) == FAULT_MAP
     # The map entry itself was never touched: the retry succeeds.
-    assert mem.translator.entry_for(0x100).valid
+    assert mem.translator.map_read(0x100 >> PAGE_SHIFT) & FLAG_VALID
     assert mem.start_fetch(0, 0, 0x100)
     advance(mem, mem.config.miss_penalty)
     assert mem.read_md(0) == 0x1234

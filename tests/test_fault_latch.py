@@ -21,7 +21,7 @@ import pytest
 from repro import Assembler, FF, Processor
 from repro.config import INTERPRETED, PRODUCTION, MachineConfig
 from repro.fault import FaultConfig
-from repro.mem.map import FLAG_VALID, FLAG_WRITE_PROTECT, MapEntry
+from repro.mem.map import FLAG_VALID, FLAG_WRITE_PROTECT
 from repro.mem.pipeline import (
     FAULT_BOUNDS,
     FAULT_MAP,
@@ -115,9 +115,8 @@ def test_write_protect_and_bounds_bits(name, config):
 
     def prepare(cpu):
         translator = cpu.memory.translator
-        translator.map_write(8, MapEntry(real_page=1, valid=True,
-                                         write_protected=True).encode())
-        translator.map_write(9, MapEntry(real_page=0x7F0, valid=True).encode())
+        translator.map_write(8, FLAG_VALID | FLAG_WRITE_PROTECT | 1)
+        translator.map_write(9, FLAG_VALID | 0x7F0)
 
     def build(asm):
         asm.register("va", 1)

@@ -4,7 +4,14 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.core.processor import Processor
-from repro.mem.map import AddressTranslator, MapEntry, PAGE_WORDS
+from repro.mem.map import (
+    FLAG_DIRTY,
+    FLAG_REFERENCED,
+    FLAG_VALID,
+    FLAG_WRITE_PROTECT,
+    PAGE_WORDS,
+    AddressTranslator,
+)
 
 
 def make():
@@ -59,29 +66,47 @@ def test_write_protect():
 def test_referenced_and_dirty_bits():
     tr = make()
     tr.identity_map(1)
-    entry = tr.entry_for(0)
-    assert not entry.referenced and not entry.dirty
+    assert tr.map_read(0) & (FLAG_REFERENCED | FLAG_DIRTY) == 0
     tr.translate(0, write=False)
-    assert entry.referenced and not entry.dirty
+    assert tr.map_read(0) & (FLAG_REFERENCED | FLAG_DIRTY) == FLAG_REFERENCED
     tr.translate(0, write=True)
-    assert entry.dirty
+    assert tr.map_read(0) & FLAG_DIRTY
 
 
-def test_map_entry_encoding_roundtrip():
-    entry = MapEntry(real_page=0x123, valid=True, write_protected=True, dirty=True)
-    assert MapEntry.decode(entry.encode()) == entry
+def test_map_word_roundtrip():
+    """Every flag pattern, at real pages 0 and 0xFFF, survives the map
+    word both ways, and the entry translates as its flags say."""
+    flag_bits = (FLAG_VALID, FLAG_WRITE_PROTECT, FLAG_DIRTY, FLAG_REFERENCED)
+    for pattern in range(16):
+        for real_page in (0, 0xFFF):
+            encoded = real_page | sum(
+                bit for index, bit in enumerate(flag_bits) if pattern >> index & 1
+            )
+            tr = make()
+            tr.map_write(5, encoded)
+            assert tr.map_read(5) == encoded
+            valid = encoded & FLAG_VALID
+            expected = real_page * PAGE_WORDS + 7 if valid else None
+            assert tr.translate(5 * PAGE_WORDS + 7, write=False) == expected
+            assert tr.map_read(5) == encoded | (FLAG_REFERENCED if valid else 0)
+            writable = valid and not encoded & FLAG_WRITE_PROTECT
+            assert tr.translate(5 * PAGE_WORDS + 7, write=True) == (
+                expected if writable else None
+            )
+            if writable:
+                assert tr.map_read(5) & FLAG_DIRTY
 
 
 def test_map_write_read_via_words():
     tr = make()
-    tr.map_write(5, MapEntry(real_page=9, valid=True).encode())
-    assert tr.map_read(5) == MapEntry(real_page=9, valid=True).encode()
+    tr.map_write(5, FLAG_VALID | 9)
+    assert tr.map_read(5) == FLAG_VALID | 9
     assert tr.map_read(99) == 0
 
 
 def test_invalid_entry_faults():
     tr = make()
-    tr.map_write(0, MapEntry(real_page=1, valid=False).encode())
+    tr.map_write(0, 1)  # real page 1, not valid
     assert tr.translate(0, write=False) is None
 
 

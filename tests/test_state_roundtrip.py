@@ -26,7 +26,6 @@ from repro.config import PRODUCTION, TIERS, MachineConfig
 from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
-from repro.mem.map import MapEntry
 from repro.mem.storage import Storage
 from repro.service import Session
 from repro.supervise import architectural_json
@@ -150,7 +149,7 @@ def test_same_snapshot_restores_twice():
 
 
 def _lru_state(cache):
-    return cache._clock, [[line.lru for line in ways] for ways in cache.sets]
+    return cache.clock, list(cache.lru)
 
 
 def test_snapshot_leaves_a_cached_code_munch_untouched():
@@ -278,6 +277,28 @@ def test_fork_replays_workload_to_same_result():
     second = clone.run(100_000)
     assert (first, cpu.halted) == (second, clone.halted)
     assert cpu.snapshot().to_json() == clone.snapshot().to_json()
+
+
+def test_fork_writes_the_im_once(monkeypatch):
+    """A fork copies its parent's IM in one write, so the clone's
+    compiled-code tables hear of it once, not once per occupied slot."""
+    cpu = mesa_loop_sum(60, config=PRODUCTION).cpu
+    cpu.run(1200)
+    assert sum(inst is not None for inst in cpu.im) > 1
+    writes = []
+    invalidate_im = Processor._invalidate_im
+
+    def counting(machine, index):
+        writes.append(index)
+        invalidate_im(machine, index)
+
+    monkeypatch.setattr(Processor, "_invalidate_im", counting)
+    clone = cpu.fork()
+    assert len(writes) <= 1
+    assert list(clone.im) == list(cpu.im)
+    assert clone.snapshot().to_json() == cpu.snapshot().to_json()
+    assert clone.run(100_000) == cpu.run(100_000)
+    assert clone.snapshot().to_json() == cpu.snapshot().to_json()
 
 
 # --- warm compiled-trace caches (DESIGN.md section 5.6) ----------------------
@@ -725,12 +746,13 @@ def _dense_json(obj):
 
 
 def _reference_columns(cpu):
-    """The cache and map sections of format v3, one value at a time."""
+    """The cache and map sections of format v3, one value at a time,
+    read from the live columns and map."""
     cache = cpu.memory.cache
-    lines = [line for cache_set in cache.sets for line in cache_set]
+    lines = range(cache.num_sets * cache.ways)
     words = []
     for line in lines:
-        words.extend(line.words)
+        words.extend(cache.words[line * 16 + offset] for offset in range(16))
     translator = cpu.memory.translator
     gaps, offsets, flags = [], [], []
     previous = 0
@@ -738,17 +760,14 @@ def _reference_columns(cpu):
         entry = translator.map[page]
         gaps.append(page - previous)
         previous = page
-        offsets.append(entry.real_page - page)
-        flags.append(
-            int(entry.valid) + 2 * entry.write_protected
-            + 4 * entry.dirty + 8 * entry.referenced
-        )
+        offsets.append(entry // 16 - page)
+        flags.append(entry % 16)
     return {
         "cache": {
-            "clock": cache._clock,
-            "tag": [line.tag for line in lines],
-            "flags": [int(line.valid) + 2 * line.dirty for line in lines],
-            "lru": [line.lru for line in lines],
+            "clock": cache.clock,
+            "tag": [cache.tag[line] for line in lines],
+            "flags": [cache.flags[line] for line in lines],
+            "lru": [cache.lru[line] for line in lines],
             "words": words,
         },
         "translator": {
@@ -771,9 +790,18 @@ def _lines_and_pages(draw):
         st.lists(_WORD.map(lambda v: v & 0xFFFF), min_size=16, max_size=16),
     )
     entry = st.tuples(st.integers(0, 0xFFF), *[st.booleans()] * 4)
+    drawn = draw(st.dictionaries(st.integers(0, lines - 1), line, max_size=12))
+    if drawn and draw(st.sampled_from([False, False, False, True])):
+        # One line's tag also valid in the next way of its set, which a
+        # restore refuses.
+        index = min(drawn)
+        _, dirty, tag, lru, words = drawn[index]
+        drawn[index] = (True, dirty, tag, lru, words)
+        twin = index - index % ways + (index + 1) % ways
+        drawn[twin] = (True, False, tag, lru, words)
     return (
         dataclasses.replace(PRODUCTION, cache_lines=lines, cache_ways=ways),
-        draw(st.dictionaries(st.integers(0, lines - 1), line, max_size=12)),
+        drawn,
         draw(st.integers(0, 1 << 20)),
         draw(st.integers(0, 300)),
         draw(st.dictionaries(st.integers(0, (1 << 20) - 1), entry, max_size=12)),
@@ -785,21 +813,24 @@ def _lines_and_pages(draw):
 def test_cache_and_map_columns_match_dense_encoding(case):
     """Random lines and map entries: the snapshot's columns are the
     dense reference's runs, the v2 view is the v2 encoder's bytes, and
-    the live and the parsed forms load back to the same bytes."""
+    the live and the parsed forms load back to the same bytes -- or,
+    when a set holds two valid lines with one tag, are refused."""
     from tests.test_state_v2_view import v2_architectural_json
 
     config, lines, clock, identity, pages = case
     cpu = Processor(config)
     cache = cpu.memory.cache
     for index, (valid, dirty, tag, lru, words) in lines.items():
-        line = cache.sets[index // config.cache_ways][index % config.cache_ways]
-        line.valid, line.dirty, line.tag, line.lru = valid, dirty, tag, lru
-        line.words = list(words)
-    cache._clock = clock
+        cache.flags[index] = valid | dirty << 1
+        cache.tag[index], cache.lru[index] = tag, lru
+        cache.words[index * 16 : (index + 1) * 16] = words
+    cache.clock = clock
     translator = cpu.memory.translator
     translator.identity_map(identity, write_protected_pages=identity // 3)
     for page, (real_page, *flags) in pages.items():
-        translator.map[page] = MapEntry(real_page, *flags)
+        translator.map[page] = real_page << 4 | sum(
+            flag << bit for bit, flag in enumerate(flags)
+        )
 
     snap = cpu.snapshot()
     text = snap.to_json()
@@ -809,9 +840,20 @@ def test_cache_and_map_columns_match_dense_encoding(case):
         assert mem[section] == _dense_json(reference[section])
     arch = v2_architectural_json(cpu)
     assert architectural_json(snap) == arch
+    resident = {
+        tag * cache.num_sets + index // config.cache_ways: index
+        for index, (valid, _, tag, _, _) in lines.items()
+        if valid
+    }
+    duplicated = len(resident) < sum(valid for valid, *_ in lines.values())
     for form in (snap, MachineState.from_json(text)):
         clone = Processor(config)
+        if duplicated:
+            with pytest.raises(StateError, match="two valid lines"):
+                clone.restore(form)
+            continue
         clone.restore(form)
+        assert clone.memory.cache.resident == resident
         assert clone.snapshot().to_json() == text
         assert v2_architectural_json(clone) == arch
 

@@ -5,14 +5,15 @@ columns, but :func:`~repro.supervise.architectural_json` -- which
 ``arch_hash`` hashes, the benchmark's pinned identity -- renders them
 in their format v2 layout (DESIGN.md section 5.4).  The reference
 below is frozen: the v2 ``Cache.state_dict`` and
-``AddressTranslator.state_dict``, run on the live objects, spliced into
-a snapshot and passed through the v2 ``architectural_json``.  Every
+``AddressTranslator.state_dict`` records, built from the live columns
+and map, spliced into a snapshot and passed through the v2
+``architectural_json``.  Every
 machine kind a session can hold must render the same bytes both ways.
 
 The rest checks that crafted envelopes fail cleanly: run counts that
 claim more map entries or cache words than the machine holds are
-refused before anything is allocated, and a v2 envelope is refused by
-name.
+refused before anything is allocated, so is a cache set holding two
+valid lines with one tag, and a v2 envelope is refused by name.
 """
 
 import pytest
@@ -33,6 +34,7 @@ from repro.state import (
     parse_canonical_json,
 )
 from repro.supervise import architectural_json
+from repro.types import MUNCH_WORDS
 from tests.test_lifecycle_model import _attach_display
 
 
@@ -40,37 +42,41 @@ from tests.test_lifecycle_model import _attach_display
 
 
 def v2_cache_state(cache):
-    """Format v2's ``Cache.state_dict``: every line as a record."""
+    """Format v2's ``Cache.state_dict``: every line as a record, read
+    from the live columns (line ``i`` is way ``i % ways`` of set
+    ``i // ways``)."""
+    ways = cache.ways
     return {
-        "clock": cache._clock,
+        "clock": cache.clock,
         "sets": [
             [
                 {
-                    "valid": line.valid,
-                    "dirty": line.dirty,
-                    "tag": line.tag,
-                    "words": list(line.words),
-                    "lru": line.lru,
+                    "valid": bool(cache.flags[line] & 1),
+                    "dirty": bool(cache.flags[line] & 2),
+                    "tag": cache.tag[line],
+                    "words": cache.words[line * MUNCH_WORDS : (line + 1) * MUNCH_WORDS],
+                    "lru": cache.lru[line],
                 }
-                for line in cache_set
+                for line in range(index * ways, (index + 1) * ways)
             ]
-            for cache_set in cache.sets
+            for index in range(cache.num_sets)
         ],
     }
 
 
 def v2_translator_state(translator):
-    """Format v2's ``AddressTranslator.state_dict``: one list per page."""
+    """Format v2's ``AddressTranslator.state_dict``: one list per page,
+    read from the live map (each entry ``real_page << 4 | flags``)."""
     inject = translator.inject_next
     return {
         "bases": list(translator.bases),
         "map": {
             page: [
-                entry.real_page,
-                entry.valid,
-                entry.write_protected,
-                entry.dirty,
-                entry.referenced,
+                entry >> 4,
+                bool(entry & 1),
+                bool(entry & 2),
+                bool(entry & 4),
+                bool(entry & 8),
             ]
             for page, entry in translator.map.items()
         },
@@ -193,10 +199,31 @@ def test_a_refused_cache_state_leaves_the_lines_alone():
         dict(cache.state_dict(), words={"__rle__": [[0, 10 ** 12]]}),
         dict(cache.state_dict(), flags=[0, 4, 0, 0, 0, 0, 0, 0]),
         dict(cache.state_dict(), tag=[0] * 7),
+        # munch 4 valid in both ways of set 0
+        dict(cache.state_dict(), tag=[1, 1] + [-1] * 6, flags=[1, 1] + [0] * 6),
     ):
         with pytest.raises(StateError):
             cache.load_state(bad)
         assert canonical_json(cache.state_dict()) == before
+
+
+def test_a_tag_valid_in_two_ways_is_refused():
+    """Two valid lines of one set with one tag are refused: which one a
+    probe found would depend on the order of the ways."""
+    cpu, state = _parsed_state()
+    cache = cpu.memory.cache
+    line = next(iter(cache.resident.values()))
+    other = line ^ 1  # the other way of its 2-way set
+    tags = list(cache.tag)
+    flags = list(cache.flags)
+    tags[other], flags[other] = tags[line], 1
+    state.data["mem"]["cache"].update(tag=tags, flags=flags)
+    with pytest.raises(StateError, match="two valid lines with one tag"):
+        cpu.fork(state)
+    # The same lines with the duplicate not valid load.
+    flags[other] = 0
+    state.data["mem"]["cache"].update(flags=flags)
+    cpu.fork(state)
 
 
 def test_a_v2_envelope_is_refused_by_name():

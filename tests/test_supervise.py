@@ -67,7 +67,8 @@ def _demo_config(**overrides):
 
 
 def _clean_clean_line(cpu):
-    """Some valid, clean cache line of a machine that has run a while.
+    """The first word of some valid, clean cache line of a machine that
+    has run a while, as an index into the cache's ``words`` column.
 
     The workloads dirty most of what they touch, so when no clean line
     survived, one dirty line is written back by hand -- exactly what the
@@ -75,17 +76,18 @@ def _clean_clean_line(cpu):
     coherent and the line becomes eligible for the coherence check.
     """
     cache = cpu.memory.cache
-    for cache_set in cache.sets:
-        for line in cache_set:
-            if line.valid and not line.dirty:
-                return line
-    for index, cache_set in enumerate(cache.sets):
-        for line in cache_set:
-            if line.valid:
-                base = (line.tag * cache.num_sets + index) * MUNCH_WORDS
-                cpu.memory.storage.write_munch(base, line.words)
-                line.dirty = False
-                return line
+    for line, flags in enumerate(cache.flags):
+        if flags == 1:  # valid, clean
+            return line * MUNCH_WORDS
+    for line, flags in enumerate(cache.flags):
+        if flags & 1:
+            munch = cache.tag[line] * cache.num_sets + line // cache.ways
+            start = line * MUNCH_WORDS
+            cpu.memory.storage.write_munch(
+                munch * MUNCH_WORDS, cache.words[start : start + MUNCH_WORDS]
+            )
+            cache.flags[line] = 1
+            return start
     raise AssertionError("the workload left no valid cache line at all")
 
 
@@ -342,8 +344,8 @@ def test_sanitizer_passes_a_healthy_machine(ran_machine):
 
 
 def test_sanitizer_catches_clean_line_storage_disagreement(ran_machine):
-    line = _clean_clean_line(ran_machine)
-    line.words[0] ^= 0x0004  # the uncorrectable-ECC signature
+    start = _clean_clean_line(ran_machine)
+    ran_machine.memory.cache.words[start] ^= 0x0004  # the uncorrectable-ECC signature
     failures = MachineCheckSanitizer(ran_machine).run_checks()
     assert any(
         f.check == "cache" and "disagrees with storage" in f.detail
@@ -352,14 +354,45 @@ def test_sanitizer_catches_clean_line_storage_disagreement(ran_machine):
 
 
 def test_sanitizer_catches_cache_word_out_of_range(ran_machine):
-    line = _clean_clean_line(ran_machine)
-    line.words[3] = 0x1_0000
+    start = _clean_clean_line(ran_machine)
+    ran_machine.memory.cache.words[start + 3] = 0x1_0000
     assert "cache" in _failed_checks(ran_machine)
 
 
+def test_sanitizer_catches_a_stale_munch_index(ran_machine):
+    """The index a probe reads must name exactly the valid lines: an
+    index entry for a line that is not there is a machine check."""
+    cache = ran_machine.memory.cache
+    munch, line = next(iter(cache.resident.items()))
+    del cache.resident[munch]
+    assert "cache" in _failed_checks(ran_machine)
+    cache.resident[munch] = line
+    assert _failed_checks(ran_machine) == set()
+    cache.resident[munch + cache.num_sets] = line
+    failures = MachineCheckSanitizer(ran_machine).run_checks()
+    assert [f.detail for f in failures] == [
+        "the munch index disagrees with the valid lines"
+    ]
+
+
+def test_sanitizer_catches_a_tag_valid_in_two_ways(ran_machine):
+    cache = ran_machine.memory.cache
+    assert cache.ways == 2
+    line = next(iter(cache.resident.values()))
+    other = line ^ 1  # the other way of the set
+    cache.tag[other] = cache.tag[line]
+    cache.flags[other] = cache.flags[line]
+    failures = MachineCheckSanitizer(ran_machine).run_checks()
+    assert any(
+        f.check == "cache" and "valid in two ways" in f.detail
+        for f in failures
+    )
+
+
 def test_sanitizer_catches_map_entry_out_of_range(ran_machine):
-    entry = next(iter(ran_machine.memory.translator.map.values()))
-    entry.real_page = REAL_PAGE_MASK + 1
+    translator = ran_machine.memory.translator
+    page, entry = next(iter(translator.map.items()))
+    translator.map[page] = (REAL_PAGE_MASK + 1) << 4 | entry & 15
     assert "map" in _failed_checks(ran_machine)
 
 
@@ -455,8 +488,8 @@ def test_sanitizer_catches_plan_im_disagreement(ran_machine):
 
 def test_sweep_raises_corruption_detected_and_counts(ran_machine):
     cpu = ran_machine
-    line = _clean_clean_line(cpu)
-    line.words[0] ^= 0x0004
+    start = _clean_clean_line(cpu)
+    cpu.memory.cache.words[start] ^= 0x0004
     with pytest.raises(CorruptionDetected) as caught:
         MachineCheckSanitizer(cpu).sweep()
     error = caught.value
@@ -484,8 +517,8 @@ def test_retry_exhaustion_raises_unrecoverable_with_backoff():
     clean; the budget must exhaust."""
     cpu = mesa_loop_sum(60).cpu
     cpu.run(600)
-    line = _clean_clean_line(cpu)
-    line.words[0] ^= 0x0004  # poisoned before the first checkpoint
+    start = _clean_clean_line(cpu)
+    cpu.memory.cache.words[start] ^= 0x0004  # poisoned before the first checkpoint
 
     supervisor = Supervisor(
         cpu,
