@@ -27,7 +27,6 @@ from .cluster import (
     Cluster,
     ClusterState,
     Node,
-    arm_fault_plan,
 )
 from .fabric import Fabric, Packet
 from .programs import (
@@ -52,7 +51,6 @@ __all__ = [
     "RingOrigin",
     "RingRelay",
     "TX_BUFFER_VA",
-    "arm_fault_plan",
     "build_ring_cluster",
     "build_ring_template",
     "ring_epoch_budget",

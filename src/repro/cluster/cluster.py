@@ -36,10 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.counters import HOLD_CAUSE_NAMES
 from ..errors import ConfigError, StateError
-from ..fault.injector import FaultInjector
-from ..fault.plan import FaultConfig, InjectionPlan
+from ..fault.plan import FaultConfig
 from ..io.network import NetworkController
-from ..mem.pipeline import FAULT_STORAGE
 from ..state import MachineState, canonical_json, parse_canonical_json
 from ..workers import Worker, can_fork
 from .fabric import Fabric
@@ -47,32 +45,6 @@ from .fabric import Fabric
 #: Version stamp of the cluster snapshot layout; the per-node payloads
 #: carry their own STATE_FORMAT_VERSION and are checked by restore().
 CLUSTER_FORMAT_VERSION = 1
-
-
-def arm_fault_plan(cpu, fault_config: FaultConfig) -> None:
-    """Give a forked machine its own seeded fault plan, in place.
-
-    ``Processor.fork()`` clones the clean template, so a per-node plan
-    cannot ride in through the constructor; instead the node's config
-    is replaced (fault plans are config, so snapshots of the armed node
-    refuse machines armed differently) and the injector is wired
-    exactly as :class:`~repro.mem.pipeline.MemorySystem` wires one at
-    construction: clock on the memory pipeline, uncorrectable errors
-    into the storage fault latch, the ECC filter onto storage.
-    """
-    config = dataclasses.replace(cpu.config, fault_injection=fault_config)
-    cpu.config = config
-    memory = cpu.memory
-    memory.config = config
-    injector = FaultInjector(InjectionPlan.from_config(fault_config), cpu.counters)
-    injector.bind(
-        clock=lambda: memory.now,
-        on_uncorrectable=lambda: memory._fault(FAULT_STORAGE),
-    )
-    memory.injector = injector
-    memory.storage.ecc = injector.ecc
-    # Compiled code folds in whether an injector exists.
-    cpu._recompose()
 
 
 def step_node(
@@ -191,11 +163,11 @@ class Cluster:
                 raise ConfigError(f"fault plan for nonexistent node {index}")
         nodes = []
         for index in range(num_nodes):
-            cpu = template.fork()
             plan = plans.get(index)
-            if plan is not None:
-                arm_fault_plan(cpu, plan)
-            nodes.append(Node(index, cpu, programs[index]))
+            config = template.config if plan is None else dataclasses.replace(
+                template.config, fault_injection=plan
+            )
+            nodes.append(Node(index, template.fork(config=config), programs[index]))
         return cls(nodes, Fabric(num_nodes, hop_latency, links),
                    epoch_cycles=epoch_cycles)
 

@@ -70,10 +70,16 @@ class AluControl:
     def decode(bits: int) -> "AluControl":
         if not 0 <= bits < 64:
             raise EncodingError(f"ALUFM word {bits:#x} does not fit in 6 bits")
-        carry = (bits >> 4) & 0x3
-        if carry == 3:
-            carry = int(CarryIn.SAVED)
-        return AluControl(AluFunc(bits & 0xF), CarryIn(carry))
+        return _ALUFM_WORDS[bits]
+
+
+#: Every 6-bit ALUFM word decoded once (carry-in 3 means SAVED too):
+#: ``AluControl`` is frozen, so ALUFM loads -- every fork and restore --
+#: and writes share these.
+_ALUFM_WORDS = tuple(
+    AluControl(AluFunc(bits & 0xF), CarryIn(min(bits >> 4, CarryIn.SAVED)))
+    for bits in range(64)
+)
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,16 @@ identically on every tier.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig, PRODUCTION
-from ..errors import DeviceError, EncodingError, HoldTimeout, MicrocodeCrash
+from ..errors import ConfigError, DeviceError, EncodingError, HoldTimeout, MicrocodeCrash, StateError
 from ..mem.pipeline import MemorySystem
 from ..ifu.ifu import Ifu
+from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
 from ..types import EMULATOR_TASK, word
 from . import functions
 from .alu import Alu
@@ -91,6 +94,10 @@ HOLD_LIMIT = 100_000
 
 # Fault bits merged into the FF READ_FAULTS / EXTB_FAULTS word.
 FAULT_STACK_SHIFT = 3  # stack error byte sits above the memory fault bits
+
+#: What restore checks a snapshot's config against, once per config (a
+#: machine's is fixed when it is built); a snapshot emits a fresh one.
+_signature = functools.lru_cache(maxsize=64)(config_signature)
 
 
 def _weak_hook(machine: "Processor", method: Callable) -> Callable:
@@ -311,8 +318,6 @@ class Processor:
         for index, device in enumerate(self._devices):
             if device is port:
                 return index
-        from ..errors import StateError
-
         raise StateError(
             "in-flight fast I/O targets a port that is not an attached "
             "device; snapshot cannot name it"
@@ -325,8 +330,6 @@ class Processor:
         further stepping, serialize with ``save()``, or apply to another
         machine built with an equal config.
         """
-        from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
-
         data = {
             "version": STATE_FORMAT_VERSION,
             "config": config_signature(self.config),
@@ -363,16 +366,18 @@ class Processor:
         steps of those slots, and the regions when no slot changed,
         unless the ALUFM changed.
         """
-        from ..errors import StateError
-        from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
-
         data = state.data if isinstance(state, MachineState) else state
+        self._check_state(data)
+        self._load_snapshot(data)
+
+    def _check_state(self, data: dict) -> None:
+        """Refuse a snapshot this machine cannot take (see :meth:`restore`)."""
         if data["version"] != STATE_FORMAT_VERSION:
             raise StateError(
                 f"snapshot format v{data['version']} != "
                 f"supported v{STATE_FORMAT_VERSION}"
             )
-        if data["config"] != config_signature(self.config):
+        if data["config"] != _signature(self.config):
             raise StateError(
                 "snapshot was taken on a machine with a different config"
             )
@@ -381,17 +386,18 @@ class Processor:
                 f"snapshot has {len(data['io'])} devices; "
                 f"this machine has {len(self._devices)}"
             )
-        injector = self.memory.injector
-        if (data["fault"] is not None) != (injector is not None):
+        if (data["fault"] is not None) != (self.memory.injector is not None):
             raise StateError(
                 "snapshot and machine disagree about fault injection"
             )
+        if not all(type(a) is int and 0 <= a < len(self.im) for a in data["im"]):
+            raise StateError("snapshot IM has an address outside this machine's IM")
 
+    def _load_snapshot(self, data: dict, fault: bool = True) -> None:
+        """Load a checked snapshot (*fault* False: keep the injector's own)."""
         # Only slots occupied in either image can differ.
         stored_im = data["im"]
         im = self.im
-        if not all(type(a) is int and 0 <= a < len(im) for a in stored_im):
-            raise StateError("snapshot IM has an address outside this machine's IM")
         current = self._encoded_im()
         for address in set(stored_im).union(current):
             stored = stored_im.get(address)
@@ -405,28 +411,33 @@ class Processor:
         self.ifu.load_state(data["ifu"])
         for device, device_state in zip(self._devices, data["io"]):
             device.load_state(device_state)
-        if injector is not None:
-            injector.load_state(data["fault"])
+        if fault and self.memory.injector is not None:
+            self.memory.injector.load_state(data["fault"])
         # A recording in flight describes the trajectory just replaced.
         self._traces.abort_recording()
 
-    def fork(self, state=None) -> "Processor":
+    def fork(self, state=None, config: Optional[MachineConfig] = None) -> "Processor":
         """A fully independent copy of this machine, mid-run.
 
         The clone shares nothing mutable with the original: it gets its
         own registers, memory, devices, and fault cursors, built from a
         :meth:`snapshot` and deep copies of the device models.  Stepping
         either machine cannot perturb the other.  It starts with this
-        machine's step and region tables: compiled code takes the
-        machine it runs as an argument.
+        machine's step and region tables if it has this composition:
+        compiled code takes the machine it runs as an argument.
 
-        Given *state* (a snapshot of this machine or an identical twin),
-        the clone is restored from it instead of from this machine's own
-        snapshot: the same program and devices, that state -- one restore
-        where a fork followed by a restore would pay two.
+        The clone is built for *config* (default: this machine's), which
+        may differ from it only in ``fault_injection`` (else
+        :class:`~repro.errors.ConfigError`); under another plan the
+        clone's injector starts fresh, as a machine built for it does.
+        Given *state* (a snapshot of a machine built for *config*), the
+        clone is restored from it instead of from this machine's own
+        snapshot -- one restore where a fork and a restore pay two.
         """
-        snap = self.snapshot() if state is None else state
-        clone = Processor(self.config)
+        config = config or self.config
+        if dataclasses.replace(config, fault_injection=self.config.fault_injection) != self.config:
+            raise ConfigError("a fork may change only the fault plan of its parent's config")
+        clone = Processor(config)
         clone.symbols = dict(self.symbols)
         # MicroInstruction objects are immutable; sharing the words is
         # safe, and restore() will not need to re-decode any of them.
@@ -439,12 +450,17 @@ class Processor:
             clone.ifu.load_table(self.ifu.table, self.ifu._dispatch_addresses)
         for device in self._devices:
             clone.attach_device(self._clone_device(device))
-        # With this ALUFM the clone has this machine's composition; the
-        # restore drops what the snapshot's IM or ALUFM does not share.
+        # With this ALUFM the clone has this machine's composition unless
+        # only one has an injector: code compiled without one must never
+        # run with one.  The restore drops what the IM or ALUFM does not share.
         clone.alu.load_state(self.alu.state_dict())
-        clone._traces.steps.update(self._traces.steps)
-        clone._traces.traces.update(self._traces.traces)
-        clone.restore(snap)
+        if clone._composition == self._composition:
+            clone._traces.steps.update(self._traces.steps)
+            clone._traces.traces.update(self._traces.traces)
+        if state is None:  # our own snapshot: no checks
+            clone._load_snapshot(self.snapshot().data, fault=config == self.config)
+        else:
+            clone.restore(state)
         return clone
 
     @staticmethod
@@ -582,12 +598,11 @@ class Processor:
         traces = cache.traces
         step = self._step_compiled
         pipe = self.pipe
-        memory = self.memory
         while not self.halted and counters.cycles < limit:
             task = pipe.this_task
             pc = self.this_pc
             hook = self.trace_hook
-            if hook is None and cache._rec_key is None and not memory.fault_flags:
+            if hook is None and cache._rec_key is None:
                 fn = traces.get((task, pc))
                 if fn is not None:
                     cache.entries += 1
@@ -596,10 +611,9 @@ class Processor:
                     ran = counters.cycles - before
                     if ran:
                         cache.traced_cycles += ran
-                        if not memory.fault_flags:
-                            # A side exit: where a trace leaves off is a
-                            # region head too.
-                            cache.heat((pipe.this_task, self.this_pc))
+                        # A side exit: where a trace leaves off is a
+                        # region head too.
+                        cache.heat((pipe.this_task, self.this_pc))
                         continue
                     # Zero progress: a fast-mode entry guard failed or
                     # the budget is smaller than one loop iteration.

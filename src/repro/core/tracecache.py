@@ -60,8 +60,9 @@ Correctness contract (DESIGN.md section 5.6):
   dynamic NEXTPC (branch, IFU dispatch, return, B-dispatch) diverges
   from the recorded path, or the cycle budget is spent.  Nothing
   compiled runs while a ``trace_hook`` is installed (instrumentation
-  sees every cycle interpretively), and regions are not entered while
-  a memory fault is latched.
+  sees every cycle interpretively).  A latched memory fault changes
+  nothing here: the latch is architectural state that steps and
+  regions read and write exactly as the interpreter does.
 * Invalidation.  Any IM write -- console, bootstrap loader,
   ``load_image``, direct pokes, slices -- funnels through
   ``MicrostoreImage.__setitem__`` into ``Processor._invalidate_im``,
@@ -72,10 +73,11 @@ Correctness contract (DESIGN.md section 5.6):
   never run stale.  Every other fact generated code depends on is in
   the composition, which ``Processor._recompose`` recomputes when one
   may have changed (``attach_device``, every ALUFM write or load
-  through the ALU's write hook, the cluster arming an injector); a
-  changed composition drops the machine's steps and regions.  So
-  ``restore()`` keeps both (it aborts an in-flight recording) and
-  ``fork()`` carries its parent's.
+  through the ALU's write hook); a changed composition drops the
+  machine's steps and regions.  So ``restore()`` keeps both (it aborts
+  an in-flight recording) and ``fork()`` carries its parent's when the
+  clone has the parent's composition -- not when it is forked into a
+  fault plan and only one of them has an injector.
 * Untraceable plans.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
   ``HALT`` (generated code does not re-check ``halted`` per cycle), FF
   ``BREAKPOINT`` (its message reads ``this_pc``, which is batched) and

@@ -166,7 +166,7 @@ CLUSTER_WORKLOAD = "cluster_ring"
 def _execute_cluster(spec: ScenarioSpec) -> Dict[str, Any]:
     """Run a relay-ring cluster cell: N nodes, optional per-node faults.
 
-    A faulted cluster cell arms *every* node with its own fault plan,
+    A faulted cluster cell forks *every* node into its own fault plan,
     each seeded from the cell seed and the node index -- so the sweep
     exercises N distinct deterministic fault streams at once.  The
     recorded ``cluster_hash`` covers the canonical cluster snapshot

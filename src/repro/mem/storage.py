@@ -10,6 +10,8 @@ time of our storage RAMS)" (section 6.2.1) -- the timing lives in
 
 from __future__ import annotations
 
+import copy
+import mmap
 from array import array
 from itertools import groupby
 from typing import List, Sequence, Set
@@ -20,6 +22,10 @@ from ..types import MUNCH_WORDS, word
 from .map import PAGE_SHIFT, PAGE_WORDS
 
 
+#: Where there is ``fork``, there is ``MAP_PRIVATE``.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
 class Storage:
     """A flat array of 16-bit words, addressed by real address."""
 
@@ -27,9 +33,12 @@ class Storage:
         if words <= 0 or words % MUNCH_WORDS:
             raise ConfigError(f"storage size {words} must be a positive multiple of {MUNCH_WORDS}")
         self.size = words
-        #: 16-bit words in an ``array``: a quarter of a list's memory,
-        #: and nothing for the cyclic garbage collector to traverse.
-        self._data = _zeros(words)
+        #: 16-bit words in an anonymous ``mmap``: zero pages that are
+        #: never written take no memory, nothing for the cyclic garbage
+        #: collector to traverse, and a dropped image goes back to the
+        #: system instead of fragmenting the heap.  Private, so a forked
+        #: worker's writes stay its own (an anonymous map is shared).
+        self._data = memoryview(mmap.mmap(-1, 2 * words, **_PRIVATE)).cast("H")
         #: Every page (``address >> PAGE_SHIFT``) that may hold a nonzero
         #: word; all other pages are zero.  Snapshots walk these alone.
         self._touched: Set[int] = set()
@@ -38,6 +47,13 @@ class Storage:
         #: when fault injection is configured.  The stored data is never
         #: modified -- errors happen "on the wires".
         self.ecc = None
+
+    def __deepcopy__(self, memo) -> "Storage":
+        clone = Storage(self.size)
+        clone._data[:] = self._data
+        clone._touched = set(self._touched)
+        clone.ecc = copy.deepcopy(self.ecc, memo)
+        return clone
 
     def in_range(self, address: int) -> bool:
         return 0 <= address < self.size
@@ -167,17 +183,12 @@ class Storage:
 
     def _clear(self) -> None:
         """Zero the touched pages in place: a load reuses the image."""
-        zeros = _zeros(PAGE_WORDS)
+        zeros = array("H", [0]) * PAGE_WORDS
         for page in self._touched:
             start = page << PAGE_SHIFT
             end = min(start + PAGE_WORDS, self.size)
             self._data[start:end] = zeros[: end - start]
         self._touched = set()
-
-
-def _zeros(words: int) -> array:
-    """A storage image of *words* zero words."""
-    return array("H", [0]) * words
 
 
 def _pages(start: int, end: int) -> range:

@@ -13,10 +13,9 @@ The module also owns the process-local *boot cache* (moved here from
 ``repro.exp.matrix``): the first session needing a (workload, args,
 config) machine builds and boots it once, and every session starts from
 a :meth:`~repro.core.processor.Processor.fork` of that pristine
-template, so microcode assembly is paid once per process.  Only fault-free
-configs are cached -- a seeded fault plan is single-use and would only
-pin memory -- which also keeps faulted machines bit-identical to direct
-construction, the basis of the existing golden pins.
+template, so microcode assembly is paid once per process.  Templates are
+fault-free: a faulted session forks its config's template into the plan,
+and its boot is byte-identical to a direct build (``tests/test_service.py``).
 
 Determinism contract: a session's trajectory is a pure function of its
 (workload, args, config, fault seed) identity and the sequence of slice
@@ -124,9 +123,8 @@ def config_from_signature(signature: Dict[str, Any]) -> MachineConfig:
 #: (workload, args, config) -> the pristine booted template Workload,
 #: least recently used first.  Process-local; fleet workers each grow
 #: their own on demand (or inherit a prewarmed parent cache across
-#: ``fork``).  Only fault-free configs are cached: seeded faulted
-#: configs are single-use.  A template is only ever forked, never run
-#: or handed out.
+#: ``fork``).  Keys are fault-free configs.  A template is only ever
+#: forked, never run or handed out.
 _BOOT_CACHE: "OrderedDict[Tuple[str, Tuple, MachineConfig], Workload]" = OrderedDict()
 
 #: Templates the boot cache keeps (~2.5 MiB each): a process's memory
@@ -136,6 +134,8 @@ _BOOT_CACHE_LIMIT = 32
 
 
 def _template(name: str, args: Tuple, config: MachineConfig) -> Workload:
+    """The cached fault-free template for *config* (its plan left out)."""
+    config = dataclasses.replace(config, fault_injection=None)
     key = (name, args, config)
     template = _BOOT_CACHE.get(key)
     if template is None:
@@ -150,7 +150,7 @@ def _template(name: str, args: Tuple, config: MachineConfig) -> Workload:
 
 
 def prewarm_boot_cache(name: str, args: Tuple, config: MachineConfig) -> None:
-    """Boot the template for a fault-free *config* on a miss.  Forks
+    """Boot the template sessions of *config* fork, on a miss.  Forks
     nothing, so a fleet's workers inherit no machine that nobody runs."""
     _template(name, args, config)
 
@@ -163,22 +163,14 @@ def booted_workload(
 ) -> Workload:
     """The workload on a machine of its own, booted for *config*.
 
-    A fault-free config forks the cached template's machine; the
-    returned workload shares the template's oracle and owns the fork.
-    A faulted config is built directly and never cached.
-
-    With *state*, the machine is restored to that snapshot: the template
-    is forked straight into it, without snapshotting the boot first; a
-    directly built machine restores it in place.
+    The machine is the cached fault-free template's fork into *config*'s
+    fault plan, if any; the returned workload shares the template's
+    oracle and owns the fork.  With *state* (a snapshot of a machine
+    built for *config*), the template is forked straight into it.
     """
     args = tuple(args)
-    if config.fault_injection is not None:
-        workload = _resolve_builder(name)(config=config, **dict(args))
-        if state is not None:
-            workload.cpu.restore(state)
-        return workload
     template = _template(name, args, config)
-    return dataclasses.replace(template, cpu=template.cpu.fork(state))
+    return dataclasses.replace(template, cpu=template.cpu.fork(state, config))
 
 
 def clear_boot_cache() -> None:

@@ -1,5 +1,8 @@
 """Edge cases and error paths across the substrates."""
 
+import copy
+import os
+
 import pytest
 
 from repro import Assembler, ConfigError, DeviceError, EmulatorError, Processor
@@ -27,6 +30,29 @@ def test_storage_write_munch_length():
     storage = Storage(64)
     with pytest.raises(ConfigError):
         storage.write_munch(0, [0] * 8)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_storage_written_in_a_forked_child_is_its_own():
+    """Workers are forked from a parent holding machines: a child's
+    storage writes must not reach the parent's image."""
+    storage = Storage(64)
+    storage.write_word(5, 7)
+    pid = os.fork()
+    if pid == 0:
+        storage.write_word(5, 9)
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert storage.read_word(5) == 7
+
+
+def test_storage_deepcopy_is_independent():
+    storage = Storage(64)
+    storage.load(0, [1, 2, 3])
+    clone = copy.deepcopy(storage)
+    clone.write_word(1, 9)
+    assert storage.dump(0, 3) == [1, 2, 3] and clone.dump(0, 3) == [1, 9, 3]
+    assert clone.state_dict() != storage.state_dict()
 
 
 def test_storage_munch_base():

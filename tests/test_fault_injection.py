@@ -27,6 +27,7 @@ import pytest
 
 from repro import Assembler, FF, HoldTimeout, Processor
 from repro.config import INTERPRETED, PRODUCTION, MachineConfig
+from repro.errors import ConfigError
 from repro.fault import FaultConfig, FaultKind, InjectionPlan
 from repro.io.disk import DiskController, DiskGeometry, disk_microcode
 from repro.mem.map import FLAG_VALID, PAGE_SHIFT
@@ -129,7 +130,7 @@ def test_one_correctable_fault_every_workload_still_verifies(name):
 
 
 # --------------------------------------------------------------------------
-# Both cycle implementations consume the plan identically
+# Every tier consumes the plan identically
 # --------------------------------------------------------------------------
 
 def _faulted_run(config: MachineConfig, fault: FaultConfig):
@@ -159,10 +160,11 @@ def test_identical_seed_identical_trace_under_both_cores(fault):
         label: _faulted_run(config, fault) for label, config in CONFIGS
     }
     interp_state, interp_trace, interp_outcome = runs["interp"]
-    plan_state, plan_trace, plan_outcome = runs["plan"]
-    assert interp_outcome == plan_outcome
-    assert interp_trace == plan_trace, "fault traces diverged between cores"
-    assert interp_state == plan_state, "machine state diverged between cores"
+    for label in ("plan", "traced"):
+        state, trace, outcome = runs[label]
+        assert outcome == interp_outcome, label
+        assert trace == interp_trace, f"fault traces diverged on {label}"
+        assert state == interp_state, f"machine state diverged on {label}"
 
 
 # --------------------------------------------------------------------------
@@ -348,6 +350,84 @@ def test_disk_read_of_a_truly_bad_sector_reports_hard_error():
     cpu.run_until(lambda m: disk.done, max_cycles=100_000)
     assert disk.done and disk.hard_error
     assert disk.read_register(1) & 0x4, "status register exposes the hard error"
+
+
+# --------------------------------------------------------------------------
+# A faulted machine is a fork of a clean one, given the fault plan
+# --------------------------------------------------------------------------
+
+def test_fork_refuses_a_config_that_differs_beyond_the_fault_plan():
+    cpu = Processor(PRODUCTION)
+    plan = FaultConfig(seed=3, map_faults=1)
+    cpu.fork(config=dataclasses.replace(PRODUCTION, fault_injection=plan))
+    for change in ({"tier": "interp"}, {"hold_limit": 64}, {"fault_task": 9},
+                   {"bypass_enabled": False}):
+        config = dataclasses.replace(PRODUCTION, fault_injection=plan, **change)
+        with pytest.raises(ConfigError, match="only the fault plan"):
+            cpu.fork(config=config)
+
+
+def test_faulted_fork_of_a_traced_clean_template_compiles_its_own_code():
+    """A fork into a fault plan has an injector its parent lacks, so it
+    carries none of the parent's compiled steps or regions; the code it
+    compiles for itself runs it bit-identically to the interpreter."""
+    fault = FaultConfig(seed=9, storage_correctable=4, map_faults=2, last_cycle=3000)
+    runs = {}
+    for label, config in (CONFIGS[0], CONFIGS[2]):
+        template = ALL_WORKLOADS["mesa_loop_sum"](config=config).cpu
+        template.run(1500)
+        cpu = template.fork(config=dataclasses.replace(config, fault_injection=fault))
+        if label == "traced":
+            assert template._traces.traces, "the template compiled no region"
+            assert not cpu._traces.steps and not cpu._traces.traces
+        cycles = cpu.run(100_000)
+        runs[label] = (cycles, cpu, template)
+    _, cpu, template = runs["traced"]
+    assert cpu.counters.faults_latched, "no fault latched"
+    assert cpu._traces.stats()["traced_cycles"] > 0
+    clean_code = {id(fn) for fn in template._traces.steps.values()}
+    clean_code.update(id(fn) for fn in template._traces.traces.values())
+    assert clean_code.isdisjoint(id(fn) for fn in cpu._traces.steps.values())
+    assert clean_code.isdisjoint(id(fn) for fn in cpu._traces.traces.values())
+    assert runs["traced"][0] == runs["interp"][0]
+    assert_same_machine(cpu, runs["interp"][1])
+    assert cpu.fault_injector.trace == runs["interp"][1].fault_injector.trace
+
+
+def _e14_disk_outcome(cpu, disk, write):
+    """Report E14's disk scenario: a read retried, or a write remapped."""
+    if write:
+        for i in range(64):
+            cpu.memory.debug_write(0x4000 + i, (i * 3) & 0xFFFF)
+        disk.begin_write(cpu, sector=2, buffer_va=0x4000)
+    else:
+        disk.fill_sector(1, [i & 0xFFFF for i in range(64)])
+        disk.begin_read(cpu, sector=1, buffer_va=0x4000)
+    cpu.run_until(lambda m: disk.done, max_cycles=100_000)
+    counters = cpu.counters
+    return (disk.done, disk.hard_error, counters.disk_retries, counters.disk_remaps,
+            disk.read_sector_image(2), cpu.snapshot().to_json())
+
+
+@pytest.mark.parametrize("persistence,write", [(2, False), (99, True)],
+                         ids=["read-retried", "write-remapped"])
+def test_faulted_fork_of_a_clean_disk_machine_matches_a_direct_build(persistence, write):
+    """The disk reaches its injector through the memory system it is
+    attached to, so a clean disk machine forked into a plan retries and
+    remaps exactly as one built for that plan."""
+    fault = FaultConfig(seed=7, disk_errors=1, disk_error_persistence=persistence,
+                        last_cycle=0)
+    clean, _ = disk_machine(None)
+    cpu = clean.fork(config=MachineConfig(fault_injection=fault))
+    forked = _e14_disk_outcome(cpu, cpu.devices[0], write)
+    assert forked == _e14_disk_outcome(*disk_machine(fault), write)
+    done, hard_error, retries, remaps = forked[:4]
+    assert done and not hard_error
+    if write:
+        assert remaps == 1 and forked[4] == [(i * 3) & 0xFFFF for i in range(64)]
+    else:
+        assert (retries, remaps) == (2, 0)
+    assert clean.counters.disk_retries == 0 and clean.fault_injector is None
 
 
 # --------------------------------------------------------------------------

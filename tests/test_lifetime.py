@@ -142,10 +142,10 @@ def test_fleet_prewarm_forks_no_machine_and_pins_none(monkeypatch):
     forks = 0
     fork = Processor.fork
 
-    def counting_fork(self, state=None):
+    def counting_fork(self, state=None, config=None):
         nonlocal forks
         forks += 1
-        return fork(self, state)
+        return fork(self, state, config)
 
     clear_boot_cache()
     monkeypatch.setattr(Processor, "fork", counting_fork)

@@ -14,6 +14,7 @@ Three layers under test (DESIGN.md 5.9):
 """
 
 import asyncio
+import dataclasses
 import json
 import pathlib
 import tracemalloc
@@ -22,7 +23,8 @@ import pytest
 
 from repro.config import PRODUCTION
 from repro.errors import EmulatorError, ServiceError
-from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
+from repro.fault import FaultConfig
+from repro.perf.workloads import ALL_WORKLOADS, SESSION_WORKLOADS, mesa_loop_sum
 from repro.service import (
     Fleet,
     Frontend,
@@ -32,8 +34,11 @@ from repro.service import (
     loadtest_json,
     run_loadtest,
 )
-from repro.service.loadtest import ROTATION, build_script
-from repro.service.session import _BOOT_CACHE, _BOOT_CACHE_LIMIT, clear_boot_cache
+from repro.service.loadtest import FAULT_TEMPLATE, ROTATION, build_script
+from repro.service.session import (
+    _BOOT_CACHE, _BOOT_CACHE_LIMIT, booted_workload, clear_boot_cache,
+    prewarm_boot_cache,
+)
 from repro.state import canonical_json, config_signature, parse_canonical_json
 
 MESA_CYCLES = json.loads(
@@ -314,10 +319,6 @@ def test_resume_refuses_storage_beyond_the_real_machine():
 
 
 def test_config_signature_roundtrip_rebuilds_config():
-    import dataclasses
-
-    from repro.fault.plan import FaultConfig
-
     assert config_from_signature(config_signature(PRODUCTION)) == PRODUCTION
     faulted = dataclasses.replace(
         PRODUCTION, fault_injection=FaultConfig(**DEMO_FAULT)
@@ -362,6 +363,54 @@ def test_faulted_session_survives_midrun_migration():
     assert migrated.arch_hash() == straight.arch_hash()
     assert migrated.cpu.counters.cycles == straight.cpu.counters.cycles
     assert migrated.verify()
+
+
+def _faulted_config(seed):
+    return dataclasses.replace(
+        PRODUCTION, fault_injection=FaultConfig(**dict(FAULT_TEMPLATE, seed=seed))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_WORKLOADS))
+def test_faulted_boot_forked_from_the_clean_template_equals_a_direct_build(name):
+    """A faulted session's machine is the clean template's fork with the
+    plan; its boot is byte-identical to a machine built for the plan."""
+    for seed in (101, 202, 303):
+        config = _faulted_config(seed)
+        direct = SESSION_WORKLOADS[name](config=config).cpu
+        forked = booted_workload(name, (), config).cpu
+        assert forked.config == config
+        assert forked.snapshot().to_json() == direct.snapshot().to_json()
+
+
+def test_faulted_sessions_fork_the_template_a_faulted_prewarm_boots():
+    clear_boot_cache()
+    prewarm_boot_cache("mesa_loop_sum", (), _faulted_config(101))
+    template = _BOOT_CACHE[("mesa_loop_sum", (), PRODUCTION)]
+    Session.build("mesa_loop_sum", fault=dict(FAULT_TEMPLATE, seed=202))
+    assert list(_BOOT_CACHE.values()) == [template]
+    assert template.cpu.fault_injector is None
+    clear_boot_cache()
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_WORKLOADS))
+def test_faulted_session_resumed_every_slice_equals_a_direct_resident_one(name):
+    """A session on a directly built faulted machine that stays resident
+    and one forked, suspended and resumed after every slice end alike."""
+    for seed in (101, 202, 303):
+        config = _faulted_config(seed)
+        resident = Session(
+            name, SESSION_WORKLOADS[name](config=config), supervise=True,
+            spec={"workload": name, "args": {}},
+        )
+        run_to_halt(resident, slice_cycles=1200)
+        churned = Session.build(name, config=config)
+        for _ in range(1000):
+            if churned.halted:
+                break
+            churned.run_slice(1200)
+            churned = Session.resume(churned.suspend())
+        assert churned.result() == resident.result()
 
 
 def test_many_live_sessions_share_one_boot_template():

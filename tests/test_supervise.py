@@ -230,12 +230,14 @@ def test_sweep_cadence_counts_replayed_cycles(interval, sweeps, rollbacks):
 def test_resident_session_snapshots_each_state_once(monkeypatch):
     """A slice that starts where the previous one promoted its last
     checkpoint reuses it: a resident supervised session in 1200-cycle
-    slices snapshots each cycle once, its rollback included."""
-    taken = []
+    slices snapshots each cycle once, its rollback included.  Only the
+    session's machine counts: opening the session forks it from the
+    boot template, whose snapshot at cycle 0 is taken on the template."""
+    calls = []
     snapshot = Processor.snapshot
 
     def counting(cpu):
-        taken.append(cpu.counters.cycles)
+        calls.append((cpu, cpu.counters.cycles))
         return snapshot(cpu)
 
     monkeypatch.setattr(Processor, "snapshot", counting)
@@ -244,6 +246,7 @@ def test_resident_session_snapshots_each_state_once(monkeypatch):
     )
     while not session.halted:
         session.run_slice(1200)
+    taken = [cycles for cpu, cycles in calls if cpu is session.cpu]
     assert session.cpu.counters.rollbacks >= 1
     assert taken == sorted(set(taken)), f"duplicate snapshots: {taken}"
     assert taken == [0, 1200, 2400, 3600, 4800, 4807]
