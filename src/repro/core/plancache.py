@@ -12,8 +12,10 @@ so THISPC is a compile-time constant).  A plan executes nothing itself:
 :mod:`repro.core.tracecache` folds its fields into the generated source
 of the plan tier's one-cycle steps and of the traced tier's regions.
 
-Invalidation (the paper's section 6.2.3 write paths): any IM rewrite
-must drop what was compiled from the slot.  All three write paths
+Invalidation (the paper's section 6.2.3 write paths): code compiled
+from a slot must never run after the slot is rewritten, so any IM
+rewrite takes the machine out of its fork family, whose tables hold
+that code (:class:`~repro.core.tracecache.CodeFamily`).  All three write paths
 funnel through ``im[address] = ...`` on the processor's
 :class:`MicrostoreImage` -- ``Console.im_write_high`` (microcode FF
 writes, which is also how the :mod:`repro.asm.bootstrap` resident
@@ -28,7 +30,8 @@ at execution time, which is what keeps the compiled tiers
 observationally equivalent to the interpretive one
 (``tests/test_fastpath_parity.py`` proves it bit-identical, counters
 and cycle counts included).  The slot's ALUFM entry is folded into the
-generated code, which is why FF ``ALUFM_WRITE`` drops it.
+generated code, which is why FF ``ALUFM_WRITE`` switches the machine
+to other tables.
 
 The compiled Hold flags (``hold_fastio``, ``hold_md``,
 ``hold_nextmacro``) map one-to-one onto the processor's hold-cause
@@ -371,7 +374,8 @@ class MicrostoreImage(list):
     Every IM write path -- :meth:`Console.im_write_high`, host-side
     ``load_image``, the bootstrap loader's FF writes, and direct
     ``cpu.im[addr] = inst`` pokes from tests and debuggers -- ends in a
-    ``__setitem__`` here, which drops what was compiled from the slot.
+    ``__setitem__`` here, which takes the machine out of its fork
+    family and so away from what was compiled from the slot.
     """
 
     def __init__(self, size: int, on_write: Callable[[object], None]) -> None:

@@ -58,7 +58,7 @@ from ..config import MachineConfig, PRODUCTION
 from ..errors import ConfigError, DeviceError, EncodingError, HoldTimeout, MicrocodeCrash, StateError
 from ..mem.pipeline import MemorySystem
 from ..ifu.ifu import Ifu
-from ..state import STATE_FORMAT_VERSION, MachineState, config_signature
+from ..state import STATE_FORMAT_VERSION, MachineState, config_signature, restore_allowance
 from ..types import EMULATOR_TASK, word
 from . import functions
 from .alu import Alu
@@ -80,7 +80,7 @@ from .microword import (
 from .nextpc import ControlSection, NextOutcome
 from .plancache import MicrostoreImage
 from .registers import RegisterFile
-from .tracecache import Composition, TraceCache
+from .tracecache import CodeFamily, Composition, TraceCache
 from .shifter import ShiftControl, shift, shift_masked
 from .stack import StackUnit
 from .taskpipe import TaskPipeline
@@ -130,12 +130,14 @@ class Processor:
         self.tier = config.tier
         # What the plan and traced tiers run (DESIGN.md sections 5.1 and
         # 5.6): the table of compiled steps, filled per (task, pc) on
-        # first fetch, and the compiled regions.  Mechanism: never
-        # snapshotted.  The MicrostoreImage funnels every IM write path
-        # (console, bootstrap loader, load_image, direct pokes) into
+        # first fetch, and the compiled regions, both the fork family's
+        # for the machine's composition.  Mechanism: never snapshotted.
+        # The MicrostoreImage funnels every IM write path (console,
+        # bootstrap loader, load_image, direct pokes) into
         # _invalidate_im; every other fact the code depends on is in
         # the composition (_recompose).
         self._traces = TraceCache()
+        self._family = CodeFamily()
         self._composition: Optional[Composition] = None
         # The snapshot's IM section, kept until an IM write: mechanism,
         # so a cached section has the same bytes as a fresh walk.
@@ -185,8 +187,12 @@ class Processor:
         Task 0 is pointed at the image's entry (its first-emitted
         instruction); :meth:`boot` overrides that for other layouts.
         """
+        words = list(self.im)
         for address, inst in image.words.items():
-            self.im[address] = inst
+            words[address] = inst
+        # One slice write: the machine leaves its fork family once, not
+        # once per word.
+        self.im[:] = words
         self.symbols.update(image.symbols)
         self.boot(getattr(image, "entry", 0))
 
@@ -361,14 +367,17 @@ class Processor:
 
         Raises :class:`~repro.errors.StateError` when the snapshot's
         version, config signature, device roster, or fault plan does not
-        match this machine.  IM slots whose stored encoding equals the
-        current word are left untouched, so a restore keeps the compiled
-        steps of those slots, and the regions when no slot changed,
-        unless the ALUFM changed.
+        match this machine, or when its arrays with no fixed length hold
+        more than :data:`~repro.state.MAX_RESTORE_WORDS` words in total.
+        IM slots whose stored encoding equals the current word are left
+        untouched, so a restore that rewrites no slot keeps the machine
+        in its fork family, running its tables (for the snapshot's
+        ALUFM).
         """
         data = state.data if isinstance(state, MachineState) else state
         self._check_state(data)
-        self._load_snapshot(data)
+        with restore_allowance():
+            self._load_snapshot(data)
 
     def _check_state(self, data: dict) -> None:
         """Refuse a snapshot this machine cannot take (see :meth:`restore`)."""
@@ -419,12 +428,14 @@ class Processor:
     def fork(self, state=None, config: Optional[MachineConfig] = None) -> "Processor":
         """A fully independent copy of this machine, mid-run.
 
-        The clone shares nothing mutable with the original: it gets its
-        own registers, memory, devices, and fault cursors, built from a
-        :meth:`snapshot` and deep copies of the device models.  Stepping
-        either machine cannot perturb the other.  It starts with this
-        machine's step and region tables if it has this composition:
-        compiled code takes the machine it runs as an argument.
+        The clone shares no architectural state with the original: it
+        gets its own registers, memory, devices, and fault cursors,
+        built from a :meth:`snapshot` and deep copies of the device
+        models.  Stepping either machine cannot perturb the other.  It
+        joins this machine's fork family (:class:`~repro.core.
+        tracecache.CodeFamily`) and runs the family's step and region
+        tables for its own composition, which compiled code cannot
+        perturb either: it takes the machine it runs as an argument.
 
         The clone is built for *config* (default: this machine's), which
         may differ from it only in ``fault_injection`` (else
@@ -451,12 +462,12 @@ class Processor:
         for device in self._devices:
             clone.attach_device(self._clone_device(device))
         # With this ALUFM the clone has this machine's composition unless
-        # only one has an injector: code compiled without one must never
-        # run with one.  The restore drops what the IM or ALUFM does not share.
+        # only one has an injector, and then its own pair in the family:
+        # code compiled without one must never run with one.  A restore
+        # that rewrites a slot takes the clone out of the family again.
         clone.alu.load_state(self.alu.state_dict())
-        if clone._composition == self._composition:
-            clone._traces.steps.update(self._traces.steps)
-            clone._traces.traces.update(self._traces.traces)
+        clone._family = self._family
+        clone._traces.use(*self._family.table(clone._composition))
         if state is None:  # our own snapshot: no checks
             clone._load_snapshot(self.snapshot().data, fault=config == self.config)
         else:
@@ -598,45 +609,54 @@ class Processor:
         traces = cache.traces
         step = self._step_compiled
         pipe = self.pipe
-        while not self.halted and counters.cycles < limit:
-            task = pipe.this_task
-            pc = self.this_pc
-            hook = self.trace_hook
-            if hook is None and cache._rec_key is None:
-                fn = traces.get((task, pc))
-                if fn is not None:
-                    cache.entries += 1
-                    before = counters.cycles
-                    fn(self, limit - before)
-                    ran = counters.cycles - before
-                    if ran:
-                        cache.traced_cycles += ran
-                        # A side exit: where a trace leaves off is a
-                        # region head too.
-                        cache.heat((pipe.this_task, self.this_pc))
-                        continue
-                    # Zero progress: a fast-mode entry guard failed or
-                    # the budget is smaller than one loop iteration.
-                    # Fall through to the slot's step so run() always
-                    # advances.
-                    cache.stalls += 1
-            held_before = counters.held_cycles
-            step()
-            if hook is not None:
-                # Instrumented cycles are invisible to the detector: a
-                # recording that spanned them would have gaps.
+        # While the loop runs, a switch of the machine's tables (FF
+        # IM_WRITE_HI or ALUFM_WRITE, in a step) sets cache._rec_key, and
+        # the loop rebinds `traces` in its recording branch.
+        cache.running = True
+        try:
+            while not self.halted and counters.cycles < limit:
+                task = pipe.this_task
+                pc = self.this_pc
+                hook = self.trace_hook
+                if hook is None and cache._rec_key is None:
+                    fn = traces.get((task, pc))
+                    if fn is not None:
+                        cache.entries += 1
+                        before = counters.cycles
+                        fn(self, limit - before)
+                        ran = counters.cycles - before
+                        if ran:
+                            cache.traced_cycles += ran
+                            # A side exit: where a trace leaves off is a
+                            # region head too.
+                            cache.heat((pipe.this_task, self.this_pc))
+                            continue
+                        # Zero progress: a fast-mode entry guard failed or
+                        # the budget is smaller than one loop iteration.
+                        # Fall through to the slot's step so run() always
+                        # advances.
+                        cache.stalls += 1
+                held_before = counters.held_cycles
+                step()
+                if hook is not None:
+                    # Instrumented cycles are invisible to the detector: a
+                    # recording that spanned them would have gaps.
+                    if cache._rec_key is not None:
+                        cache.abort_recording()
+                        traces = cache.traces
+                    continue
+                if counters.held_cycles != held_before:
+                    continue  # a held cycle is "no-op, jump to self": no edge
+                new_pc = self.this_pc
                 if cache._rec_key is not None:
-                    cache.abort_recording()
-                continue
-            if counters.held_cycles != held_before:
-                continue  # a held cycle is "no-op, jump to self": no edge
-            new_pc = self.this_pc
-            if cache._rec_key is not None:
-                cache.record_step(self, task, pc, pipe.this_task, new_pc)
-            elif pipe.this_task == task and new_pc <= pc:
-                # A back edge: the classic hot-region signal (loops and
-                # re-entered service routines both produce one).
-                cache.heat((task, new_pc))
+                    traces = cache.traces
+                    cache.record_step(self, task, pc, pipe.this_task, new_pc)
+                elif pipe.this_task == task and new_pc <= pc:
+                    # A back edge: the classic hot-region signal (loops and
+                    # re-entered service routines both produce one).
+                    cache.heat((task, new_pc))
+        finally:
+            cache.running = False
         return counters.cycles - start
 
     def run_until(self, predicate: Callable[["Processor"], bool], max_cycles: int = 1_000_000) -> int:
@@ -651,7 +671,8 @@ class Processor:
 
     def _recompose(self) -> None:
         """Recompute the :class:`Composition` compiled code is keyed on
-        (DESIGN.md section 5.1); when it changed, drop the old code."""
+        (DESIGN.md section 5.1); when it changed, run the fork family's
+        tables for the new one."""
         config = self.config
         composition = Composition(
             bypass=config.bypass_enabled,
@@ -667,18 +688,14 @@ class Processor:
         )
         if composition != self._composition:
             self._composition = composition
-            self._traces.steps.clear()
-            self._traces.invalidate_all()
+            self._traces.use(*self._family.table(composition))
 
     def _invalidate_im(self, index) -> None:
-        """Drop what was compiled from a rewritten IM slot (or slice)."""
+        """An IM slot (or slice) was written: the machine no longer holds
+        its fork family's words, so it leaves for a family of its own."""
         self._im_section = None
-        size = len(self.im)
-        if isinstance(index, slice):
-            pcs = range(*index.indices(size))
-        else:
-            pcs = (index % size,)
-        self._traces.invalidate_slots(pcs)
+        self._family = CodeFamily()
+        self._traces.use(*self._family.table(self._composition))
 
     # ------------------------------------------------------------------
     # hold evaluation (section 5.7)

@@ -63,21 +63,26 @@ Correctness contract (DESIGN.md section 5.6):
   sees every cycle interpretively).  A latched memory fault changes
   nothing here: the latch is architectural state that steps and
   regions read and write exactly as the interpreter does.
-* Invalidation.  Any IM write -- console, bootstrap loader,
-  ``load_image``, direct pokes, slices -- funnels through
-  ``MicrostoreImage.__setitem__`` into ``Processor._invalidate_im``,
-  which drops the rewritten slots' steps and calls
-  :meth:`TraceCache.invalidate_all`: regions, hot counts, the blacklist
-  and any in-flight recording are all dropped.  The only *in-run* IM
-  write path (FF ``IM_WRITE_HI``) never compiles, so generated code can
-  never run stale.  Every other fact generated code depends on is in
-  the composition, which ``Processor._recompose`` recomputes when one
-  may have changed (``attach_device``, every ALUFM write or load
-  through the ALU's write hook); a changed composition drops the
-  machine's steps and regions.  So ``restore()`` keeps both (it aborts
-  an in-flight recording) and ``fork()`` carries its parent's when the
-  clone has the parent's composition -- not when it is forked into a
-  fault plan and only one of them has an injector.
+* Sharing and invalidation.  A machine's step and region tables belong
+  to its *fork family* (:class:`CodeFamily`): the machines forked from
+  one machine with the same IM contents, a session template at its
+  root.  The family holds one table pair per composition, so a fork, a
+  restored machine or a resumed session runs the regions any member
+  recorded from its first slice.  Any IM write -- console, bootstrap
+  loader, ``load_image``, direct pokes, slices, a restore that rewrites
+  a slot -- funnels through ``MicrostoreImage.__setitem__`` into
+  ``Processor._invalidate_im``, which moves the writer to a family of
+  its own with empty tables; the family it left keeps its code.  Every
+  other fact generated code depends on is in the composition, which
+  ``Processor._recompose`` recomputes when one may have changed
+  (``attach_device``, every ALUFM write or load through the ALU's write
+  hook); a changed composition switches the machine to its family's
+  pair for the new one, so a fork into a fault plan never runs code
+  generated without an injector.  Either switch drops the machine's hot
+  counts, blacklist and recording (:meth:`TraceCache.use`).  The only
+  *in-run* switches (FF ``IM_WRITE_HI`` and ``ALUFM_WRITE``) never
+  compile, and the run loop rebinds its region table right after one,
+  so generated code never runs stale.
 * Untraceable plans.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
   ``HALT`` (generated code does not re-check ``halted`` per cycle), FF
   ``BREAKPOINT`` (its message reads ``this_pc``, which is batched) and
@@ -189,12 +194,21 @@ _LOGICAL_ALU = {
 
 #: Process-wide memos of compiled steps and regions, keyed by
 #: :func:`code_key`.  Compiled code binds nothing machine-specific, so
-#: every machine of one composition shares it: a fork, a restored
-#: machine or a resumed session runs it without codegen.
+#: every machine of one composition shares it: a machine that fills
+#: its tables from them generates no code.
 _STEP_MEMO: Dict[tuple, object] = {}
 _STEP_MEMO_LIMIT = 4096
 _REGION_MEMO: Dict[tuple, object] = {}
 _REGION_MEMO_LIMIT = 512
+
+#: Table pairs one fork family keeps.  A family sees one composition
+#: per injector setting and ALUFM its members run: microcode that keeps
+#: rewriting its ALUFM must not grow a long-lived template's family.
+_FAMILY_TABLE_LIMIT = 16
+
+#: ``TraceCache._rec_key`` after a switch in the middle of a run: the
+#: run loop takes its recording branch and rebinds its region table.
+_SWITCHED = (-1, -1)
 
 
 class Composition(NamedTuple):
@@ -1178,16 +1192,42 @@ def _emit_step(
         }
 
 
-class TraceCache:
-    """A machine's compiled code: the step table, the region table,
-    and hot-region detection and recording.
+class CodeFamily:
+    """The compiled code of a fork family: the machines forked from one
+    machine while they hold its IM contents (module docstring).
 
-    Pure mechanism: nothing here appears in snapshots, and
-    :meth:`invalidate_all` must leave the machine architecturally
-    untouched.  Each :class:`Processor` has its own cache; the steps
-    and regions in its tables come from the process-wide memos, so
-    they are shared with every machine of the same composition, and
-    ``fork()`` copies both tables into the clone's cache.  It holds no
+    One ``(steps, traces)`` table pair per :class:`Composition`: the
+    code in a pair was generated from the family's words for that
+    composition, so every member of it runs the pair, and what one
+    member records the others enter.  The family refers to no machine,
+    so a dropped member is still freed at once.
+    """
+
+    def __init__(self) -> None:
+        self.tables: Dict[Composition, Tuple[dict, dict]] = {}
+
+    def table(self, composition: Composition) -> Tuple[dict, dict]:
+        """The pair members of *composition* run (empty when new)."""
+        pair = self.tables.get(composition)
+        if pair is None:
+            if len(self.tables) >= _FAMILY_TABLE_LIMIT:
+                self.tables.clear()  # members keep the pairs they run
+            pair = self.tables[composition] = ({}, {})
+        return pair
+
+
+class TraceCache:
+    """A machine's compiled code: the step and region tables it runs,
+    and its own hot-region detection, recording and statistics.
+
+    Pure mechanism: nothing here appears in snapshots, and neither
+    :meth:`use` nor :meth:`invalidate_all` touches the machine's
+    architectural state.  Each :class:`Processor` has its own cache;
+    the two tables are its fork family's pair for its composition
+    (:class:`CodeFamily`), shared with every member of that
+    composition, and the code in them comes from the process-wide
+    memos.  Heat counts, the blacklist, the recording in flight and
+    the statistics are the machine's own.  The cache holds no
     reference to its processor: the run loop passes the machine to
     :meth:`fill` and :meth:`record_step`, the only methods that read
     it, so a machine stays acyclic and is freed as soon as its owner
@@ -1197,10 +1237,13 @@ class TraceCache:
     def __init__(self, hot_threshold: int = HOT_THRESHOLD) -> None:
         #: The plan tier's table: (task, pc) -> ``(step, plan)``, the
         #: slot's shared compiled step (``step(cpu, 1)`` runs one cycle)
-        #: and the :class:`ExecutionPlan` it was generated from.
+        #: and the :class:`ExecutionPlan` it was generated from.  Until
+        #: the first :meth:`use`, the two tables are the cache's own.
         self.steps: Dict[Tuple[int, int], Tuple[object, ExecutionPlan]] = {}
         #: (task, entry_pc) -> the region's shared ``trace(cpu, budget)``.
         self.traces: Dict[Tuple[int, int], object] = {}
+        #: Set while ``Processor._run_traced`` runs from ``traces``.
+        self.running = False
         #: (task, pc) -> arrivals at a candidate region head.
         self.counts: Dict[Tuple[int, int], int] = {}
         #: Keys that recorded too short or failed codegen: never retried
@@ -1264,35 +1307,47 @@ class TraceCache:
         entry = self.steps[(task, pc)] = (step or _interp_step, plan)
         return entry
 
-    def invalidate_slots(self, pcs) -> None:
-        """An IM write to *pcs*: drop their entries (every task's) and,
-        since regions fold many slots into one source, every region."""
-        steps = self.steps
-        if steps:
-            for key in [key for key in steps if key[1] in pcs]:
-                del steps[key]
-        self.invalidate_all()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    def invalidate_all(self) -> None:
-        """Drop every trace, count, blacklist entry and recording.
+    def use(self, steps: dict, traces: dict) -> None:
+        """Run from the table pair (*steps*, *traces*) from now on.
 
-        Called from the ``MicrostoreImage`` write choke point (so every
-        IM write path invalidates) and when the machine's composition
-        changes.  Clears in place: the run loop holds references to
-        these containers.
+        The machine joined a fork family, left one (an IM write) or
+        changed composition.  Its counts, blacklist and recording
+        describe the code it ran and go; the old tables stay as they
+        are, for the members that still run them.  In the middle of a
+        run the switch also makes the run loop take its recording
+        branch after this cycle, where it rebinds the region table: so
+        the loop checks nothing more per cycle.
         """
         if self.traces or self.counts or self.blacklist or self._rec_key:
             self.invalidations += 1
+        self.steps = steps
+        self.traces = traces
+        self._forget()
+        if self.running:
+            self._rec_key = _SWITCHED
+
+    def invalidate_all(self) -> None:
+        """Drop the tables' code, in place, and this machine's counts,
+        blacklist and recording.
+
+        Every member of the machine's family that runs these tables
+        loses the code with it: the supervisor's cure for a table entry
+        the divergence detector convicted, which they would all run.
+        """
+        if self.steps or self.traces or self.counts or self.blacklist or self._rec_key:
+            self.invalidations += 1
+        self.steps.clear()
         self.traces.clear()
+        self._forget()
+
+    def _forget(self) -> None:
         self.counts.clear()
         self.blacklist.clear()
-        self._rec_key = None
-        self._rec_steps = None
-        self._rec_pcs.clear()
+        self.abort_recording()
 
     # ------------------------------------------------------------------
     # recording
@@ -1333,6 +1388,9 @@ class TraceCache:
         the machine stands afterwards.
         """
         key = self._rec_key
+        if key is _SWITCHED:  # the run loop has rebound its table
+            self._rec_key = None
+            return
         steps = self._rec_steps
         if pc == key[1] and steps:
             # Back at the entry: the loop body is complete.  (This
@@ -1391,6 +1449,6 @@ class TraceCache:
             "traced_cycles": self.traced_cycles,
             "invalidations": self.invalidations,
             "blacklisted": len(self.blacklist),
-            "recording": self._rec_key is not None,
+            "recording": self._rec_steps is not None,
             "failures": len(self.failures),
         }

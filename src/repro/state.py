@@ -29,6 +29,8 @@ is versioned, is documented in DESIGN.md section 5.4.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import json
 from itertools import groupby
@@ -54,6 +56,42 @@ RLE_MIN = 64
 #: JSON scalars: :func:`_canonical` leaves them as they are, so a list
 #: holding nothing else is taken whole.
 _SCALARS = {int, str, bool, float, type(None)}
+
+#: Words the arrays with no fixed length (FIFOs, packets, the console
+#: trace, ...) may hold in total across one restore: each is bounded by
+#: its own limit as well, but without a total a crafted state could
+#: fill many of them.
+MAX_RESTORE_WORDS = MAX_STORAGE_WORDS
+
+#: What is left of the running restore's allowance (None: no restore).
+_allowance: contextvars.ContextVar[Optional[List[int]]] = contextvars.ContextVar(
+    "restore_allowance", default=None
+)
+
+
+@contextlib.contextmanager
+def restore_allowance():
+    """Bound the words :func:`int_array` allocates for arrays with no
+    fixed length to :data:`MAX_RESTORE_WORDS` in total while the block
+    runs (one restore)."""
+    token = _allowance.set([MAX_RESTORE_WORDS])
+    try:
+        yield
+    finally:
+        _allowance.reset(token)
+
+
+def _charge(words: int) -> None:
+    """Take *words* from the running restore's allowance, if any."""
+    left = _allowance.get()
+    if left is None:
+        return
+    if words > left[0]:
+        raise StateError(
+            f"state arrays with no fixed length hold more than the "
+            f"{MAX_RESTORE_WORDS} words one restore may allocate"
+        )
+    left[0] -= words
 
 
 def config_signature(config) -> Dict[str, Any]:
@@ -127,12 +165,16 @@ def int_array(
     array of :data:`RLE_MIN` or more ints as ``{RLE_KEY: runs}``.  A
     ``load_state`` takes either form through here.  With *length*, the
     array must hold exactly that many values, without it at most
-    *limit*; runs are checked by :func:`checked_runs` before the list is
-    allocated.
+    *limit*, and inside :func:`restore_allowance` no more than is left
+    of the restore's total; runs are checked by :func:`checked_runs`
+    before the list is allocated.
     """
     if type(data) is dict and len(data) == 1 and RLE_KEY in data:
         runs = checked_runs(data[RLE_KEY], length, limit)
-        values = [0] * sum(count for _, count in runs)
+        total = sum(count for _, count in runs)
+        if length is None:
+            _charge(total)
+        values = [0] * total
         start = 0
         for value, count in runs:
             if value:
@@ -143,8 +185,10 @@ def int_array(
         raise StateError(f"state array {data!r:.40} is neither a list nor runs")
     if length is not None and len(data) != length:
         raise StateError(f"state array of {len(data)} values, expected {length}")
-    if length is None and len(data) > limit:
-        raise StateError(f"state array of {len(data)} values, more than {limit}")
+    if length is None:
+        if len(data) > limit:
+            raise StateError(f"state array of {len(data)} values, more than {limit}")
+        _charge(len(data))
     return list(data)
 
 

@@ -5,10 +5,11 @@ The plan tier's compiled steps and the interpreter of
 observationally identical; when the recovery supervisor suspects the
 step table (a tripped ``plans`` machine check, or repeated replay
 failures), :func:`find_divergence` settles the question
-experimentally.  It forks the machine twice -- shared-nothing clones
-via the snapshot protocol, which start with the machine's *live* step
-table, suspect entries included -- pins one fork to each tier, and
-steps both in lockstep.  Each cycle a cheap probe tuple is compared; on the first
+experimentally.  It forks the machine twice -- clones that share no
+state with it, built through the snapshot protocol, which join its
+fork family and so run its *live* step table, suspect entries
+included -- pins one fork to each tier, and steps both in lockstep.
+Each cycle a cheap probe tuple is compared; on the first
 mismatch, or at the window's end, a full snapshot comparison through
 :func:`~repro.state.diff_states` names the exact divergent
 architectural paths.

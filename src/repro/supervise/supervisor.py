@@ -35,7 +35,8 @@ The protocol (DESIGN.md section 5.5):
 4. When the evidence implicates the step table (a ``plans`` machine
    check, or repeated replay failures) the supervisor runs the
    differential divergence detector; a confirmed divergence degrades
-   the machine to the interpreter path for the rest of the run.
+   the machine to the interpreter path for the rest of the run and
+   empties the tables its fork family shares.
 5. The retry budget is per-checkpoint: a slice that completes cleanly
    resets it.  Exhausting it raises :class:`~repro.errors.
    UnrecoverableFault` chaining the final cause.
@@ -244,6 +245,9 @@ class Supervisor:
         if found is None:
             return
         machine.tier = "interp"
+        # The machine's fork family runs the convicted tables too: empty
+        # them, and its other members refill them from the memos.
+        machine._traces.invalidate_all()
         machine.counters.degrades += 1
         self.log.append({
             "event": "degrade",

@@ -1,7 +1,8 @@
 """A model of the session lifecycle: every path a machine's state can
 take -- sliced runs, suspend and resume at any tier, restore onto a
-fresh machine, rewind in place, fork, repeated snapshots -- must end
-where an uninterrupted run on the interpretive tier ends.
+fresh machine, rewind in place, fork, repeated snapshots, a sibling
+session run alongside, an IM write -- must end where an uninterrupted
+run on the interpretive tier ends.
 
 The invariant, checked after every rule on the machine the rule
 touched: ``counters.summary()`` and ``architectural_json`` equal those
@@ -16,7 +17,10 @@ compositions: fault-free, faulted and supervised under the loadtest's
 ``FAULT_TEMPLATE`` (seeds 101, 202 and 303), and with a display
 refreshing a band over fast I/O.  A composition key that missed a fact
 would hand one of them code generated for another, and the invariant
-would catch it.  Workload arguments are drawn from each builder's
+would catch it.  The sessions of one template share its fork family's
+tables (DESIGN.md section 5.6): a sibling session records regions the
+subject then enters, and an IM write must take the writer out of the
+family.  Workload arguments are drawn from each builder's
 ``@arg_ranges``, and one rule checks that requests outside them are
 refused.
 """
@@ -178,13 +182,17 @@ class LifecycleModel(RuleBasedStateMachine):
     def _pick(self, index) -> Subject:
         return self.subjects[index % len(self.subjects)]
 
-    def _run(self, subject: Subject, cycles: int) -> None:
-        """Grant *subject* and its reference a slice and check them; a
-        session that failed is retired, not reused."""
+    @staticmethod
+    def _slice(subject: Subject, cycles: int) -> None:
+        """Grant *subject* and its reference a slice and check them."""
         _run_both(
             subject.session, subject.reference, lambda s: s.run_slice(cycles)
         )
         subject.check()
+
+    def _run(self, subject: Subject, cycles: int) -> None:
+        """:meth:`_slice`; a session that failed is retired, not reused."""
+        self._slice(subject, cycles)
         if subject.failed:
             self.subjects.remove(subject)
 
@@ -269,6 +277,31 @@ class LifecycleModel(RuleBasedStateMachine):
             data = session.cpu.snapshot().data
             data["core"]["alu"]["alufm"][aluop] = bits
             session.load(MachineState(data))
+        self._run(subject, cycles)
+
+    @precondition(lambda self: self.subjects)
+    @rule(index=INDEX, tier=st.sampled_from(TIERS), cycles=CYCLES)
+    def run_a_sibling_alongside(self, index, tier, cycles):
+        """Open another session of the subject's workload, arguments and
+        kind -- a fork of the same template -- and run it a slice before
+        and after the subject's."""
+        subject = self._pick(index)
+        sibling = Subject(subject.workload, subject.args, subject.kind, tier)
+        self._slice(sibling, cycles)
+        self._run(subject, cycles)
+        self._slice(sibling, cycles)
+
+    @precondition(lambda self: self.subjects)
+    @rule(index=INDEX, slot=st.integers(0, 1 << 16), cycles=CYCLES)
+    def rewrite_an_im_slot_with_its_own_word(self, index, slot, cycles):
+        """Write an occupied IM slot's own word back into it: the IM
+        write choke point fires, and nothing the machine does changes."""
+        subject = self._pick(index)
+        for session in (subject.session, subject.reference):
+            im = session.cpu.im
+            occupied = [a for a, inst in enumerate(im) if inst is not None]
+            address = occupied[slot % len(occupied)]
+            im[address] = im[address]
         self._run(subject, cycles)
 
     # --- the refusal ------------------------------------------------------

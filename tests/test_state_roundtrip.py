@@ -30,6 +30,7 @@ from repro.mem.storage import Storage
 from repro.service import Session
 from repro.supervise import architectural_json
 from repro.state import (
+    MAX_RESTORE_WORDS,
     RLE_MIN,
     STATE_FORMAT_VERSION,
     canonical_json,
@@ -415,6 +416,42 @@ def test_forked_and_restored_machines_enter_regions_without_codegen(name, monkey
         )
         assert machine._traces.failures == []
     assert generated == []
+
+
+@pytest.mark.parametrize("name", ["mesa_loop_sum", "smalltalk_counter"])
+def test_forked_and_resumed_machines_record_no_region(name):
+    """A fork and a machine forked into a parsed snapshot (the path a
+    resumed session takes) join their parent's fork family, so they run
+    the regions it recorded: each enters a region the first time it
+    reaches a head, records nothing itself, and ends byte-identical to
+    the interpreter."""
+    interp = ALL_WORKLOADS[name](config=dataclasses.replace(PRODUCTION, tier="interp"))
+    interp.run()
+    workload = ALL_WORKLOADS[name]()
+    cpu = workload.cpu
+    cpu.run(3000)
+    mid = MachineState.from_json(cpu.snapshot().to_json())
+    clone = cpu.fork()
+    cpu.run(5_000_000)  # records the rest of the run's regions
+    assert cpu.halted
+    heads = set(cpu._traces.traces)
+    for machine in (clone, cpu.fork(mid)):
+        assert machine._traces.traces is cpu._traces.traces
+        arrival = _first_head_arrival(machine, heads, 2000)
+        table = machine._traces.traces
+        regions = dict(table)
+        calls = []
+        _log_region_calls(machine, calls)
+        machine.run(5_000_000)
+        table.update(regions)
+        stats = machine._traces.stats()
+        assert stats["compiled"] == 0 and stats["traced_cycles"] > 0
+        assert calls and calls[0] == arrival
+        assert workload.verify(machine)
+        assert machine.counters == interp.cpu.counters
+        assert architectural_json(machine.snapshot()) == architectural_json(
+            interp.cpu.snapshot()
+        )
 
 
 # --- network controller mid-transfer, all three tiers -------------------------
@@ -1057,3 +1094,23 @@ def test_device_runs_are_checked_before_allocating(where, runs):
     node[last] = {"__rle__": runs}
     with pytest.raises(StateError, match="run"):
         cpu.fork(state)
+
+
+@pytest.mark.parametrize("packets, refused", [(2, False), (5, True)])
+def test_restore_bounds_the_words_of_unbounded_arrays_in_total(packets, refused):
+    """Each received packet passes its own bound, but one restore may
+    allocate at most MAX_RESTORE_WORDS for all such arrays together: a
+    crafted state that queues many large packets is refused."""
+    from repro.io.network import NetworkController
+
+    cpu = Processor()
+    cpu.attach_device(NetworkController())
+    state = MachineState.from_json(cpu.snapshot().to_json())
+    words = MAX_RESTORE_WORDS // 4
+    state.data["io"][0]["rx_queue"] = [{"__rle__": [[0, words]]}] * packets
+    if refused:
+        with pytest.raises(StateError, match="one restore may allocate"):
+            cpu.fork(state)
+    else:
+        clone = cpu.fork(state)
+        assert [len(packet) for packet in clone.devices[0].rx_queue] == [words] * packets

@@ -644,6 +644,39 @@ def test_plan_implicating_corruption_degrades_to_interpreter():
     _assert_fresh_machines_match_interp(200)
 
 
+def test_degrade_empties_the_tables_a_sibling_fork_would_run():
+    """Forks of one machine share its fork family's tables, so a
+    corrupted entry one of them runs is the entry its siblings run:
+    when the supervisor degrades the machine, the family's tables go
+    too, and a sibling refills them from the memos and stays
+    byte-identical to the interpreter."""
+    workload = mesa_loop_sum(200)
+    root = workload.cpu
+    root.run(600)
+    cpu, sibling = root.fork(), root.fork()
+    sibling.tier = "plan"  # every cycle through the step table
+    key = _running_entry_key(cpu)
+    _corrupt_entry(cpu, key, inst=_donor_word(cpu, key[1]))
+    assert sibling._traces.steps[key] is cpu._traces.steps[key]
+
+    supervisor = Supervisor(
+        cpu, checkpoint_interval=600, max_retries=5, check_interval=64
+    )
+    supervisor.run(max_cycles=50_000)
+    assert cpu.halted and workload.verify(cpu)
+    assert cpu.tier == "interp" and cpu.counters.degrades >= 1
+
+    reference = mesa_loop_sum(200, config=INTERPRETED)
+    reference.run()
+    sibling.run(50_000)
+    assert sibling.halted and workload.verify(sibling)
+    assert sibling.counters == reference.cpu.counters
+    assert architectural_json(sibling.snapshot()) == architectural_json(
+        reference.cpu.snapshot()
+    )
+    assert sibling._traces.stats()["interp_cycles"] <= 1  # the HALT
+
+
 # --------------------------------------------------------------------------
 # CLI: the self-healing run and the diagnosed failure
 # --------------------------------------------------------------------------

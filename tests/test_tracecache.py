@@ -12,7 +12,9 @@ against the interpreter on hand-built ``run()`` loops.  The plan tier's
 table of shared one-step traces is pinned here too: what the shared
 memos must key on, ALUFM rewrites, restores that bring back other
 words or ALU operations, and forks and resumed sessions that fill
-their tables without generating any source.
+their tables without generating any source.  So are fork families:
+later sessions of one template record no region, and an IM write
+takes the writer out of its family.
 """
 
 import dataclasses
@@ -39,7 +41,6 @@ from repro.core.tracecache import (
     HOT_THRESHOLD,
     MAX_TRACE_STEPS,
     MIN_STRAIGHT_STEPS,
-    TraceCache,
     _interp_step,
     code_key,
     compile_trace,
@@ -60,7 +61,7 @@ def _goto(dest: int, load: int = 0, ff: int = 0) -> MicroInstruction:
 def _ring_machine(slots: int, hot_threshold: int = 2) -> Processor:
     """A PRODUCTION machine spinning a ring of *slots* GOTOs."""
     cpu = Processor(PRODUCTION)
-    cpu._traces = TraceCache(hot_threshold=hot_threshold)
+    cpu._traces.hot_threshold = hot_threshold
     for slot in range(slots):
         cpu.im[slot] = _goto((slot + 1) % slots, load=int(LoadControl.T), ff=slot & 0xFF)
     return cpu
@@ -711,6 +712,81 @@ def test_forks_and_resumed_sessions_generate_no_step_source(name, monkeypatch):
     resumed.run()
     assert clone._traces.steps and resumed.cpu._traces.steps
     assert generated == []
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("name", sorted(ROTATION_SIZES))
+def test_second_sessions_of_a_template_record_no_region(name, faulted):
+    """Every session of one template is a fork of it, so all of them
+    share one fork family: once one session has run to HALT, a second
+    ``Session.build`` and a ``Session.resume`` record no region -- with
+    a fault plan too, whose sessions share the family's faulted pair."""
+    from repro.service import Session
+    from repro.service.loadtest import FAULT_TEMPLATE
+
+    fault = dict(FAULT_TEMPLATE, seed=101) if faulted else None
+    args = {key: value // 20 for key, value in ROTATION_SIZES[name].items()}
+    first = Session.build(name, args=args, fault=fault)
+    first.run()
+    second = Session.build(name, args=args, fault=fault)
+    second.run_slice(1200)
+    resumed = Session.resume(second.suspend())
+    resumed.run()
+    assert resumed.result() == first.result()
+    for session in (second, resumed):
+        stats = session.cpu._traces.stats()
+        assert stats["compiled"] == 0 and stats["traced_cycles"] > 0, stats
+        assert session.cpu._traces.traces is first.cpu._traces.traces
+
+
+def _ring_template():
+    """The 8-slot ring run hot on the traced tier, and its interpretive
+    twin run as far."""
+    template = _ring_machine(8)
+    template.run(max_cycles=200)
+    twin = _ring_machine(8)
+    twin.tier = "interp"
+    twin.run(max_cycles=200)
+    return template, twin
+
+
+@pytest.mark.parametrize("how", ["poke", "fork_into_state"])
+def test_an_im_write_takes_the_writer_out_of_its_fork_family(how):
+    """A fork that writes its IM -- a direct poke, or forked into a state
+    whose IM differs -- no longer holds its family's words: it gets
+    empty tables of its own, the template and a sibling keep theirs,
+    and all three run byte-identical to the interpreter."""
+    template, twin = _ring_template()
+    steps, traces = template._traces.steps, template._traces.traces
+    regions = dict(traces)
+    assert regions
+    sibling, sibling_twin = template.fork(), twin.fork()
+    rewritten = _goto(5, load=int(LoadControl.T), ff=0o77)  # slot 3 skips slot 4
+    if how == "poke":
+        writer, writer_twin = template.fork(), twin.fork()
+        for machine in (writer, writer_twin):
+            machine.im[3] = rewritten
+    else:
+        donor = twin.fork()
+        donor.im[3] = rewritten
+        state = donor.snapshot()
+        writer, writer_twin = template.fork(state), twin.fork(state)
+    assert writer._traces.steps is not steps and not writer._traces.steps
+    assert writer._traces.traces is not traces and not writer._traces.traces
+    for machine in (template, sibling):
+        assert machine._traces.steps is steps and machine._traces.traces is traces
+    assert traces == regions
+    for machine, reference in (
+        (writer, writer_twin), (sibling, sibling_twin), (template, twin),
+    ):
+        machine.run(max_cycles=301)
+        reference.run(max_cycles=301)
+        assert machine.counters == reference.counters
+        assert architectural_json(machine.snapshot()) == architectural_json(
+            reference.snapshot()
+        )
+        assert machine._traces.stats()["traced_cycles"] > 0
+    assert writer._traces.traces  # ran hot again, on its own words
 
 
 def _plan_tier_machines():
