@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import EmulatorError
 from ..types import word
@@ -70,6 +70,23 @@ class DecodeEntry:
         return [raw[0], raw[1]]  # PAIR
 
 
+#: How the IFU forms IFUDATA from operand bytes ``b1, b2`` (None: no
+#: operand): ``[b1]``, ``[b1]`` sign-extended, ``[b1 << 8 | b2]`` and
+#: ``[b1, b2]``, as :meth:`DecodeEntry.operand_values` does.
+BYTE_FORM, SIGNED_BYTE_FORM, WORD_FORM, PAIR_FORM = range(4)
+_FORMS = {
+    OperandKind.NONE: None,
+    OperandKind.BYTE: BYTE_FORM,
+    OperandKind.SIGNED_BYTE: SIGNED_BYTE_FORM,
+    OperandKind.WORD: WORD_FORM,
+    OperandKind.PAIR: PAIR_FORM,
+}
+
+#: One opcode resolved for the IFU: its entry, operand byte count,
+#: operand form and handler microaddress.
+Decoded = Tuple[DecodeEntry, int, Optional[int], int]
+
+
 class DecodeTable:
     """A 256-entry opcode decode table with symbolic dispatch labels."""
 
@@ -77,6 +94,8 @@ class DecodeTable:
         self.isa_name = isa_name
         self._entries: List[Optional[DecodeEntry]] = [None] * 256
         self._by_name: Dict[str, int] = {}
+        #: The last :meth:`resolve`: its dispatch addresses and result.
+        self._resolved: Optional[Tuple[Dict[str, int], List[Optional[Decoded]]]] = None
 
     def define(self, opcode: int, entry: DecodeEntry) -> None:
         if not 0 <= opcode <= 255:
@@ -87,6 +106,7 @@ class DecodeTable:
             raise EmulatorError(f"{self.isa_name}: mnemonic {entry.name!r} defined twice")
         self._entries[opcode] = entry
         self._by_name[entry.name] = opcode
+        self._resolved = None
 
     def entry(self, opcode: int) -> DecodeEntry:
         found = self._entries[opcode & 0xFF]
@@ -95,6 +115,31 @@ class DecodeTable:
                 f"{self.isa_name}: undefined opcode {opcode & 0xFF:#04x} in instruction stream"
             )
         return found
+
+    def resolve(self, dispatch_addresses: Dict[str, int]) -> List[Optional[Decoded]]:
+        """Every opcode resolved against handler microaddresses.
+
+        Index *opcode* holds ``(entry, operand bytes, operand form,
+        address)``, or None where the table defines none.  The last
+        result is kept, so the machines forked from one image share one
+        list (256 entries, never changed) instead of resolving again.
+        """
+        if self._resolved is not None and self._resolved[0] == dispatch_addresses:
+            return self._resolved[1]
+        missing = [l for l in self.dispatch_labels() if l not in dispatch_addresses]
+        if missing:
+            raise EmulatorError(f"unresolved dispatch labels: {missing}")
+        decoded = [
+            None if entry is None else (
+                entry,
+                entry.operand_bytes,
+                _FORMS[entry.operands],
+                dispatch_addresses[entry.dispatch],
+            )
+            for entry in self._entries
+        ]
+        self._resolved = (dict(dispatch_addresses), decoded)
+        return decoded
 
     def opcode(self, name: str) -> int:
         """The opcode assigned to a mnemonic (for byte-code assemblers)."""

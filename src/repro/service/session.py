@@ -220,6 +220,9 @@ class Session:
         self.max_retries = max_retries
         self.failure: Optional[str] = None
         self._supervisor = None
+        #: The state a resumed session's machine was restored from: its
+        #: supervisor, once built, starts from it as a promoted checkpoint.
+        self._resumed_from: Optional[MachineState] = None
         self._spec = dict(spec)
         self._meter_base = self.cpu.counters.state_dict()
 
@@ -303,7 +306,9 @@ class Session:
                 self.cpu,
                 checkpoint_interval=self.checkpoint_interval,
                 max_retries=self.max_retries,
+                checkpoint=self._resumed_from,
             )
+            self._resumed_from = None
         return self._supervisor
 
     # ------------------------------------------------------------------
@@ -389,6 +394,7 @@ class Session:
         checkpoint meters the work *it* did, not its previous life's.
         """
         self.cpu.restore(state)
+        self._resumed_from = None
         if self._supervisor is not None:
             self._supervisor.discard_checkpoint()
         self._meter_base = self.cpu.counters.state_dict()
@@ -399,9 +405,10 @@ class Session:
         Everything needed to resume on any worker rides along: the full
         machine snapshot (whose config section includes the fault plan),
         the supervision posture, and the metering baseline.  The live
-        supervisor is not serialized -- it re-checkpoints from the
-        restored state on the next slice, which PR 5's convergence
-        guarantees makes trajectory-invisible.
+        supervisor is not serialized: the resumed session's supervisor
+        starts from the envelope's machine section as its promoted
+        checkpoint, which rollback's convergence guarantee makes
+        trajectory-invisible.
         """
         data = {
             "service_version": SERVICE_FORMAT_VERSION,
@@ -438,12 +445,10 @@ class Session:
                 f"(expected {SERVICE_FORMAT_VERSION})"
             )
         try:
-            machine = data["machine"]
-            config = config_from_signature(machine["config"])
+            state = MachineState(data["machine"])
+            config = config_from_signature(state.config)
             items = tuple(sorted(dict(data["args"]).items()))
-            workload = booted_workload(
-                data["workload"], items, config, MachineState(machine)
-            )
+            workload = booted_workload(data["workload"], items, config, state)
             session = cls(
                 name or data["name"],
                 workload,
@@ -454,6 +459,8 @@ class Session:
             )
             session.failure = data["failure"]
             session._meter_base = data["meter_base"]
+            if session.supervise:
+                session._resumed_from = state
         except KeyError as exc:
             raise ServiceError(f"suspend envelope lacks {exc}") from exc
         except ServiceError:

@@ -15,8 +15,10 @@ The protocol (DESIGN.md section 5.5):
    last-known-good after the slice beyond it completed with no
    detector firing and no new latched fault.  A run that starts where
    the previous one promoted its last checkpoint reuses it instead of
-   snapshotting the same state again; whoever replaces the machine's
-   state between runs calls :meth:`Supervisor.discard_checkpoint`.
+   snapshotting the same state again, and a supervisor built with the
+   state its machine was just restored from starts with it promoted;
+   whoever replaces the machine's state between runs calls
+   :meth:`Supervisor.discard_checkpoint`.
 2. Run each slice in ``machine.run()`` chunks that end every
    ``check_interval`` cycles (replayed cycles count too), and sweep the
    sanitizer between chunks.  Recoverable failures -- the
@@ -83,7 +85,12 @@ class Supervisor:
         checkpoint_interval: int = 2000,
         max_retries: int = 3,
         check_interval: int = 256,
+        checkpoint=None,
     ) -> None:
+        """*checkpoint*, when given, is a snapshot of *machine*'s
+        current state that is already known good (the state a session
+        was resumed from): it starts out promoted, so the first run
+        reuses it instead of snapshotting the same state again."""
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
         if check_interval < 1:
@@ -96,7 +103,7 @@ class Supervisor:
         self.check_interval = check_interval
         self.sanitizer = MachineCheckSanitizer(machine)
         self.log: List[dict] = []
-        self._checkpoint = None
+        self._checkpoint = checkpoint
         self._retries = 0
 
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.core.microword import (
     NextControl,
     NextType,
 )
-from repro.core.tracecache import TraceCache
 from repro.fault.plan import FaultConfig
 from repro.graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
 from repro.graphics.bitmap import Bitmap
@@ -395,7 +394,7 @@ def _hot_twin_machines():
     executes generated code, so a missed invalidation diverges fast.
     """
     fast, slow = _twin_machines()
-    fast._traces = TraceCache(hot_threshold=2)
+    fast._traces.hot_threshold = 2
     return fast, slow
 
 
@@ -518,7 +517,7 @@ def test_slice_im_write_invalidates_plans():
 def test_im_write_invalidates_hot_trace():
     """The T-loop, run hot enough to trace, then rewritten mid-run."""
     cpu = Processor(PRODUCTION)
-    cpu._traces = TraceCache(hot_threshold=2)
+    cpu._traces.hot_threshold = 2
     _loop_loading_t(cpu, 5)
     cpu.run(max_cycles=40)
     assert cpu.regs.t[0] == 5

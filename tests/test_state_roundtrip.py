@@ -307,10 +307,8 @@ def test_fork_writes_the_im_once(monkeypatch):
 
 def _warm_traced_machine():
     """A PRODUCTION machine run long enough to be executing traces."""
-    from repro.core.tracecache import TraceCache
-
     cpu = mesa_loop_sum(60, config=PRODUCTION).cpu
-    cpu._traces = TraceCache(hot_threshold=2)
+    cpu._traces.hot_threshold = 2
     cpu.run(1200)
     assert cpu._traces.traces, "machine never got hot"
     assert cpu._traces.entries > 0
@@ -1034,6 +1032,45 @@ def test_parsed_envelopes_fork_to_their_source(name, cycles):
     assert set(machine["mem"]["storage"]["data"]) == {"__rle__"}
     clone = session.cpu.fork(MachineState(machine))
     assert clone.snapshot() == session.cpu.snapshot()
+
+
+def _faulted_mesa_machine():
+    config = dataclasses.replace(
+        PRODUCTION, fault_injection=FaultConfig(seed=7, storage_correctable=2)
+    )
+    cpu = mesa_loop_sum(60, config=config).cpu
+    cpu.run(700)
+    return cpu
+
+
+def _display_mid_band():
+    cpu, _ = _display_machine()
+    cpu.run(100)
+    while not cpu.memory._fast_in_flight:
+        cpu.step()
+    return cpu
+
+
+@pytest.mark.parametrize("build", [_faulted_mesa_machine, _display_mid_band],
+                         ids=["faulted-mesa", "display-mid-band"])
+@pytest.mark.parametrize("form", ["live", "parsed"])
+def test_no_load_state_aliases_its_state(build, form):
+    """A machine loaded from a state shares none of its containers: a
+    state kept after a fork or restore (a supervisor's checkpoint, say)
+    still has its bytes after the machine runs on."""
+    cpu = build()
+    state = cpu.snapshot()
+    if form == "parsed":
+        state = MachineState(parse_canonical_json(state.to_json()))
+    before = state.to_json()
+    clone = cpu.fork(state)
+    clone.run(400)
+    assert state.to_json() == before
+    cpu.run(50)
+    cpu.restore(state)
+    cpu.run(400)
+    assert state.to_json() == before
+    assert cpu.snapshot().to_json() == clone.snapshot().to_json() != before
 
 
 def test_device_arrays_load_from_runs():

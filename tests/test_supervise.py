@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro import (
     Assembler,
     HoldTimeout,
+    MachineState,
     Processor,
 )
 from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION
@@ -51,6 +52,7 @@ from repro.perf.report import DEMO_CHECKPOINT_INTERVAL, demo_fault_config
 from repro.perf.workloads import ALL_WORKLOADS, mesa_loop_sum
 from repro.service import Session
 from repro.service.loadtest import FAULT_TEMPLATE, ROTATION
+from repro.state import parse_canonical_json
 from repro.types import MUNCH_WORDS
 from repro.supervise import (
     MachineCheckSanitizer,
@@ -252,6 +254,62 @@ def test_resident_session_snapshots_each_state_once(monkeypatch):
     assert taken == [0, 1200, 2400, 3600, 4800, 4807]
     monkeypatch.undo()
     assert session.verify()
+
+
+def test_resumed_session_snapshots_no_state_it_was_resumed_from(monkeypatch):
+    """The resumed counterpart of the test above: a supervised session
+    suspended and resumed after every slice hands each new supervisor
+    the envelope's machine section as its promoted checkpoint, so no
+    machine snapshots the cycle it was resumed at, and a rollback in a
+    resumed slice returns to that parsed checkpoint (seed 303 rolls
+    back in the second slice, to the state resumed at cycle 1200)."""
+    calls = []
+    snapshot = Processor.snapshot
+
+    def counting(cpu):
+        calls.append((cpu, cpu.counters.cycles))
+        return snapshot(cpu)
+
+    monkeypatch.setattr(Processor, "snapshot", counting)
+    session = Session.build(
+        "mesa_loop_sum", args={"n": 200}, fault=dict(FAULT_TEMPLATE, seed=303)
+    )
+    session.run_slice(1200)
+    resumed = []
+    rollbacks_to_resume = 0
+    while not session.halted:
+        session = Session.resume(session.suspend())
+        start = session.cpu.counters.cycles
+        resumed.append((session.cpu, start))
+        session.run_slice(1200)
+        rollbacks_to_resume += sum(
+            event["event"] == "rollback" and event["to_cycle"] == start
+            for event in session.supervisor.log
+        )
+    monkeypatch.undo()
+    assert len(resumed) == 4
+    for cpu, start in resumed:
+        taken = [cycles for machine, cycles in calls if machine is cpu]
+        assert start not in taken, f"resumed at {start}, snapshotted {taken}"
+    assert rollbacks_to_resume >= 1
+    assert session.verify()
+
+
+def test_resume_checkpoint_keeps_the_envelope_bytes():
+    """The checkpoint a resumed supervisor starts from is the envelope's
+    parsed machine section; the machine loaded from it shares none of
+    its containers, so after a slice it still encodes to those bytes."""
+    session = Session.build(
+        "mesa_loop_sum", args={"n": 200}, fault=dict(FAULT_TEMPLATE, seed=202)
+    )
+    session.run_slice(1200)
+    envelope = session.suspend()
+    resumed = Session.resume(envelope)
+    checkpoint = resumed._resumed_from
+    resumed.run_slice(1200)
+    machine = MachineState(parse_canonical_json(envelope)["machine"])
+    assert checkpoint.to_json() == machine.to_json()
+    assert resumed._resumed_from is None
 
 
 def test_load_between_slices_rolls_back_to_the_loaded_state():
