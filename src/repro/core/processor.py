@@ -461,10 +461,10 @@ class Processor:
             clone.ifu.load_table(self.ifu.table, self.ifu._dispatch_addresses)
         for device in self._devices:
             clone.attach_device(self._clone_device(device))
-        # With this ALUFM the clone has this machine's composition unless
-        # only one has an injector, and then its own pair in the family:
-        # code compiled without one must never run with one.  A restore
-        # that rewrites a slot takes the clone out of the family again.
+        # With this ALUFM the clone has this machine's composition, and
+        # so its table pair, whatever either's fault plan: generated code
+        # reads the plan as data.  A restore that rewrites a slot takes
+        # the clone out of the family again.
         clone.alu.load_state(self.alu.state_dict())
         clone._family = self._family
         clone._traces.use(*self._family.table(clone._composition))
@@ -684,7 +684,6 @@ class Processor:
             alufm=tuple(control.encode() for control in self.alu._alufm),
             device_tasks=tuple(device.task for device in self._devices),
             fault_task=self._fault_task is not None,
-            injector=self.memory.injector is not None,
         )
         if composition != self._composition:
             self._composition = composition

@@ -44,17 +44,17 @@ Correctness contract (DESIGN.md section 5.6):
   compile in general mode with no entry guard: budget 1 runs one cycle.
 * The *single-task fast tail* (regions only).  When the region belongs
   to the emulator task and compile-time state proves no other task can
-  become runnable (no devices attached, no fault task, no fault
-  injector, no WAKEUP/READY/TPC writes inside it), the generated entry
-  guard checks ``pipe.lines | pipe.ready == 1`` and the region then
-  skips the per-cycle scheduler entirely: task 0's wakeup line is
-  permanently asserted, so arbitration returns task 0 every cycle and
-  ``TPC[0]``, ``best_pc`` and ``memory.now`` batch in locals, flushed
-  in the same ``finally``.  A region that never touches the IFU cannot
-  start or stop it: if the IFU was running at entry it ticks every
-  cycle, and otherwise ``ifu.now`` batches too.  If the guard fails,
-  the region returns having touched nothing and the run loop runs the
-  slot's step for that cycle.
+  become runnable (no devices attached, no fault task, no
+  WAKEUP/READY/TPC writes inside it -- a fault plan is data, not a bar),
+  the generated entry guard checks ``pipe.lines | pipe.ready == 1`` and
+  the region then skips the per-cycle scheduler entirely: task 0's
+  wakeup line is permanently asserted, so arbitration returns task 0
+  every cycle and ``TPC[0]``, ``best_pc`` and ``memory.now`` batch in
+  locals, flushed in the same ``finally``.  A region that never touches
+  the IFU cannot start or stop it: if the IFU was running at entry it
+  ticks every cycle, and otherwise ``ifu.now`` batches too.  If the
+  guard fails, the region returns having touched nothing and the run
+  loop runs the slot's step for that cycle.
 * Bail-out rules.  A region exits -- after completing the current
   cycle exactly -- whenever the NEXT decision leaves its task, a
   dynamic NEXTPC (branch, IFU dispatch, return, B-dispatch) diverges
@@ -77,10 +77,10 @@ Correctness contract (DESIGN.md section 5.6):
   ``Processor._recompose`` recomputes when one may have changed
   (``attach_device``, every ALUFM write or load through the ALU's write
   hook); a changed composition switches the machine to its family's
-  pair for the new one, so a fork into a fault plan never runs code
-  generated without an injector.  Either switch drops the machine's hot
-  counts, blacklist and recording (:meth:`TraceCache.use`).  The only
-  *in-run* switches (FF ``IM_WRITE_HI`` and ``ALUFM_WRITE``) never
+  pair for the new one.  A fault plan is not in the composition: a fork
+  into one keeps its parent's pair.  Either switch drops the machine's
+  hot counts, blacklist and recording (:meth:`TraceCache.use`).  The
+  only *in-run* switches (FF ``IM_WRITE_HI`` and ``ALUFM_WRITE``) never
   compile, and the run loop rebinds its region table right after one,
   so generated code never runs stale.
 * Untraceable plans.  ``REF_BAD``/``NEXT_BAD`` plans (they raise), FF
@@ -202,8 +202,8 @@ _REGION_MEMO: Dict[tuple, object] = {}
 _REGION_MEMO_LIMIT = 512
 
 #: Table pairs one fork family keeps.  A family sees one composition
-#: per injector setting and ALUFM its members run: microcode that keeps
-#: rewriting its ALUFM must not grow a long-lived template's family.
+#: per ALUFM its members run: microcode that keeps rewriting its ALUFM
+#: must not grow a long-lived template's family.
 _FAMILY_TABLE_LIMIT = 16
 
 #: ``TraceCache._rec_key`` after a switch in the middle of a run: the
@@ -228,7 +228,6 @@ class Composition(NamedTuple):
     alufm: Tuple[int, ...]
     device_tasks: Tuple[Optional[int], ...]
     fault_task: bool
-    injector: bool
 
 
 def code_key(composition: Composition, task: int, loop: bool, path) -> tuple:
@@ -324,13 +323,11 @@ class _Ctx:
             and task == EMULATOR_TASK
             and not comp.device_tasks
             and not comp.fault_task
-            and not comp.injector
             and sched_safe
         )
         #: Fast mode inlines the translate-plus-cache-hit path of
-        #: Fetch/Store directly (injector statically None there); any
-        #: miss, fault, or protection case falls back to the full
-        #: ``start_fetch``/``start_store`` call.
+        #: Fetch/Store; a miss, fault, protection case or due map event
+        #: takes the full ``start_fetch``/``start_store`` call.
         self.inline_refs = self.fast and any(
             p.ref_kind in (REF_FETCH, REF_STORE) for p in plans
         )
@@ -406,6 +403,8 @@ def compile_trace(
         w.emit("_lru = _cache.lru")
         w.emit("_cwords = _cache.words")
         w.emit("_size = memory.storage.size")
+        # While a map event is due (a window), refs take the full call.
+        w.emit("_mq = memory.injector and memory.injector._map_queue")
     w.emit("tpc = pipe.tpc")
     w.emit("regs = cpu.regs")
     w.emit("rml = regs.rm")
@@ -987,7 +986,7 @@ def _emit_step(
         w.emit("line_ = None")
         # A store also needs the page writable.
         needed = ENTRY_VALID | (ENTRY_WRITE_PROTECTED if store else 0)
-        w.emit(f"if pe & {needed} == {ENTRY_VALID}:")
+        w.emit(f"if pe & {needed} == {ENTRY_VALID} and not (_mq and _mq[0].cycle <= mnow):")
         w.indent()
         w.emit("ra = (pe >> 4 << 8) | (va & 255)")
         w.emit("if ra < _size:")

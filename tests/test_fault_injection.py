@@ -39,6 +39,7 @@ from repro.mem.pipeline import (
     MemorySystem,
 )
 from repro.perf.workloads import ALL_WORKLOADS
+from repro.supervise import architectural_json
 from tests.test_fastpath_parity import CONFIGS, assert_same_machine, machine_state
 
 
@@ -165,6 +166,71 @@ def test_identical_seed_identical_trace_under_both_cores(fault):
         assert outcome == interp_outcome, label
         assert trace == interp_trace, f"fault traces diverged on {label}"
         assert state == interp_state, f"machine state diverged on {label}"
+
+
+def _ref_loops(config: MachineConfig) -> Processor:
+    """Three passes of a fetch-only loop (64 iterations) and then a store
+    loop (16), all on one cached word: from the second pass on, both run
+    as fast-mode regions with their references inlined."""
+    asm = Assembler(config)
+    for name, number, value in (("va", 1, 0x0140), ("n", 2, 0), ("k", 3, 3)):
+        asm.register(name, number)
+        asm.load_constant(name, value)
+    asm.label("pass")
+    asm.load_constant("n", 64)
+    asm.label("reads")
+    asm.emit(r="va", a="RM", fetch=True)
+    asm.emit(r="k", a="RM", b="MD", alu="B", load="T")
+    asm.emit(r="n", a="RM", alu="DEC", load="RM", branch=("NONZERO", "reads", "rdone"))
+    asm.label("rdone")
+    asm.load_constant("n", 16)
+    asm.label("writes")
+    asm.emit(r="va", a="RM", b="T", store=True)
+    asm.emit(r="n", a="RM", alu="DEC", load="RM", branch=("NONZERO", "writes", "wdone"))
+    asm.label("wdone")
+    asm.emit(r="k", a="RM", alu="DEC", load="RM", branch=("NONZERO", "pass", "done"))
+    asm.label("done")
+    asm.halt()
+    cpu = Processor(config)
+    cpu.load_image(asm.assemble())
+    cpu.memory.identity_map(8)
+    return cpu
+
+
+@pytest.mark.parametrize("kind,cycle", [
+    ("write_protect_faults", 500),
+    ("map_faults", 422),
+    ("bounds_faults", 422),
+], ids=["write-protect-window", "map-off-reference", "bounds-off-reference"])
+def test_a_map_event_due_inside_a_fast_region_fires_on_the_same_reference(kind, cycle):
+    """A fault plan is data the inlined reference reads: while a map event
+    is due, a fast region takes the full reference call, so the event
+    fires on the reference it fires on in the interpreter.  A
+    write-protect event stays due over a window of fetches until the
+    first store; the map and bounds events fall due on a cycle with no
+    reference, and fire on the next one."""
+    fault = FaultConfig(seed=1, first_cycle=cycle, last_cycle=cycle, **{kind: 1})
+    runs = {}
+    for label, config in CONFIGS:
+        cpu = _ref_loops(dataclasses.replace(config, fault_injection=fault))
+        outcome = "halted"
+        try:
+            cpu.run(100_000)
+        except Exception as error:
+            outcome = repr(error)
+        runs[label] = (list(cpu.fault_injector.trace), outcome,
+                       architectural_json(cpu.snapshot()))
+        if label == "traced":
+            inlined = [fn for fn in cpu._traces.traces.values()
+                       if "_resident.get(" in fn.source]
+            assert inlined and cpu._traces.stats()["traced_cycles"] > 0
+    (fired,), outcome, _ = runs["interp"]
+    assert outcome == "halted"
+    # Not at the event's own cycle: on a later reference, a store after
+    # many fetches for the write-protect event.
+    assert fired.cycle > cycle + (50 if kind == "write_protect_faults" else 0)
+    for label in ("plan", "traced"):
+        assert runs[label] == runs["interp"], label
 
 
 # --------------------------------------------------------------------------
@@ -367,10 +433,12 @@ def test_fork_refuses_a_config_that_differs_beyond_the_fault_plan():
             cpu.fork(config=config)
 
 
-def test_faulted_fork_of_a_traced_clean_template_compiles_its_own_code():
-    """A fork into a fault plan has an injector its parent lacks, so it
-    carries none of the parent's compiled steps or regions; the code it
-    compiles for itself runs it bit-identically to the interpreter."""
+def test_faulted_fork_of_a_traced_clean_template_runs_the_template_code():
+    """A fork into a fault plan has its parent's composition -- the plan
+    is data the generated code reads, not a code mode -- so it runs the
+    parent's table pair and enters its regions from the first cycle,
+    bit-identically to the interpreter, fault trace included; forked back
+    to no plan mid-run, it still runs that pair."""
     fault = FaultConfig(seed=9, storage_correctable=4, map_faults=2, last_cycle=3000)
     runs = {}
     for label, config in (CONFIGS[0], CONFIGS[2]):
@@ -379,18 +447,20 @@ def test_faulted_fork_of_a_traced_clean_template_compiles_its_own_code():
         cpu = template.fork(config=dataclasses.replace(config, fault_injection=fault))
         if label == "traced":
             assert template._traces.traces, "the template compiled no region"
-            assert not cpu._traces.steps and not cpu._traces.traces
-        cycles = cpu.run(100_000)
-        runs[label] = (cycles, cpu, template)
-    _, cpu, template = runs["traced"]
+            assert cpu._traces.traces is template._traces.traces
+            assert cpu._traces.steps is template._traces.steps
+        cycles = cpu.run(1500)
+        clean = cpu.fork(config=config)
+        assert clean.fault_injector is None
+        runs[label] = (cycles + cpu.run(100_000), cpu, clean.run(100_000), clean)
+    _, cpu, _, clean = runs["traced"]
     assert cpu.counters.faults_latched, "no fault latched"
-    assert cpu._traces.stats()["traced_cycles"] > 0
-    clean_code = {id(fn) for fn in template._traces.steps.values()}
-    clean_code.update(id(fn) for fn in template._traces.traces.values())
-    assert clean_code.isdisjoint(id(fn) for fn in cpu._traces.steps.values())
-    assert clean_code.isdisjoint(id(fn) for fn in cpu._traces.traces.values())
-    assert runs["traced"][0] == runs["interp"][0]
+    for machine in (cpu, clean):
+        assert machine._traces.traces is template._traces.traces
+        assert machine._traces.stats()["traced_cycles"] > 0
+    assert runs["traced"][0::2] == runs["interp"][0::2]
     assert_same_machine(cpu, runs["interp"][1])
+    assert_same_machine(clean, runs["interp"][3])
     assert cpu.fault_injector.trace == runs["interp"][1].fault_injector.trace
 
 

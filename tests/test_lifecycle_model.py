@@ -12,18 +12,23 @@ change, restored to its own copy of the same state).
 
 Compiled steps and regions are shared process-wide by every machine of
 one composition (DESIGN.md section 5.1), so one example opens several
-subjects that run the *same microcode* on machines of different
-compositions: fault-free, faulted and supervised under the loadtest's
-``FAULT_TEMPLATE`` (seeds 101, 202 and 303), and with a display
-refreshing a band over fast I/O.  A composition key that missed a fact
-would hand one of them code generated for another, and the invariant
-would catch it.  The sessions of one template share its fork family's
-tables (DESIGN.md section 5.6): a sibling session records regions the
-subject then enters, and an IM write must take the writer out of the
-family.  Workload arguments are drawn from each builder's
-``@arg_ranges``, and one rule checks that requests outside them are
-refused.
+subjects that run the *same microcode*: fault-free, faulted and
+supervised under the loadtest's ``FAULT_TEMPLATE`` (seeds 101, 202 and
+303), and with a display refreshing a band over fast I/O.  A fault plan
+is data the generated code reads, not part of the composition: the
+faulted kinds share the clean kind's composition and so its code, which
+must act on each plan exactly as the interpreter does.  The display's
+composition differs, and a key that missed a fact would hand it code
+generated for another; the invariant would catch either.  The sessions
+of one template share its fork family's tables (DESIGN.md section 5.6):
+a sibling session records regions the subject then enters, a fork into
+another fault plan runs its parent's tables, and an IM write must take
+the writer out of the family.  Workload arguments are drawn from each
+builder's ``@arg_ranges``, and one rule checks that requests outside
+them are refused.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,6 +44,7 @@ from repro.asm.assembler import Assembler
 from repro.config import TIERS
 from repro.core.alu import AluControl, AluFunc, CarryIn
 from repro.errors import DoradoError, ServiceError
+from repro.fault import FaultConfig
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import SESSION_WORKLOADS
 from repro.service import Session
@@ -238,13 +244,23 @@ class LifecycleModel(RuleBasedStateMachine):
         self._run(subject, cycles)
 
     @precondition(lambda self: self.subjects)
-    @rule(index=INDEX, tier=st.sampled_from(TIERS), cycles=CYCLES)
-    def fork_and_step_the_clone(self, index, tier, cycles):
+    @rule(
+        index=INDEX,
+        tier=st.sampled_from(TIERS),
+        seed=st.sampled_from((None, 101, 202, 303)),
+        cycles=CYCLES,
+    )
+    def fork_and_step_the_clone(self, index, tier, seed, cycles):
+        """Fork the subject into a fault plan (*seed*; None: no plan),
+        whatever its own: the clone runs its parent's tables."""
         subject = self._pick(index)
         before = subject.session.cpu.snapshot()
-        clone = subject.session.cpu.fork()
+        fault = None if seed is None else FaultConfig(**dict(FAULT_TEMPLATE, seed=seed))
+        config = dataclasses.replace(subject.session.cpu.config, fault_injection=fault)
+        clone = subject.session.cpu.fork(config=config)
         clone.tier = tier
-        twin = subject.reference.cpu.fork()
+        assert clone._traces.traces is subject.session.cpu._traces.traces
+        twin = subject.reference.cpu.fork(config=config)
         twin.tier = "interp"
         _run_both(clone, twin, lambda cpu: cpu.run(cycles))
         assert _state(clone) == _state(twin)

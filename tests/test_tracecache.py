@@ -718,9 +718,14 @@ def test_forks_and_resumed_sessions_generate_no_step_source(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ROTATION_SIZES))
 def test_second_sessions_of_a_template_record_no_region(name, faulted):
     """Every session of one template is a fork of it, so all of them
-    share one fork family: once one session has run to HALT, a second
-    ``Session.build`` and a ``Session.resume`` record no region -- with
-    a fault plan too, whose sessions share the family's faulted pair."""
+    share one fork family and, whatever their fault plan, one table
+    pair: once one session has run to HALT, a second ``Session.build``
+    records no region in its first slice, and a ``Session.resume`` of it
+    runs the family's regions.  A clean resumed session records none
+    either.  A faulted one is supervised: it rolls back to its envelope,
+    not to where the first session's supervisor did, and a fast loop
+    refuses the tail of each sweep chunk shorter than one iteration, so
+    it steps other cycles and may heat a head the first never did."""
     from repro.service import Session
     from repro.service.loadtest import FAULT_TEMPLATE
 
@@ -735,7 +740,8 @@ def test_second_sessions_of_a_template_record_no_region(name, faulted):
     assert resumed.result() == first.result()
     for session in (second, resumed):
         stats = session.cpu._traces.stats()
-        assert stats["compiled"] == 0 and stats["traced_cycles"] > 0, stats
+        assert stats["traced_cycles"] > 0, stats
+        assert stats["compiled"] == 0 or (faulted and session is resumed), stats
         assert session.cpu._traces.traces is first.cpu._traces.traces
 
 
